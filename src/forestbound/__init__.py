@@ -9,7 +9,7 @@ from .bounds import (
     oracle_vstar_subsets,
     vstar,
 )
-from .curve import BoundCurve, CurveState, curve_from_pvalues, fast_curve, fdp_curve
+from .curve import BoundCurve, curve_from_pvalues, fast_curve, fdp_curve
 from .errors import (
     DuplicateRegionError,
     ForestError,
@@ -25,14 +25,12 @@ from .errors import (
     ZetaRangeError,
 )
 from .forest import (
-    DepthIndex,
     ForestFamily,
     Region,
     RegionKey,
     build_dyadic,
     build_family,
     complete_family,
-    depth_of,
     region_members,
 )
 from .pruning import PruneResult, compact, definition_removed_set, prune
@@ -52,8 +50,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BenchReport",
     "BoundCurve",
-    "CurveState",
-    "DepthIndex",
     "DuplicateRegionError",
     "ForestError",
     "ForestFamily",
@@ -82,7 +78,6 @@ __all__ = [
     "compact",
     "curve_from_pvalues",
     "definition_removed_set",
-    "depth_of",
     "fast_curve",
     "fdp_curve",
     "gen_pvalues",

@@ -31,14 +31,9 @@ from .errors import (
 )
 from .forest import ForestFamily, RegionKey, complete_family, region_members
 
-# Families with at least this many atoms go through the compiled or
-# vectorized sweep; below it, plain lists beat the per-call overhead.
+# Families with at least this many atoms go through the vectorized sweep;
+# below it, plain lists beat the per-call overhead.
 NUMPY_MIN_ATOMS = 32
-
-try:
-    from numba import njit as _njit
-except ImportError:  # pragma: no cover - numba is a normal dependency
-    _njit = None
 
 ORACLE_MAX_M = 20
 ORACLE_MAX_ATOMS = 12
@@ -80,7 +75,14 @@ def _require_complete(family: ForestFamily, auto_complete: bool) -> ForestFamily
     )
 
 
-def _sweep_py(lay, hits: list[int]) -> int:
+def _sweep_py(lay, hits: list[int]) -> list[int]:
+    """The bottom-up sweep over plain lists; returns its accumulator.
+
+    Regions sorted by depth put children after their parents, so one reverse
+    pass accumulates child sums before each parent consumes them: ``acc[r]``
+    ends as the summed values of region r's children and ``acc[-1]`` as the
+    bound, the summed values of the roots.
+    """
     hc = [0] * len(hits)
     run = 0
     for n, h in enumerate(hits):
@@ -99,7 +101,7 @@ def _sweep_py(lay, hits: list[int]) -> int:
             if c < v:
                 v = c
         acc[parent[r]] += v
-    return acc[-1]
+    return acc
 
 
 _ATOM_SENTINEL = 1 << 62
@@ -115,51 +117,6 @@ def _sweep_np(lay, hits: list[int]) -> int:
     for seg, parent in reversed(lay.np_levels):
         np.add.at(acc, parent, np.minimum(caps[seg], acc[seg]))
     return int(acc[-1])
-
-
-def _sweep_kernel_impl(hits, left_m1, right, zeta, parent, is_atom):
-    n = hits.shape[0]
-    hc = np.empty(n, np.int64)
-    run = 0
-    for i in range(n):
-        run += hits[i]
-        hc[i] = run
-    k = zeta.shape[0]
-    acc = np.zeros(k + 1, np.int64)
-    for r in range(k - 1, -1, -1):
-        v = zeta[r]
-        c = hc[right[r]] - hc[left_m1[r]]
-        if c < v:
-            v = c
-        if not is_atom[r]:
-            c = acc[r]
-            if c < v:
-                v = c
-        p = parent[r]
-        if p < 0:
-            p = k
-        acc[p] += v
-    return acc[k]
-
-
-# Regions sorted by depth put children after their parents, so one reverse
-# pass accumulates child sums before each parent consumes them.
-_sweep_jit = None if _njit is None else _njit(cache=True)(_sweep_kernel_impl)
-
-
-def _sweep_fast(lay, hits: list[int]) -> int:
-    if _sweep_jit is None:
-        return _sweep_np(lay, hits)
-    return int(
-        _sweep_jit(
-            np.asarray(hits, dtype=np.int64),
-            lay.np_left_m1,
-            lay.np_right,
-            lay.np_zeta,
-            lay.np_parent_flat,
-            lay.np_is_atom,
-        )
-    )
 
 
 def vstar(
@@ -179,8 +136,8 @@ def vstar(
     hits = atom_hit_counts(family, selection)
     lay = family._layout()
     if family.n_atoms >= NUMPY_MIN_ATOMS:
-        return _sweep_fast(lay, hits)
-    return _sweep_py(lay, hits)
+        return _sweep_np(lay, hits)
+    return _sweep_py(lay, hits)[-1]
 
 
 def validate_path(m: int, path: Sequence[int]) -> tuple[int, ...]:

@@ -16,8 +16,8 @@ from .bounds import vstar
 from .curve import curve_from_pvalues, fast_curve
 from .errors import ForestError
 from .forest import build_dyadic, complete_family
-from .pruning import compact, prune
-from .zeta import ZetaEstimator
+from .pruning import prune
+from .zeta import ZETA_METHODS, ZetaEstimator
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -72,14 +72,14 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("zeta", help="estimate region budgets")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", dest="outfile", required=True)
-    p.add_argument("--zeta", choices=("trivial", "dkwm"), default="trivial")
+    p.add_argument("--zeta", choices=ZETA_METHODS, default="trivial")
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--pvalues", help="p-value CSV (required for dkwm)")
 
     p = sub.add_parser("bench", help="time the curve variants on a scenario")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--height", type=int, required=True)
-    p.add_argument("--zeta", choices=("trivial", "dkwm"), default="trivial")
+    p.add_argument("--zeta", choices=ZETA_METHODS, default="trivial")
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--n-repl", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
@@ -127,7 +127,7 @@ def _cmd_complete(args) -> int:
 def _cmd_prune(args) -> int:
     family = formats.parse_forest(_read_text(args.infile))
     result = prune(family)
-    _write_text(args.outfile, formats.dump_forest(compact(result)))
+    _write_text(args.outfile, formats.dump_forest(result.pruned_family))
     if args.report:
         _write_text(args.report, formats.dump_removed_csv(result.removed))
     print(f"removed={len(result.removed)} vstar_full={result.vstar_full}")
@@ -144,7 +144,7 @@ def _cmd_vstar(args) -> int:
 def _cmd_curve(args) -> int:
     family = formats.parse_forest(_read_text(args.family))
     if args.prune:
-        family = compact(prune(family))
+        family = prune(family).pruned_family
     if (args.path is None) == (args.pvalues is None):
         raise _UsageError("curve needs exactly one of --path or --pvalues")
     if args.path is not None:
@@ -165,7 +165,10 @@ def _cmd_curve(args) -> int:
 
 
 def _cmd_gen_dyadic(args) -> int:
-    family = build_dyadic(args.height, args.atom_size)
+    try:
+        family = build_dyadic(args.height, args.atom_size)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     _write_text(args.outfile, formats.dump_forest(family))
     return EXIT_OK
 

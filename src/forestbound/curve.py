@@ -17,7 +17,7 @@ against an independent bound evaluation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -25,7 +25,7 @@ import numpy as np
 
 from .bounds import _require_complete, validate_path, vstar
 from .errors import InvalidProbabilityError
-from .forest import ForestFamily, RegionKey
+from .forest import ForestFamily, RegionKey, region_members
 
 
 @dataclass(frozen=True)
@@ -48,22 +48,6 @@ class BoundCurve:
         return self.values[-1]
 
 
-@dataclass
-class CurveState:
-    """Mutable bookkeeping of the incremental algorithm (audit mode only).
-
-    ``eta`` maps regions to their absorbed counts, ``saturated`` is the set
-    of frozen regions, and ``partition`` tracks a partition-realizing region
-    subset whose capped budgets sum to the current bound.
-    """
-
-    eta: dict[RegionKey, int]
-    saturated: set[RegionKey]
-    v_current: int = 0
-    t: int = 0
-    partition: set[RegionKey] = field(default_factory=set)
-
-
 def fast_curve(
     family: ForestFamily,
     path: Sequence[int],
@@ -82,8 +66,7 @@ def fast_curve(
     family = _require_complete(family, auto_complete)
     steps = validate_path(family.m, path)
     if audit:
-        values, _ = _fast_curve_audit(family, steps)
-        return BoundCurve(values)
+        return BoundCurve(_fast_curve_audit(family, steps))
 
     lay = family._layout()
     atom_of = family._atom_of()
@@ -124,7 +107,10 @@ AUDIT_FULL_CHECK_MAX_M = 32
 
 def _fast_curve_audit(
     family: ForestFamily, steps: tuple[int, ...]
-) -> tuple[tuple[int, ...], CurveState]:
+) -> tuple[int, ...]:
+    # Bookkeeping: ``eta`` maps regions to their absorbed counts,
+    # ``saturated`` holds the frozen regions, and ``partition`` tracks a
+    # partition-realizing region subset whose capped budgets sum to the bound.
     lay = family._layout()
     atom_of = family._atom_of()
     keys = lay.keys
@@ -143,11 +129,8 @@ def _fast_curve_audit(
     partition.update(
         RegionKey(n, n) for n in range(1, n_atoms + 1) if not pre_covered[n]
     )
-    state = CurveState(
-        eta={k: 0 for k in keys},
-        saturated={keys[r] for r in lay.zeta_zero},
-        partition=partition,
-    )
+    eta = {k: 0 for k in keys}
+    saturated = {keys[r] for r in lay.zeta_zero}
     roots = [keys[r] for a, b in lay.level_slices[:1] for r in range(a, b)]
     sel_count = {k: 0 for k in keys}  # |S_t ∩ R_k|, saturation-independent
     selected: set[int] = set()
@@ -155,75 +138,57 @@ def _fast_curve_audit(
     def contains(outer: RegionKey, inner: RegionKey) -> bool:
         return outer.i <= inner.i and inner.j <= outer.j
 
+    v = 0
     values = [0]
-    for idx in steps:
-        state.t += 1
+    for t, idx in enumerate(steps, start=1):
         selected.add(idx)
         n = atom_of[idx]
         chain = [keys[r] for r in lay.chains[n]]
         for k in chain:
             sel_count[k] += 1
-        if any(k in state.saturated for k in chain):
-            values.append(state.v_current)
-        else:
+        if not any(k in saturated for k in chain):
             for k in chain:
-                state.eta[k] += 1
-                assert state.eta[k] <= family.zeta(k), (
-                    f"t={state.t}: counter of {k} exceeded its budget"
+                eta[k] += 1
+                assert eta[k] <= family.zeta(k), (
+                    f"t={t}: counter of {k} exceeded its budget"
                 )
-                if state.eta[k] >= family.zeta(k):
-                    state.saturated.add(k)
-                    state.partition = {
-                        p for p in state.partition if not contains(k, p)
-                    }
-                    state.partition.add(k)
+                if eta[k] >= family.zeta(k):
+                    saturated.add(k)
+                    partition = {p for p in partition if not contains(k, p)}
+                    partition.add(k)
                     break
-            state.v_current += 1
-            values.append(state.v_current)
+            v += 1
+        values.append(v)
 
-        _assert_step_identities(family, state, roots, sel_count)
+        _assert_step_identities(family, t, v, eta, partition, roots, sel_count)
         if family.m <= AUDIT_FULL_CHECK_MAX_M:
-            _assert_eta_matches_vstar(family, state, selected)
-    return tuple(values), state
+            _assert_eta_matches_vstar(family, t, eta, partition, selected)
+    return tuple(values)
 
 
-def _assert_step_identities(family, state, roots, sel_count) -> None:
-    total = sum(state.eta[k] for k in roots)
-    assert state.v_current == total, (
-        f"t={state.t}: bound {state.v_current} != root counter sum {total}"
-    )
-    spans = sorted((k.i, k.j) for k in state.partition)
+def _assert_step_identities(family, t, v, eta, partition, roots, sel_count) -> None:
+    total = sum(eta[k] for k in roots)
+    assert v == total, f"t={t}: bound {v} != root counter sum {total}"
+    spans = sorted((k.i, k.j) for k in partition)
     pos = 1
     for i, j in spans:
-        assert i == pos, f"t={state.t}: tracked partition has a gap at atom {pos}"
+        assert i == pos, f"t={t}: tracked partition has a gap at atom {pos}"
         pos = j + 1
     assert pos == family.n_atoms + 1, (
-        f"t={state.t}: tracked partition stops at atom {pos - 1}"
+        f"t={t}: tracked partition stops at atom {pos - 1}"
     )
-    capped = sum(
-        min(family.zeta(k), sel_count[k]) for k in state.partition
-    )
-    assert state.v_current == capped, (
-        f"t={state.t}: bound {state.v_current} != partition capped sum {capped}"
-    )
+    capped = sum(min(family.zeta(k), sel_count[k]) for k in partition)
+    assert v == capped, f"t={t}: bound {v} != partition capped sum {capped}"
 
 
-def _assert_eta_matches_vstar(family, state, selected) -> None:
+def _assert_eta_matches_vstar(family, t, eta, partition, selected) -> None:
     # Active regions: those containing at least one tracked-partition member.
     for reg in family.regions():
-        if not any(
-            reg.key.i <= p.i and p.j <= reg.key.j for p in state.partition
-        ):
+        if not any(reg.key.i <= p.i and p.j <= reg.key.j for p in partition):
             continue
-        members = set(
-            range(
-                family._offsets[reg.key.i - 1] + 1,
-                family._offsets[reg.key.j] + 1,
-            )
-        )
-        expected = vstar(family, selected & members)
-        assert state.eta[reg.key] == expected, (
-            f"t={state.t}: counter of {reg.key} is {state.eta[reg.key]}, "
+        expected = vstar(family, selected & set(region_members(family, reg.key)))
+        assert eta[reg.key] == expected, (
+            f"t={t}: counter of {reg.key} is {eta[reg.key]}, "
             f"bound of restricted selection is {expected}"
         )
 

@@ -55,16 +55,8 @@ class Region:
     depth: int
 
 
-@dataclass(frozen=True)
-class DepthIndex:
-    """Regions grouped by depth; ``by_depth[h-1]`` lists depth-h keys sorted by i."""
-
-    by_depth: tuple[tuple[RegionKey, ...], ...]
-    height: int
-
-
 class _Layout:
-    """Flat arrays over regions in (depth, i) order, shared by the sweep engines.
+    """Flat arrays over regions in (depth, i) order, shared by the sweeps.
 
     ``parent[r]`` is the index of the tightest strictly containing region
     (-1 for roots), ``chains[n]`` lists the regions containing atom n from
@@ -87,8 +79,6 @@ class _Layout:
         "np_zeta",
         "np_atom_rids",
         "np_levels",
-        "np_parent_flat",
-        "np_is_atom",
     )
 
     def __init__(self, family: "ForestFamily") -> None:
@@ -128,18 +118,19 @@ class _Layout:
             [r for r, atom in enumerate(self.is_atom) if atom], dtype=np.int64
         )
         np_parent = np.asarray(self.parent, dtype=np.int64)
-        self.np_parent_flat = np_parent
-        self.np_is_atom = np.asarray(self.is_atom, dtype=np.bool_)
         self.np_levels = [
             (slice(a, b), np_parent[a:b]) for a, b in self.level_slices
         ]
 
 
-def _as_count(value, what: str) -> int:
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise SizeMismatchError(f"{what} must be an integer, got {value!r}") from None
+def _as_count(value, what: str, error: type[Exception] = SizeMismatchError) -> int:
+    # bool is an int subclass, but True is no count.
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise error(f"{what} must be an integer, got {value!r}")
 
 
 class ForestFamily:
@@ -183,7 +174,7 @@ class ForestFamily:
             key = RegionKey(i, j)
             if key in table:
                 raise DuplicateRegionError(f"region {key} given twice")
-            zeta = _as_count(zeta, "zeta")
+            zeta = _as_count(zeta, "zeta", ZetaRangeError)
             size = self._offsets[j] - self._offsets[i - 1]
             if not (0 <= zeta <= size):
                 raise ZetaRangeError(
@@ -193,7 +184,7 @@ class ForestFamily:
 
         self._regions = table
         self._depths = self._compute_depths(table)
-        self._levels: tuple[tuple[RegionKey, ...], ...] = self._group_levels()
+        self._height = max(self._depths.values(), default=0)
         self._complete = all(RegionKey(a, a) in table for a in range(1, n + 1))
         self._atom_of_cache: list[int] | None = None
         self._layout_cache: _Layout | None = None
@@ -216,13 +207,6 @@ class ForestFamily:
             stack.append(key)
         return depths
 
-    def _group_levels(self) -> tuple[tuple[RegionKey, ...], ...]:
-        height = max(self._depths.values(), default=0)
-        levels: list[list[RegionKey]] = [[] for _ in range(height)]
-        for key in sorted(self._regions):
-            levels[self._depths[key] - 1].append(key)
-        return tuple(tuple(level) for level in levels)
-
     # -- basic queries ----------------------------------------------------
 
     @property
@@ -231,15 +215,11 @@ class ForestFamily:
 
     @property
     def height(self) -> int:
-        return len(self._levels)
+        return self._height
 
     @property
     def is_complete(self) -> bool:
         return self._complete
-
-    @property
-    def depth_index(self) -> DepthIndex:
-        return DepthIndex(by_depth=self._levels, height=self.height)
 
     def __len__(self) -> int:
         return len(self._regions)
@@ -344,11 +324,6 @@ def complete_family(family: ForestFamily) -> ForestFamily:
         if RegionKey(n, n) not in family._regions:
             triples.append((n, n, size))
     return ForestFamily(family.m, family.atom_sizes, triples)
-
-
-def depth_of(family: ForestFamily, key) -> int:
-    """Depth of a region: 1 plus the number of strictly containing regions."""
-    return family.region(key).depth
 
 
 def region_members(family: ForestFamily, key) -> range:

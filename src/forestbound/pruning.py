@@ -3,9 +3,10 @@
 A non-atom region is redundant whenever some chain of family members tiles
 its atom interval with budgets summing to no more than its own: such a region
 can never be the binding term of the bound, so dropping it leaves every bound
-value unchanged while shrinking the family.  The detection runs inside the
-same bottom-up sweep as the single-evaluation bound with the full selection
-set, where each region's capped budget is just its budget.
+value unchanged while shrinking the family.  The detection reuses the
+bottom-up sweep of the single-evaluation bound on the full selection set,
+where each region's capped budget is just its budget: a region is dominated
+exactly when its budget is at least the summed values of its children.
 
 :func:`definition_removed_set` re-derives the removed set straight from the
 tiling-domination definition by memoized enumeration; it is deliberately
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .bounds import _sweep_py
 from .errors import IncompleteFamilyError
 from .forest import ForestFamily, RegionKey, build_family
 
@@ -42,18 +44,12 @@ def prune(family: ForestFamily) -> PruneResult:
     if not family.is_complete:
         raise IncompleteFamilyError("pruning requires a complete family")
     lay = family._layout()
-    zeta, parent, is_atom = lay.zeta, lay.parent, lay.is_atom
-    acc = [0] * (len(zeta) + 1)
-    removed = []
-    for r in range(len(zeta) - 1, -1, -1):
-        v = zeta[r]
-        if not is_atom[r]:
-            child_sum = acc[r]
-            if v >= child_sum:
-                removed.append(lay.keys[r])
-                v = child_sum
-        acc[parent[r]] += v
-    removed_set = frozenset(removed)
+    acc = _sweep_py(lay, [0, *family.atom_sizes])
+    removed_set = frozenset(
+        key
+        for key, z, child_sum, atom in zip(lay.keys, lay.zeta, acc, lay.is_atom)
+        if not atom and z >= child_sum
+    )
     kept = [
         (k.i, k.j, z)
         for k, z in family._regions.items()
@@ -64,17 +60,13 @@ def prune(family: ForestFamily) -> PruneResult:
 
 
 def compact(result: PruneResult) -> ForestFamily:
-    """Rebuild the pruned family with freshly indexed internal structures.
+    """The pruned family.
 
-    With this package's storage model pruning already re-derives depths and
-    leaves no gaps, so the rebuilt family is semantically identical; compact
-    exists as the explicit re-indexing step and guarantees that every lazy
-    lookup structure is reconstructed from the surviving regions alone.
+    Pruning already builds it from the surviving regions alone, with depths
+    re-derived and every lookup structure fresh, so there is nothing left to
+    re-index; kept for callers that compact after pruning.
     """
-    f = result.pruned_family
-    return build_family(
-        f.m, f.atom_sizes, ((k.i, k.j, z) for k, z in f._regions.items())
-    )
+    return result.pruned_family
 
 
 def definition_removed_set(family: ForestFamily) -> frozenset[RegionKey]:

@@ -26,8 +26,8 @@ from .bounds import naive_curve
 from .curve import BoundCurve, fast_curve
 from .errors import InvalidProbabilityError
 from .forest import ForestFamily, build_dyadic
-from .pruning import compact, prune
-from .zeta import zeta_dkwm, zeta_trivial
+from .pruning import prune
+from .zeta import ZETA_METHODS, ZetaEstimator
 
 VARIANTS = (
     "naive.not.pruned",
@@ -65,7 +65,7 @@ class ScenarioConfig:
             raise ValueError(f"signal leaves must lie in 1..{n_atoms}")
         if self.n_repl < 1:
             raise ValueError("n_repl must be >= 1")
-        if self.zeta_method not in ("trivial", "dkwm"):
+        if self.zeta_method not in ZETA_METHODS:
             raise ValueError(f"unknown zeta method {self.zeta_method!r}")
         if not 0.0 < self.alpha < 1.0:
             raise InvalidProbabilityError("alpha must be in (0, 1)")
@@ -149,9 +149,7 @@ def gen_pvalues(cfg: ScenarioConfig, rng=None) -> np.ndarray:
 
 def _scenario_family(cfg: ScenarioConfig, pvalues: np.ndarray) -> ForestFamily:
     family = build_dyadic(cfg.tree_height, cfg.atom_size)
-    if cfg.zeta_method == "trivial":
-        return zeta_trivial(family)
-    return zeta_dkwm(family, pvalues, cfg.alpha)
+    return ZetaEstimator(cfg.zeta_method, cfg.alpha).apply(family, pvalues)
 
 
 class _PreparedScenario:
@@ -166,7 +164,7 @@ class _PreparedScenario:
         self.chosen = chosen
         pvalues = gen_pvalues(cfg)
         family = _scenario_family(cfg, pvalues)
-        pruned = compact(prune(family))
+        pruned = prune(family).pruned_family
         if cfg.order_by_pvalue:
             path = (np.argsort(pvalues, kind="stable") + 1).tolist()
         else:

@@ -17,8 +17,11 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import InvalidProbabilityError
+from .errors import InvalidProbabilityError, ZetaRangeError
 from .forest import ForestFamily, RegionKey, region_members
+
+# Names of the shipped estimators, as ZetaEstimator and the CLI accept them.
+ZETA_METHODS = ("trivial", "dkwm")
 
 
 def zeta_trivial(family: ForestFamily) -> ForestFamily:
@@ -94,12 +97,21 @@ def apply_zetas(
     Entry point for third-party estimation strategies; emits a warning when
     any estimate had to be clamped (the shipped estimators stay in range by
     construction).  Regions absent from ``estimates`` keep their budget.
+    An estimate that is a boolean or not a finite number raises
+    ZetaRangeError.
     """
     zetas = {}
     clamped_keys = []
     for key, z in estimates.items():
         size = family.region_size(key)
-        clamped = min(max(int(z), 0), size)
+        try:
+            clamped = None if isinstance(z, bool) else min(max(int(z), 0), size)
+        except (TypeError, ValueError, OverflowError):
+            clamped = None
+        if clamped is None:
+            raise ZetaRangeError(
+                f"zeta estimate {z!r} for region {key} is not a finite number"
+            )
         if clamped != z:
             clamped_keys.append(key)
         zetas[key] = clamped
@@ -120,7 +132,7 @@ class ZetaEstimator:
     alpha: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.method not in ("trivial", "dkwm"):
+        if self.method not in ZETA_METHODS:
             raise ValueError(f"unknown zeta method {self.method!r}")
         if not 0.0 < self.alpha < 1.0:
             raise InvalidProbabilityError(

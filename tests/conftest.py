@@ -49,6 +49,7 @@ def random_family(
     max_atoms: int = 6,
     max_atom_size: int = 3,
     complete: bool = False,
+    min_atoms: int = 1,
 ) -> fb.ForestFamily:
     """A random valid family: laminar intervals with uniform random budgets.
 
@@ -57,7 +58,7 @@ def random_family(
     ``complete=True`` every atom is included, with a random budget of its
     own (rather than the cardinality default of completion).
     """
-    n = rng.randint(1, max_atoms)
+    n = rng.randint(min_atoms, max_atoms)
     sizes = [rng.randint(1, max_atom_size) for _ in range(n)]
     keys = set()
 

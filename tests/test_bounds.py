@@ -11,19 +11,22 @@ from forestbound import (
     NotAPermutationError,
     TooLargeForOracleError,
 )
-from forestbound.bounds import _sweep_fast, _sweep_np, _sweep_py, atom_hit_counts
+from forestbound.bounds import (
+    NUMPY_MIN_ATOMS,
+    ORACLE_MAX_ATOMS,
+    _sweep_np,
+    _sweep_py,
+    atom_hit_counts,
+)
 
 from conftest import EXAMPLE_CURVE, EXAMPLE_PATH, random_family, random_selection
 
 
-def all_engines(family, selection):
+def both_engines(family, selection):
+    """The bound from each sweep engine, whatever the family's size."""
     hits = atom_hit_counts(family, selection)
     lay = family._layout()
-    return (
-        _sweep_py(lay, hits),
-        _sweep_np(lay, hits),
-        _sweep_fast(lay, hits),
-    )
+    return _sweep_py(lay, hits)[-1], _sweep_np(lay, hits)
 
 
 class TestVstar:
@@ -63,12 +66,28 @@ class TestVstar:
         )
 
     def test_engines_agree(self):
+        # Each engine against a defining oracle on both sides of the size
+        # dispatch.  The partition oracle stops at ORACLE_MAX_ATOMS, below
+        # NUMPY_MIN_ATOMS, so the large side checks selections of at most 10
+        # hypotheses against the set oracle, and arbitrary selections of the
+        # two engines against each other.
         rng = random.Random(17)
         for _ in range(150):
-            fam = fb.complete_family(random_family(rng, max_atoms=40))
+            fam = fb.complete_family(
+                random_family(rng, max_atoms=ORACLE_MAX_ATOMS)
+            )
             sel = random_selection(rng, fam.m)
-            a, b, c = all_engines(fam, sel)
-            assert a == b == c
+            expected = fb.oracle_vstar_partitions(fam, sel)
+            assert both_engines(fam, sel) == (expected, expected)
+        for _ in range(40):
+            fam = fb.complete_family(
+                random_family(rng, min_atoms=NUMPY_MIN_ATOMS, max_atoms=48)
+            )
+            sel = set(rng.sample(range(1, fam.m + 1), rng.randint(0, 10)))
+            expected = fb.oracle_vstar_sets(fam, sel)
+            assert both_engines(fam, sel) == (expected, expected)
+            py, np_ = both_engines(fam, random_selection(rng, fam.m))
+            assert py == np_
 
 
 class TestHitCounts:

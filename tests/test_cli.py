@@ -211,6 +211,16 @@ class TestRoundTripCommands:
         assert main(["validate", "--in", str(f)]) == 0
         assert "m=24" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "height, atom_size", [("0", "2"), ("3", "0")], ids=["height", "atom-size"]
+    )
+    def test_gen_dyadic_bad_args_exit_1(self, tmp_path, capsys, height, atom_size):
+        out = tmp_path / "x.forest"
+        argv = ["gen-dyadic", "--height", height, "--atom-size", atom_size]
+        assert main([*argv, "--out", str(out)]) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_complete_command(self, tmp_path):
         f = tmp_path / "partial.forest"
         f.write_text(

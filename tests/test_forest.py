@@ -33,6 +33,14 @@ def brute_depth(family, key):
     return 1 + count
 
 
+def levels_by_depth(family):
+    """Region keys grouped by depth: entry h-1 lists the depth-h keys by i."""
+    levels = [[] for _ in range(family.height)]
+    for reg in family.regions():
+        levels[reg.depth - 1].append(reg.key)
+    return [sorted(level) for level in levels]
+
+
 def brute_forest_law(family):
     keys = list(family.keys())
     for a in keys:
@@ -72,6 +80,8 @@ class TestBuildFamily:
             fb.build_family(2, (1, 1), [(1, 2, 3)])
         with pytest.raises(ZetaRangeError):
             fb.build_family(2, (1, 1), [(1, 2, -1)])
+        with pytest.raises(ZetaRangeError):
+            fb.build_family(2, (1, 1), [(1, 2, 2.0)])  # not an integer
 
     def test_atom_sizes_must_sum_to_m(self):
         with pytest.raises(SizeMismatchError):
@@ -84,6 +94,20 @@ class TestBuildFamily:
     def test_nonpositive_atom_rejected(self):
         with pytest.raises(SizeMismatchError):
             fb.build_family(2, (2, 0), [(1, 1, 1)])
+
+    def test_booleans_rejected(self):
+        with pytest.raises(SizeMismatchError):
+            fb.build_family(True, (1,), [(1, 1, 1)])
+        with pytest.raises(SizeMismatchError):
+            fb.build_family(2, (True, 1), [(1, 1, 1)])
+        with pytest.raises(SizeMismatchError):
+            fb.build_family(2, (1, 1), [(True, 1, 1)])
+        with pytest.raises(SizeMismatchError):
+            fb.build_family(2, (1, 1), [(1, True, 1)])
+        with pytest.raises(ZetaRangeError):
+            fb.build_family(2, (1, 1), [(1, 1, True)])
+        with pytest.raises(ZetaRangeError):
+            fb.build_family(2, (1, 1), [(1, 1, False)])
 
     def test_region_key_out_of_range(self):
         with pytest.raises(IndexOutOfRangeError):
@@ -100,28 +124,28 @@ class TestBuildFamily:
 
 class TestDepth:
     def test_example_depths(self, example_family):
-        assert fb.depth_of(example_family, (1, 5)) == 1
-        assert fb.depth_of(example_family, (2, 3)) == 2
-        assert fb.depth_of(example_family, (3, 3)) == 3
-        assert fb.depth_of(example_family, (6, 7)) == 1
-        assert fb.depth_of(example_family, (7, 7)) == 2
-        assert fb.depth_of(example_family, (8, 8)) == 1
+        assert example_family.region((1, 5)).depth == 1
+        assert example_family.region((2, 3)).depth == 2
+        assert example_family.region((3, 3)).depth == 3
+        assert example_family.region((6, 7)).depth == 1
+        assert example_family.region((7, 7)).depth == 2
+        assert example_family.region((8, 8)).depth == 1
 
     def test_single_region_depth(self):
         fam = fb.build_family(4, (4,), [(1, 1, 2)])
-        assert fb.depth_of(fam, (1, 1)) == 1
+        assert fam.region((1, 1)).depth == 1
 
     def test_nested_chain_depth(self):
         fam = fb.build_family(
             4, (1, 1, 1, 1), [(1, 4, 2), (1, 2, 1), (1, 1, 1)]
         )
-        assert fb.depth_of(fam, (1, 1)) == 3
-        assert fb.depth_of(fam, (1, 2)) == 2
-        assert fb.depth_of(fam, (1, 4)) == 1
+        assert fam.region((1, 1)).depth == 3
+        assert fam.region((1, 2)).depth == 2
+        assert fam.region((1, 4)).depth == 1
 
     def test_unknown_region(self, example_family):
         with pytest.raises(UnknownRegionError):
-            fb.depth_of(example_family, (2, 5))
+            example_family.region((2, 5))
 
     def test_cached_depth_matches_definition(self):
         rng = random.Random(101)
@@ -157,17 +181,20 @@ class TestForestLaw:
 
 
 class TestDepthIndex:
+    """Regions grouped by depth (``levels_by_depth``)."""
+
     def test_levels_partition_regions(self, example_family):
-        index = example_family.depth_index
-        assert index.height == 3
-        seen = [k for level in index.by_depth for k in level]
+        levels = levels_by_depth(example_family)
+        assert example_family.height == 3
+        assert all(levels)  # every depth up to the height is populated
+        seen = [k for level in levels for k in level]
         assert sorted(seen) == sorted(example_family.keys())
 
     def test_levels_sorted_and_disjoint(self):
         rng = random.Random(404)
         for _ in range(50):
             fam = random_family(rng, max_atoms=8)
-            for level in fam.depth_index.by_depth:
+            for level in levels_by_depth(fam):
                 for a, b in zip(level, level[1:]):
                     assert a.i <= a.j < b.i  # sorted by i and disjoint
 
@@ -175,7 +202,7 @@ class TestDepthIndex:
         rng = random.Random(505)
         for _ in range(50):
             fam = fb.complete_family(random_family(rng, max_atoms=8))
-            roots = fam.depth_index.by_depth[0]
+            roots = levels_by_depth(fam)[0]
             covered = []
             for k in roots:
                 covered.extend(range(k.i, k.j + 1))
@@ -251,9 +278,10 @@ class TestBuildDyadic:
 
     def test_children_tile_parents(self):
         fam = fb.build_dyadic(4, 3)
-        index = fam.depth_index
-        for h, level in enumerate(index.by_depth[:-1], start=1):
-            below = index.by_depth[h]
+        levels = levels_by_depth(fam)
+        assert len(levels) == 4
+        for h, level in enumerate(levels[:-1], start=1):
+            below = levels[h]
             for key in level:
                 inside = [k for k in below if key.i <= k.i and k.j <= key.j]
                 covered = sorted(
@@ -271,6 +299,10 @@ class TestBuildDyadic:
             fb.build_dyadic(0, 1)
         with pytest.raises(ValueError):
             fb.build_dyadic(3, 0)
+        with pytest.raises(SizeMismatchError):
+            fb.build_dyadic(True, 1)
+        with pytest.raises(SizeMismatchError):
+            fb.build_dyadic(2, True)
 
 
 class TestTipContiguity:
@@ -281,9 +313,9 @@ class TestTipContiguity:
         rng = random.Random(606)
         for _ in range(100):
             fam = fb.complete_family(random_family(rng, max_atoms=8))
-            index = fam.depth_index
-            for h, level in enumerate(index.by_depth[:-1], start=1):
-                below = index.by_depth[h] if h < index.height else ()
+            levels = levels_by_depth(fam)
+            for h, level in enumerate(levels[:-1], start=1):
+                below = levels[h]
                 for key in level:
                     if key.i == key.j:
                         continue  # atoms have no successors

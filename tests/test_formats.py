@@ -1,5 +1,6 @@
 """File formats: forest JSON, path/p-value CSV, curve CSV, prune report."""
 
+import json
 import random
 
 import pytest
@@ -37,9 +38,9 @@ class TestForestRoundTrip:
         doc = dump_forest(example_family)
         regions = [
             (r["i"], r["j"])
-            for r in __import__("json").loads(doc)["regions"]
+            for r in json.loads(doc)["regions"]
         ]
-        depths = [fb.depth_of(example_family, k) for k in regions]
+        depths = [example_family.region(k).depth for k in regions]
         starts = [k[0] for k in regions]
         assert depths == sorted(depths)
         for d in set(depths):
@@ -67,6 +68,29 @@ class TestForestRoundTrip:
         )
         with pytest.raises(fb.OverlapError):
             parse_forest(bad)
+
+    def test_parse_rejects_booleans_and_fractional_budgets(self):
+        def doc(m=2, sizes=(1, 1), region=(1, 1), zeta=1):
+            i, j = region
+            return json.dumps(
+                {
+                    "m": m,
+                    "atom_sizes": list(sizes),
+                    "regions": [{"i": i, "j": j, "zeta": zeta}],
+                }
+            )
+
+        assert parse_forest(doc()).zeta((1, 1)) == 1
+        with pytest.raises(fb.ZetaRangeError):
+            parse_forest(doc(zeta=True))
+        with pytest.raises(fb.ZetaRangeError):
+            parse_forest(doc(zeta=2.0))
+        with pytest.raises(fb.SizeMismatchError):
+            parse_forest(doc(m=True, sizes=(1,)))
+        with pytest.raises(fb.SizeMismatchError):
+            parse_forest(doc(sizes=(True, True)))
+        with pytest.raises(fb.SizeMismatchError):
+            parse_forest(doc(region=(True, True)))
 
 
 class TestPathCsv:

@@ -136,6 +136,13 @@ class TestApplyZetas:
             out = fb.apply_zetas(example_family, {fb.RegionKey(1, 5): 3})
         assert out.zeta((1, 5)) == 3
 
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), -float("inf"), True]
+    )
+    def test_non_finite_or_boolean_estimate_is_a_zeta_error(self, example_family, bad):
+        with pytest.raises(fb.ZetaRangeError):
+            fb.apply_zetas(example_family, {fb.RegionKey(1, 5): bad})
+
 
 class TestZetaEstimator:
     def test_trivial_strategy(self, example_family):
