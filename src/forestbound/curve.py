@@ -205,17 +205,21 @@ def curve_from_pvalues(
     Ties break by ascending hypothesis index (stable sort), so the output is
     deterministic.
     """
+    path = _pvalue_path(family.m, pvalues)
+    return fast_curve(family, path, audit=audit, auto_complete=auto_complete)
+
+
+def _pvalue_path(m: int, pvalues: Sequence[float]) -> list[int]:
+    # The hypotheses 1..m by increasing p-value, ties by ascending index:
+    # the one ordering behind curve_from_pvalues and the CLI's curve CSV.
     arr = np.asarray(pvalues, dtype=float)
-    if arr.shape != (family.m,):
+    if arr.shape != (m,):
         raise InvalidProbabilityError(
-            f"expected {family.m} p-values, got shape {arr.shape}"
+            f"expected {m} p-values, got shape {arr.shape}"
         )
     if not np.all(np.isfinite(arr)) or arr.min() < 0.0 or arr.max() > 1.0:
         raise InvalidProbabilityError("p-values must be finite and within [0, 1]")
-    order = np.argsort(arr, kind="stable") + 1
-    return fast_curve(
-        family, order.tolist(), audit=audit, auto_complete=auto_complete
-    )
+    return (np.argsort(arr, kind="stable") + 1).tolist()
 
 
 def fdp_curve(curve: BoundCurve) -> list[Fraction]:

@@ -336,13 +336,19 @@ def region_members(family: ForestFamily, key) -> range:
     )
 
 
+# Largest m that build_dyadic builds: m = 2**(height-1) * atom_size.
+DYADIC_MAX_M = 2**31 - 1
+
+
 def build_dyadic(height: int, atom_size: int) -> ForestFamily:
     """Complete balanced binary-tree family of the given height.
 
     Produces 2**(height-1) atoms of equal size and 2**height - 1 regions;
     every internal region is the union of its two children.  All budgets
     default to the region size (vacuous); apply an estimator from
-    :mod:`forestbound.zeta` to sharpen them.
+    :mod:`forestbound.zeta` to sharpen them.  A family with more than
+    DYADIC_MAX_M hypotheses is refused with ValueError before anything is
+    allocated.
     """
     height = _as_count(height, "height")
     atom_size = _as_count(atom_size, "atom size")
@@ -350,6 +356,13 @@ def build_dyadic(height: int, atom_size: int) -> ForestFamily:
         raise ValueError(f"height must be >= 1, got {height}")
     if atom_size < 1:
         raise ValueError(f"atom size must be >= 1, got {atom_size}")
+    # Height 32 exceeds the limit even with atoms of size 1, so taller trees
+    # are refused without computing their size.
+    if height > 32 or atom_size << (height - 1) > DYADIC_MAX_M:
+        raise ValueError(
+            f"height {height} with atom size {atom_size} gives "
+            f"m = 2**{height - 1} * {atom_size} > {DYADIC_MAX_M}"
+        )
     n = 2 ** (height - 1)
     triples = []
     span = n

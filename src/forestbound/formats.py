@@ -14,25 +14,38 @@ from __future__ import annotations
 
 import json
 from decimal import Decimal, localcontext
-from fractions import Fraction
 from typing import Sequence
 
-from .curve import BoundCurve, fdp_curve
+from .curve import BoundCurve
 from .errors import FormatError
 from .forest import ForestFamily, RegionKey, build_family
 
 
 def dump_forest(family: ForestFamily) -> str:
-    """Canonical textual form of a family."""
-    regions = sorted(family.regions(), key=lambda r: (r.depth, r.key.i))
-    doc = {
-        "m": family.m,
-        "atom_sizes": list(family.atom_sizes),
-        "regions": [
-            {"i": r.key.i, "j": r.key.j, "zeta": r.zeta} for r in regions
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """Canonical textual form of a family.
+
+    The text is what ``json.dumps(doc, indent=2)`` gives for the document;
+    it holds integers only, so it is written out directly.
+    """
+    depths = family._depths
+    zetas = family._regions
+    keys = sorted(zetas, key=lambda k: (depths[k], k[0]))
+    sizes = ",\n    ".join(map(str, family.atom_sizes))
+    if keys:
+        records = ",\n".join(
+            [
+                f'    {{\n      "i": {k[0]},\n      "j": {k[1]},\n'
+                f'      "zeta": {zetas[k]}\n    }}'
+                for k in keys
+            ]
+        )
+        regions = f"[\n{records}\n  ]"
+    else:
+        regions = "[]"
+    return (
+        f'{{\n  "m": {family.m},\n  "atom_sizes": [\n    {sizes}\n  ],\n'
+        f'  "regions": {regions}\n}}\n'
+    )
 
 
 def parse_forest(text: str) -> ForestFamily:
@@ -100,19 +113,18 @@ def dump_curve_csv(path_indices: Sequence[int], curve: BoundCurve) -> str:
         raise FormatError(
             f"curve has {len(curve)} values for {len(path_indices)} path steps"
         )
-    fdp = fdp_curve(curve)
+    # V_t / t is the exact quotient rounded half-even to 17 significant
+    # digits (not the nearest binary double, whose rendering can differ in
+    # the last digit).  Both operands are integers, so the ideal exponent is
+    # 0 and the text is the same whether or not V_t / t is in lowest terms.
+    values = curve.values
     lines = ["t,hypothesis_index,V_t,fdp_bound"]
-    for t, (idx, bound) in enumerate(zip(path_indices, fdp), start=1):
-        lines.append(f"{t},{int(idx)},{curve[t]},{_decimal17(bound)}")
-    return "\n".join(lines) + "\n"
-
-
-def _decimal17(value: Fraction) -> str:
-    # The exact rational rounded to 17 significant digits (not the nearest
-    # binary double, whose rendering can differ in the last digit).
     with localcontext() as ctx:
         ctx.prec = 17
-        return str(Decimal(value.numerator) / Decimal(value.denominator))
+        for t, idx in enumerate(path_indices, start=1):
+            v = values[t]
+            lines.append(f"{t},{int(idx)},{v},{Decimal(v) / t}")
+    return "\n".join(lines) + "\n"
 
 
 def dump_removed_csv(removed) -> str:

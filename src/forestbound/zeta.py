@@ -13,12 +13,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import InvalidProbabilityError, ZetaRangeError
-from .forest import ForestFamily, RegionKey, region_members
+from .forest import ForestFamily, RegionKey
 
 # Names of the shipped estimators, as ZetaEstimator and the CLI accept them.
 ZETA_METHODS = ("trivial", "dkwm")
@@ -70,6 +71,12 @@ def zeta_dkwm(
     the caller's concern.  Regions full of small p-values get budgets well
     below their size, so they saturate quickly in the curve algorithms;
     regions compatible with uniform p-values keep the vacuous budget.
+
+    The budgets equal :func:`upper_null_count` on each region's p-values.
+    They are computed one depth level at a time, since the regions of one
+    level are disjoint: one sort groups the level's p-values by region in
+    increasing order, and the bound is reduced per region over the whole
+    level at once.
     """
     arr = np.asarray(pvalues, dtype=float)
     if arr.shape != (family.m,):
@@ -80,13 +87,74 @@ def zeta_dkwm(
         raise InvalidProbabilityError("p-values must be finite and within [0, 1]")
     if not 0.0 < alpha < 1.0:
         raise InvalidProbabilityError(f"alpha must be in (0, 1), got {alpha}")
-    estimates = {}
-    for key in family.keys():
-        members = region_members(family, key)
-        estimates[key] = upper_null_count(
-            arr[members.start - 1 : members.stop - 1], alpha
-        )
-    return apply_zetas(family, estimates)
+    keys = list(family._depths)
+    count = len(keys)
+    ij = np.fromiter(chain.from_iterable(keys), dtype=np.int64, count=2 * count)
+    ij = ij.reshape(count, 2)
+    depth = np.fromiter(family._depths.values(), dtype=np.int64, count=count)
+    offsets = np.asarray(family._offsets, dtype=np.int64)
+    lo = offsets[ij[:, 0] - 1]
+    hi = offsets[ij[:, 1]]
+    budgets = np.empty(count, dtype=np.int64)
+
+    order = np.argsort(arr, kind="stable")
+    p_sorted = arr[order]
+    c = math.log(1.0 / alpha) / 2.0
+    by_level = np.lexsort((lo, depth))
+    level_ends = np.searchsorted(
+        depth[by_level], np.arange(1, family.height + 1), side="right"
+    )
+    start = 0
+    for end in level_ends.tolist():
+        rids = by_level[start:end]
+        budgets[rids] = _level_null_counts(p_sorted, order, lo[rids], hi[rids], c)
+        start = end
+    return apply_zetas(family, dict(zip(keys, budgets.tolist())))
+
+
+def _level_null_counts(
+    p_sorted: np.ndarray,
+    order: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    c: float,
+) -> np.ndarray:
+    # upper_null_count for disjoint regions covering hypotheses lo..hi-1
+    # (0-based, sorted by lo), given the p-values in increasing order and
+    # their hypotheses.  Within a region, the element at position pos of the
+    # sorted p-values stands for the threshold t = p with exceed = n - pos - 1;
+    # among tied elements the last one has the exact #{p > t}, and the others
+    # give larger bounds, which the minimum ignores.
+    regions = lo.size
+    m = order.size
+    sizes = hi - lo
+    # Label every hypothesis with its region's position in the level, and
+    # those outside the level with ``regions``, run by run: the gap before
+    # each region, the region, and the gap after the last one.
+    label_of = np.full(2 * regions + 1, regions, dtype=np.min_scalar_type(regions))
+    label_of[1::2] = np.arange(regions)
+    runs = np.empty(2 * regions + 1, dtype=np.int64)
+    runs[1::2] = sizes
+    runs[0::2] = np.concatenate((lo, [m])) - np.concatenate(([0], hi))
+    labels = np.repeat(label_of, runs)[order]
+    covered = labels < regions
+    if not covered.all():
+        labels = labels[covered]
+        p_sorted = p_sorted[covered]
+    grouped = p_sorted[np.argsort(labels, kind="stable")]
+
+    ends = np.cumsum(sizes)
+    exceed = np.repeat(ends - 1, sizes) - np.arange(ends[-1])
+    gap = 1.0 - grouped
+    with np.errstate(divide="ignore"):
+        # A p-value of 1 is no threshold (gap 0): its bound is +inf.
+        x = (math.sqrt(c) + np.sqrt(c + 4.0 * gap * exceed)) / (2.0 * gap)
+    low = np.minimum.reduceat(x * x, ends - sizes)
+    # The threshold t = 0 with exceed = n.  That is exact when no p-value
+    # is 0; otherwise the last zero above gives the exact, smaller bound.
+    x0 = (math.sqrt(c) + np.sqrt(c + 4.0 * sizes)) / 2.0
+    low = np.minimum(low, x0 * x0)
+    return np.minimum(np.floor(low).astype(np.int64), sizes)
 
 
 def apply_zetas(

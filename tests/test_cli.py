@@ -171,6 +171,25 @@ class TestCurve:
         assert code == 0
         assert len(out.read_text().strip().splitlines()) == 26
 
+    def test_pvalues_rows_follow_the_curve_ordering(self, tmp_path, family_file):
+        # Ties break by ascending hypothesis index in both the hypothesis
+        # column and the curve.
+        pfile = tmp_path / "p.csv"
+        pvals = [(i * 7 % 5) / 4 for i in range(25)]
+        pfile.write_text(dump_pvalues_csv(pvals))
+        out = tmp_path / "curve.csv"
+        argv = ["curve", "--family", str(family_file), "--pvalues", str(pfile)]
+        assert main([*argv, "--out", str(out)]) == 0
+        rows = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
+        path = sorted(range(1, 26), key=lambda h: (pvals[h - 1], h))
+        assert [int(r[1]) for r in rows] == path
+        family = fb.build_family(
+            EXAMPLE_M, EXAMPLE_ATOMS, EXAMPLE_REGIONS + EXAMPLE_COMPLETION
+        )
+        curve = fb.curve_from_pvalues(family, pvals)
+        assert [int(r[2]) for r in rows] == list(curve.values[1:])
+        assert curve == fb.fast_curve(family, path)
+
     def test_path_and_pvalues_conflict(self, tmp_path, family_file, path_file):
         code = main(
             [
@@ -219,6 +238,13 @@ class TestRoundTripCommands:
         argv = ["gen-dyadic", "--height", height, "--atom-size", atom_size]
         assert main([*argv, "--out", str(out)]) == 1
         assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_gen_dyadic_over_size_limit_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "x.forest"
+        argv = ["gen-dyadic", "--height", "40", "--atom-size", "1"]
+        assert main([*argv, "--out", str(out)]) == 1
+        assert "2147483647" in capsys.readouterr().err
         assert not out.exists()
 
     def test_complete_command(self, tmp_path):

@@ -1,6 +1,7 @@
 """Family construction, validation, depths, completion, and builders."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -14,6 +15,7 @@ from forestbound import (
     UnknownRegionError,
     ZetaRangeError,
 )
+from forestbound.forest import DYADIC_MAX_M
 
 from conftest import (
     EXAMPLE_ATOMS,
@@ -303,6 +305,22 @@ class TestBuildDyadic:
             fb.build_dyadic(True, 1)
         with pytest.raises(SizeMismatchError):
             fb.build_dyadic(2, True)
+
+    def test_size_guard_refuses_before_allocating(self):
+        assert DYADIC_MAX_M == 2**31 - 1
+        refused = ((40, 1), (32, 1), (2, 2**30), (1, 2**31), (10**9, 1))
+        tracemalloc.start()
+        try:
+            for height, atom_size in refused:
+                with pytest.raises(ValueError, match=str(DYADIC_MAX_M)):
+                    fb.build_dyadic(height, atom_size)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        # Up to the limit, a family of one or two atoms still builds.
+        assert fb.build_dyadic(1, 2**31 - 1).m == 2**31 - 1
+        assert fb.build_dyadic(2, 2**30 - 1).m == 2**31 - 2
 
 
 class TestTipContiguity:

@@ -2,6 +2,8 @@
 
 import json
 import random
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import pytest
 
@@ -18,7 +20,43 @@ from forestbound.formats import (
     parse_pvalues_csv,
 )
 
-from conftest import EXAMPLE_PATH, random_family
+from conftest import (
+    EXAMPLE_ATOMS,
+    EXAMPLE_M,
+    EXAMPLE_PATH,
+    EXAMPLE_REGIONS,
+    random_family,
+)
+
+
+def reference_dump_forest(family):
+    """The forest file as the json encoder writes it."""
+    regions = sorted(family.regions(), key=lambda r: (r.depth, r.key.i))
+    doc = {
+        "m": family.m,
+        "atom_sizes": list(family.atom_sizes),
+        "regions": [
+            {"i": r.key.i, "j": r.key.j, "zeta": r.zeta} for r in regions
+        ],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def reference_fdp_fields(pairs):
+    """fdp_bound text of each (V, t): the reduced fraction V/t as a Fraction,
+    its numerator divided by its denominator at 17 significant digits."""
+    with localcontext() as ctx:
+        ctx.prec = 17
+        fields = []
+        for v, t in pairs:
+            f = Fraction(v, t)
+            fields.append(str(Decimal(f.numerator) / Decimal(f.denominator)))
+    return fields
+
+
+def fdp_fields(csv_text, first=1):
+    """The fdp_bound column of a curve CSV from row t = first on."""
+    return [row.rpartition(",")[2] for row in csv_text.splitlines()[first:]]
 
 
 class TestForestRoundTrip:
@@ -46,6 +84,20 @@ class TestForestRoundTrip:
         for d in set(depths):
             level = [s for s, dd in zip(starts, depths) if dd == d]
             assert level == sorted(level)
+
+    def test_matches_json_encoder(self, example_family, partial_family):
+        assert dump_forest(example_family) == reference_dump_forest(example_family)
+        assert dump_forest(partial_family) == reference_dump_forest(partial_family)
+        empty = fb.build_family(3, (1, 2), [])
+        assert dump_forest(empty) == reference_dump_forest(empty)
+        rng = random.Random(131)
+        for k in range(400):
+            fam = random_family(
+                rng, max_atoms=12, max_atom_size=20, complete=k % 2 == 0
+            )
+            assert dump_forest(fam) == reference_dump_forest(fam)
+        dyadic = fb.zeta_trivial(fb.build_dyadic(8, 3))
+        assert dump_forest(dyadic) == reference_dump_forest(dyadic)
 
     def test_depth_never_serialized(self, example_family):
         assert '"depth"' not in dump_forest(example_family)
@@ -141,6 +193,57 @@ class TestCurveCsv:
         curve = fb.BoundCurve((0, 1, 1))
         text = dump_curve_csv([5, 4], curve)
         assert text.strip().splitlines()[2].endswith("0.5")
+
+    def test_every_fraction_up_to_2048_matches_reference(self):
+        # Curve k has V_t = (k + t) mod (t + 1); for each t, the curves
+        # k = 0..t give every V in 0..t once, so the rows t >= k checked
+        # below cover every 0 <= V <= t <= 2048 exactly once.
+        top = 2048
+        path = range(1, top + 1)
+        checked = 0
+        for k in range(top + 1):
+            values = (0, *((k + t) % (t + 1) for t in path))
+            text = dump_curve_csv(path, fb.BoundCurve(values))
+            first = max(k, 1)
+            pairs = [(values[t], t) for t in range(first, top + 1)]
+            assert fdp_fields(text, first) == reference_fdp_fields(pairs)
+            checked += len(pairs)
+        assert checked == (top + 1) * (top + 2) // 2 - 1
+
+    def test_exponent_form_and_half_even_ties_match_reference(self):
+        # One curve of 2**20 steps.  V/t below 1e-6 takes exponent form.
+        # At t = 2**a, V/t = V * 5**a / 10**a, so an odd V with 18 digits in
+        # V * 5**a ends in 5: an exact tie at 17 significant digits, which
+        # rounds half-even (down to an even 17th digit, up from an odd one).
+        top = 2**20
+        rows = {top: 1, 10**6 + 1: 1, 999_999: 0, 3 * 2**18: 3 * 2**18}
+        ties = {}
+        for a, parity in ((18, 0), (19, 1)):
+            v = -(-(10**17) // 5**a) | 1
+            while Decimal(v * 5**a).as_tuple().digits[16] % 2 != parity:
+                v += 2
+            digits = Decimal(v * 5**a).as_tuple().digits
+            assert len(digits) == 18 and digits[-1] == 5
+            rows[2**a] = v
+            ties[2**a] = digits
+        values = [0] * (top + 1)
+        for t, v in rows.items():
+            values[t] = v
+        fields = fdp_fields(
+            dump_curve_csv(range(1, top + 1), fb.BoundCurve(tuple(values)))
+        )
+        checked = sorted(rows)
+        got = [fields[t - 1] for t in checked]
+        assert got == reference_fdp_fields([(rows[t], t) for t in checked])
+        assert fields[top - 1] == "9.5367431640625E-7"
+        assert fields[10**6] == "9.9999900000100000E-7"  # rounded: zeros kept
+        assert fields[999_998] == "0"
+        assert fields[3 * 2**18 - 1] == "1"
+        for t, digits in ties.items():
+            kept = Decimal(fields[t - 1]).as_tuple().digits
+            assert len(kept) == 17
+            rounded_up = kept[16] != digits[16]
+            assert rounded_up == (digits[16] % 2 == 1)
 
 
 class TestRemovedCsv:

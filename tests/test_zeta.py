@@ -1,6 +1,7 @@
 """Budget estimators: trivial and DKW-based."""
 
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -116,6 +117,71 @@ class TestZetaDkwm:
     def test_original_family_untouched(self, example_family):
         fb.zeta_dkwm(example_family, [0.5] * 25, 0.05)
         assert example_family.zeta((2, 3)) == 1
+
+
+class TestZetaDkwmMatchesRegionwise:
+    """The level-by-level budgets equal upper_null_count region by region."""
+
+    @staticmethod
+    def draw_pvalues(nprng, fam, kind):
+        m = fam.m
+        if kind == 0:
+            return nprng.random(m) ** nprng.uniform(0.2, 3.0)
+        if kind == 1:  # heavy ties, with p = 0 and p = 1
+            return nprng.choice([0.0, 0.25, 0.5, 1.0], m)
+        if kind == 2:
+            return np.round(nprng.random(m) ** 2, 1)
+        # whole atoms of ones (all-ones regions) and of zeros
+        p = nprng.random(m)
+        for n in range(1, fam.n_atoms + 1):
+            members = fam.atom_members(n)
+            u = nprng.random()
+            if u < 0.3:
+                p[members.start - 1 : members.stop - 1] = 1.0
+            elif u < 0.4:
+                p[members.start - 1 : members.stop - 1] = 0.0
+        return p
+
+    @staticmethod
+    def assert_regionwise(fam, p, alpha):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # nothing for apply_zetas to clamp
+            out = fb.zeta_dkwm(fam, p, alpha)
+        for key in fam.keys():
+            members = fb.region_members(fam, key)
+            region_p = p[members.start - 1 : members.stop - 1]
+            assert out.zeta(key) == upper_null_count(region_p, alpha), key
+
+    @pytest.mark.parametrize("alpha", [1e-6, 0.05, 0.5])
+    def test_random_laminar_families(self, alpha):
+        rng = random.Random(151)
+        nprng = np.random.default_rng(23)
+        partial_levels = 0
+        for k in range(240):
+            fam = random_family(
+                rng, max_atoms=10, max_atom_size=6, complete=k % 3 == 0
+            )
+            depths = {}
+            for reg in fam.regions():
+                depths[reg.depth] = depths.get(reg.depth, 0) + fam.region_size(
+                    reg.key
+                )
+            partial_levels += any(size < fam.m for size in depths.values())
+            self.assert_regionwise(fam, self.draw_pvalues(nprng, fam, k % 4), alpha)
+        assert partial_levels > 50  # levels that leave hypotheses uncovered
+
+    @pytest.mark.parametrize("alpha", [1e-6, 0.05, 0.5])
+    def test_dyadic_and_constant_pvalues(self, alpha):
+        nprng = np.random.default_rng(29)
+        fam = fb.build_dyadic(6, 5)
+        for kind in range(4):
+            self.assert_regionwise(fam, self.draw_pvalues(nprng, fam, kind), alpha)
+        for value in (0.0, 0.5, 1.0):
+            self.assert_regionwise(fam, np.full(fam.m, value), alpha)
+
+    def test_family_without_regions(self):
+        fam = fb.build_family(3, (1, 2), [])
+        assert fb.zeta_dkwm(fam, [0.1, 0.2, 0.3], 0.05) == fam
 
 
 class TestApplyZetas:
