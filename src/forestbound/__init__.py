@@ -31,7 +31,6 @@ from .forest import (
     build_dyadic,
     build_family,
     complete_family,
-    region_members,
 )
 from .pruning import PruneResult, compact, definition_removed_set, prune
 from .sim import (
@@ -86,7 +85,6 @@ __all__ = [
     "oracle_vstar_sets",
     "oracle_vstar_subsets",
     "prune",
-    "region_members",
     "run_scenario",
     "scaling_check",
     "vstar",

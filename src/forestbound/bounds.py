@@ -4,8 +4,8 @@
 discoveries in a selection set, as a bottom-up sweep over the forest levels:
 each region's value is its own capped budget ``zeta & |S ∩ R|``, further
 capped by the sum of its children's values, and the answer is the sum over
-the roots.  The sweep runs in O(|S| + N + |K|) per call after the per-family
-layout is built.
+the roots.  The sweep runs in O(|S| + N + |K|) per call over the family's
+row table.
 
 The three oracle functions recompute the same quantity straight from its
 defining optimization problems by exhaustive enumeration.  They exist only to
@@ -29,11 +29,12 @@ from .errors import (
     NotAPermutationError,
     TooLargeForOracleError,
 )
-from .forest import ForestFamily, RegionKey, complete_family, region_members
+from .forest import ForestFamily, RegionKey, complete_family
 
 # Families with at least this many atoms go through the vectorized sweep;
-# below it, plain lists beat the per-call overhead.
-NUMPY_MIN_ATOMS = 32
+# below it, plain lists beat the per-call overhead (on a 2-vCPU x86 host,
+# numpy took 1.3-1.6x the Python time at 64 atoms, 0.8-1.2x at 128).
+NUMPY_MIN_ATOMS = 128
 
 ORACLE_MAX_M = 20
 ORACLE_MAX_ATOMS = 12
@@ -44,18 +45,20 @@ def atom_hit_counts(family: ForestFamily, selection: Collection[int]) -> list[in
     """How many selected hypotheses fall in each atom; entry 0 is padding.
 
     Interval sums of this vector give the selection overlap of any region.
-    Rejects duplicate, non-integer, and out-of-range members.
+    Rejects duplicate, non-integer (boolean included), and out-of-range
+    members.
     """
+    items = selection
     if not isinstance(selection, (set, frozenset)):
         items = tuple(selection)
-        selection = set(items)
-        if len(selection) != len(items):
+        if len(set(items)) != len(items):
             raise IndexOutOfRangeError("selection contains duplicate indices")
-    atom_of = family._atom_of()
+    atom_of = family._walk()[0]
     hits = [0] * (family.n_atoms + 1)
     try:
-        for s in selection:
-            if s < 1:
+        for s in items:
+            # True indexes like 1; only a member <= 1 needs the second look.
+            if s <= 1 and (s < 1 or s is True):
                 raise IndexError
             hits[atom_of[s]] += 1
     except (IndexError, TypeError):
@@ -75,47 +78,43 @@ def _require_complete(family: ForestFamily, auto_complete: bool) -> ForestFamily
     )
 
 
-def _sweep_py(lay, hits: list[int]) -> list[int]:
+def _sweep_py(family: ForestFamily, hits: list[int]) -> list[int]:
     """The bottom-up sweep over plain lists; returns its accumulator.
 
-    Regions sorted by depth put children after their parents, so one reverse
-    pass accumulates child sums before each parent consumes them: ``acc[r]``
-    ends as the summed values of region r's children and ``acc[-1]`` as the
-    bound, the summed values of the roots.
+    A row's value is its budget capped by its selected count (an atom) or by
+    its children's summed values, which, as children tile their parent in a
+    complete family, is ``count + acc[r]``: ``acc[r]`` sums the children's
+    savings ``value - count``.  Children come after their parents, so one
+    reverse pass adds each saving to the parent's slot; the roots' go to
+    ``acc[-1]``, which starts at |S| and so ends as the bound.
     """
-    hc = [0] * len(hits)
-    run = 0
-    for n, h in enumerate(hits):
-        run += h
-        hc[n] = run
-    zeta, left, right = lay.zeta, lay.left, lay.right
-    parent, is_atom = lay.parent, lay.is_atom
+    hc = list(accumulate(hits))
+    zeta = family._zeta.tolist()
+    left = family._left.tolist()
+    right = family._right.tolist()
+    parent = family._parent.tolist()
     acc = [0] * (len(zeta) + 1)
+    acc[-1] = hc[-1]
     for r in range(len(zeta) - 1, -1, -1):
-        v = zeta[r]
-        c = hc[right[r]] - hc[left[r] - 1]
+        v = zeta[r] - hc[right[r]] + hc[left[r] - 1]
+        c = acc[r]
         if c < v:
             v = c
-        if not is_atom[r]:
-            c = acc[r]
-            if c < v:
-                v = c
         acc[parent[r]] += v
     return acc
 
 
-_ATOM_SENTINEL = 1 << 62
-
-
-def _sweep_np(lay, hits: list[int]) -> int:
-    hc = np.cumsum(np.asarray(hits, dtype=np.int64))
-    caps = np.minimum(lay.np_zeta, hc[lay.np_right] - hc[lay.np_left_m1])
-    # Atoms have no children; a sentinel in their accumulator slot makes the
-    # child-sum cap a no-op for them, sparing a branch per level.
-    acc = np.zeros(len(caps) + 1, dtype=np.int64)
-    acc[lay.np_atom_rids] = _ATOM_SENTINEL
-    for seg, parent in reversed(lay.np_levels):
-        np.add.at(acc, parent, np.minimum(caps[seg], acc[seg]))
+def _sweep_np(family: ForestFamily, hits: list[int]) -> int:
+    # _sweep_py's sweep, one depth level at a time.  hc[k] counts the
+    # selected hypotheses in atoms below k, so row (i, j) holds hc[j+1] - hc[i].
+    hc = np.zeros(len(hits) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(hits, dtype=np.int64, count=len(hits)), out=hc[1:])
+    slack = family._zeta - (hc[1:][family._right] - hc[family._left])
+    acc = np.zeros(len(slack) + 1, dtype=np.int64)
+    acc[-1] = hc[-1]
+    parent, levels = family._parent, family._levels.tolist()
+    for a, b in zip(levels[-2::-1], levels[:0:-1]):  # deepest level first
+        np.add.at(acc, parent[a:b], np.minimum(slack[a:b], acc[a:b]))
     return int(acc[-1])
 
 
@@ -134,14 +133,13 @@ def vstar(
     """
     family = _require_complete(family, auto_complete)
     hits = atom_hit_counts(family, selection)
-    lay = family._layout()
     if family.n_atoms >= NUMPY_MIN_ATOMS:
-        return _sweep_np(lay, hits)
-    return _sweep_py(lay, hits)[-1]
+        return _sweep_np(family, hits)
+    return _sweep_py(family, hits)[-1]
 
 
 def validate_path(m: int, path: Sequence[int]) -> tuple[int, ...]:
-    """Check that ``path`` is a prefix of a permutation of 1..m."""
+    """Check that ``path`` is a prefix of a permutation of 1..m (no booleans)."""
     out = []
     seen = set()
     for x in path:
@@ -157,6 +155,8 @@ def validate_path(m: int, path: Sequence[int]) -> tuple[int, ...]:
             raise NotAPermutationError(f"path repeats index {xi}")
         seen.add(xi)
         out.append(xi)
+    if 1 in seen and path[out.index(1)] is True:
+        raise NotAPermutationError("path entries must be integers, got True")
     return tuple(out)
 
 
@@ -206,7 +206,7 @@ def _region_masks(family: ForestFamily) -> list[tuple[int, int]]:
     out = []
     for reg in family.regions():
         mask = 0
-        for h in region_members(family, reg.key):
+        for h in family.region_members(reg.key):
             mask |= 1 << (h - 1)
         out.append((mask, reg.zeta))
     return out

@@ -2,8 +2,8 @@
 
 Growing the selection set one hypothesis at a time lets the bound be updated
 in O(depth) per step instead of recomputing it from scratch: each region
-keeps a counter of how many selected hypotheses it has absorbed, frozen once
-it reaches the region's budget.  A step adds 1 to the bound unless the new
+counts down its budget as it absorbs selected hypotheses, and freezes once
+the budget is spent.  A step adds 1 to the bound unless the new
 hypothesis falls inside an already-saturated region, in which case the bound
 is unchanged.  Total cost is O(m + sum of region spans), versus the quadratic
 cost of calling the single-evaluation bound once per prefix.
@@ -25,7 +25,7 @@ import numpy as np
 
 from .bounds import _require_complete, validate_path, vstar
 from .errors import InvalidProbabilityError
-from .forest import ForestFamily, RegionKey, region_members
+from .forest import ForestFamily, RegionKey
 
 
 @dataclass(frozen=True)
@@ -68,15 +68,12 @@ def fast_curve(
     if audit:
         return BoundCurve(_fast_curve_audit(family, steps))
 
-    lay = family._layout()
-    atom_of = family._atom_of()
-    chains = lay.chains
-    zeta = lay.zeta
-    left = lay.left
-    right = lay.right
-    eta = [0] * len(zeta)
+    atom_of, chains = family._walk()
+    budget = family._zeta.tolist()  # what each region has left to absorb
+    left = family._left.tolist()
+    right = family._right.tolist()
     covered = bytearray(family.n_atoms + 1)
-    for r in lay.zeta_zero:
+    for r in np.flatnonzero(family._zeta == 0).tolist():
         span = right[r] - left[r] + 1
         covered[left[r] : right[r] + 1] = b"\x01" * span
 
@@ -89,9 +86,9 @@ def fast_curve(
             append(v)
             continue
         for r in chains[n]:
-            e = eta[r] + 1
-            eta[r] = e
-            if e >= zeta[r]:
+            b = budget[r] - 1
+            budget[r] = b
+            if b == 0:
                 span = right[r] - left[r] + 1
                 covered[left[r] : right[r] + 1] = b"\x01" * span
                 break
@@ -111,9 +108,11 @@ def _fast_curve_audit(
     # Bookkeeping: ``eta`` maps regions to their absorbed counts,
     # ``saturated`` holds the frozen regions, and ``partition`` tracks a
     # partition-realizing region subset whose capped budgets sum to the bound.
-    lay = family._layout()
-    atom_of = family._atom_of()
-    keys = lay.keys
+    atom_of, chains = family._walk()
+    left = family._left.tolist()
+    right = family._right.tolist()
+    keys = list(map(RegionKey, left, right))
+    zeta_zero = np.flatnonzero(family._zeta == 0).tolist()  # shallow to deep
     n_atoms = family.n_atoms
 
     # Zero-budget regions are saturated from the start, so the maximal ones
@@ -121,17 +120,17 @@ def _fast_curve_audit(
     # identity would start off broken for atoms trapped under a zero budget.
     pre_covered = bytearray(n_atoms + 1)
     partition: set[RegionKey] = set()
-    for r in lay.zeta_zero:  # ordered shallow to deep
-        if not pre_covered[lay.left[r]]:
+    for r in zeta_zero:
+        if not pre_covered[left[r]]:
             partition.add(keys[r])
-            for n in range(lay.left[r], lay.right[r] + 1):
+            for n in range(left[r], right[r] + 1):
                 pre_covered[n] = 1
     partition.update(
         RegionKey(n, n) for n in range(1, n_atoms + 1) if not pre_covered[n]
     )
     eta = {k: 0 for k in keys}
-    saturated = {keys[r] for r in lay.zeta_zero}
-    roots = [keys[r] for a, b in lay.level_slices[:1] for r in range(a, b)]
+    saturated = {keys[r] for r in zeta_zero}
+    roots = keys[: family._levels[1]]
     sel_count = {k: 0 for k in keys}  # |S_t ∩ R_k|, saturation-independent
     selected: set[int] = set()
 
@@ -143,7 +142,7 @@ def _fast_curve_audit(
     for t, idx in enumerate(steps, start=1):
         selected.add(idx)
         n = atom_of[idx]
-        chain = [keys[r] for r in lay.chains[n]]
+        chain = [keys[r] for r in chains[n]]
         for k in chain:
             sel_count[k] += 1
         if not any(k in saturated for k in chain):
@@ -186,7 +185,7 @@ def _assert_eta_matches_vstar(family, t, eta, partition, selected) -> None:
     for reg in family.regions():
         if not any(reg.key.i <= p.i and p.j <= reg.key.j for p in partition):
             continue
-        expected = vstar(family, selected & set(region_members(family, reg.key)))
+        expected = vstar(family, selected & set(family.region_members(reg.key)))
         assert eta[reg.key] == expected, (
             f"t={t}: counter of {reg.key} is {eta[reg.key]}, "
             f"bound of restricted selection is {expected}"

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -48,79 +47,11 @@ class RegionKey(NamedTuple):
 
 @dataclass(frozen=True)
 class Region:
-    """A region with its budget and cached depth."""
+    """A region with its budget and depth."""
 
     key: RegionKey
     zeta: int
     depth: int
-
-
-class _Layout:
-    """Flat arrays over regions in (depth, i) order, shared by the sweeps.
-
-    ``parent[r]`` is the index of the tightest strictly containing region
-    (-1 for roots), ``chains[n]`` lists the regions containing atom n from
-    shallowest to deepest, and ``level_slices[h-1]`` is the (start, stop)
-    range of depth-h regions in the flat order.
-    """
-
-    __slots__ = (
-        "keys",
-        "left",
-        "right",
-        "zeta",
-        "parent",
-        "is_atom",
-        "level_slices",
-        "chains",
-        "zeta_zero",
-        "np_left_m1",
-        "np_right",
-        "np_zeta",
-        "np_atom_rids",
-        "np_levels",
-    )
-
-    def __init__(self, family: "ForestFamily") -> None:
-        order = sorted(family._regions, key=lambda k: (family._depths[k], k[0]))
-        self.keys = tuple(order)
-        self.left = [k[0] for k in order]
-        self.right = [k[1] for k in order]
-        self.zeta = [family._regions[k] for k in order]
-        self.is_atom = [k[0] == k[1] for k in order]
-        self.zeta_zero = tuple(r for r, z in enumerate(self.zeta) if z == 0)
-
-        slices: list[tuple[int, int]] = []
-        start = 0
-        for r, key in enumerate(order):
-            if family._depths[key] != family._depths[order[start]]:
-                slices.append((start, r))
-                start = r
-        if order:
-            slices.append((start, len(order)))
-        self.level_slices = slices
-
-        chains: list[list[int]] = [[] for _ in range(family.n_atoms + 1)]
-        parent = [-1] * len(order)
-        for r in range(len(order)):
-            i, j = self.left[r], self.right[r]
-            if chains[i]:
-                parent[r] = chains[i][-1]
-            for n in range(i, j + 1):
-                chains[n].append(r)
-        self.parent = parent
-        self.chains = [tuple(c) for c in chains]
-
-        self.np_left_m1 = np.asarray(self.left, dtype=np.int64) - 1
-        self.np_right = np.asarray(self.right, dtype=np.int64)
-        self.np_zeta = np.asarray(self.zeta, dtype=np.int64)
-        self.np_atom_rids = np.asarray(
-            [r for r, atom in enumerate(self.is_atom) if atom], dtype=np.int64
-        )
-        np_parent = np.asarray(self.parent, dtype=np.int64)
-        self.np_levels = [
-            (slice(a, b), np_parent[a:b]) for a, b in self.level_slices
-        ]
 
 
 def _as_count(value, what: str, error: type[Exception] = SizeMismatchError) -> int:
@@ -133,6 +64,38 @@ def _as_count(value, what: str, error: type[Exception] = SizeMismatchError) -> i
     raise error(f"{what} must be an integer, got {value!r}")
 
 
+def _int64(values: list[int], what: str, error: type[Exception]) -> np.ndarray:
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        raise error(f"a {what} is outside the 64-bit integer range") from None
+
+
+def _nest(left: list[int], right: list[int]) -> tuple[list[int], list[int]]:
+    # Depth and parent of intervals sorted by (i, -j), in one pass: the stack
+    # holds exactly the strict containers of the current interval, so its
+    # size gives the depth and its top the parent, and any partial overlap
+    # surfaces as a failed nesting test.
+    depth, parent, stack = [], [], []
+    for r, (i, j) in enumerate(zip(left, right)):
+        while stack and right[stack[-1]] < i:
+            stack.pop()
+        if stack and j > right[stack[-1]]:
+            top = RegionKey(left[stack[-1]], right[stack[-1]])
+            raise OverlapError(
+                f"regions {top} and {RegionKey(i, j)} overlap without nesting"
+            )
+        depth.append(len(stack) + 1)
+        parent.append(stack[-1] if stack else -1)
+        stack.append(r)
+    return depth, parent
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 class ForestFamily:
     """An immutable reference family with a forest interval structure.
 
@@ -140,6 +103,12 @@ class ForestFamily:
     :func:`complete_family`; the constructor validates every structural
     invariant (partition sizes, key ranges, distinctness, the
     disjoint-or-nested law, and budget ranges) and computes region depths.
+
+    The regions are one row table in (depth, i) order, so children follow
+    their parents: read-only int64 arrays ``_left``, ``_right``, ``_zeta``,
+    ``_depth`` and ``_parent`` (the row of the tightest strictly containing
+    region, -1 for a root).  ``_offsets[n]`` counts the hypotheses in atoms
+    1..n, and rows ``_levels[h-1]:_levels[h]`` have depth h.
     """
 
     def __init__(
@@ -149,8 +118,8 @@ class ForestFamily:
         regions: Iterable[tuple[int, int, int]],
     ) -> None:
         m = _as_count(m, "m")
-        if m < 1:
-            raise SizeMismatchError(f"m must be >= 1, got {m}")
+        if not 1 <= m < 2**63:  # every count must fit the int64 row table
+            raise SizeMismatchError(f"m must be in 1..2**63 - 1, got {m}")
         sizes = tuple(_as_count(s, "atom size") for s in atom_sizes)
         if not sizes or any(s < 1 for s in sizes):
             raise SizeMismatchError(f"atom sizes must be positive, got {sizes}")
@@ -158,54 +127,86 @@ class ForestFamily:
             raise SizeMismatchError(
                 f"atom sizes sum to {sum(sizes)}, expected m={m}"
             )
+        left, right, zeta = [], [], []
+        for i, j, z in regions:
+            left.append(_as_count(i, "region start"))
+            right.append(_as_count(j, "region end"))
+            zeta.append(_as_count(z, "zeta", ZetaRangeError))
+        self._build(
+            m,
+            sizes,
+            _int64(left, "region start", IndexOutOfRangeError),
+            _int64(right, "region end", IndexOutOfRangeError),
+            _int64(zeta, "zeta", ZetaRangeError),
+        )
+
+    @classmethod
+    def _from_rows(cls, m, sizes, left, right, zeta) -> "ForestFamily":
+        # For callers that hold validated sizes and int64 region columns.
+        return cls.__new__(cls)._build(m, sizes, left, right, zeta)
+
+    def _build(self, m, sizes, left, right, zeta) -> "ForestFamily":
+        # The structural pass: key ranges, distinctness and nesting, then the
+        # rows in (depth, i) order with their parents, and budget ranges.
+        n = len(sizes)
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(sizes, out=offsets[1:])
+        bad = np.flatnonzero((left < 1) | (left > right) | (right > n))
+        if bad.size:
+            r = bad[0]
+            raise IndexOutOfRangeError(
+                f"region ({left[r]}, {right[r]}) outside atom range 1..{n}"
+            )
+        order = np.lexsort((-right, left))
+        left, right, zeta = left[order], right[order], zeta[order]
+        twice = np.flatnonzero((left[1:] == left[:-1]) & (right[1:] == right[:-1]))
+        if twice.size:
+            r = twice[0]
+            key = RegionKey(int(left[r]), int(right[r]))
+            raise DuplicateRegionError(f"region {key} given twice")
+        depth, parent = _nest(left.tolist(), right.tolist())
+        depth = np.array(depth, dtype=np.int64)
+        rows = np.lexsort((left, depth))
+        # row_of[r] is the new row of sorted row r; its last entry maps the
+        # roots' parent -1 to itself.
+        row_of = np.full(len(rows) + 1, -1, dtype=np.int64)
+        row_of[rows] = np.arange(len(rows))
         self.m = m
         self.atom_sizes = sizes
-        self._offsets = tuple(accumulate(sizes, initial=0))
-        n = len(sizes)
+        self._offsets = _frozen(offsets)
+        self._left = _frozen(left[rows])
+        self._right = _frozen(right[rows])
+        self._zeta = self._checked(zeta[rows])
+        self._depth = _frozen(depth[rows])
+        self._parent = _frozen(row_of[np.array(parent, dtype=np.int64)[rows]])
+        height = int(depth.max(initial=0))
+        self._levels = _frozen(
+            np.searchsorted(self._depth, np.arange(height + 1), side="right")
+        )
+        self._complete = bool(np.count_nonzero(left == right) == n)
+        self._walk_cache: tuple[list[int], list[tuple[int, ...]]] | None = None
+        self._rows_cache: dict[tuple[int, int], int] | None = None
+        return self
 
-        table: dict[RegionKey, int] = {}
-        for i, j, zeta in regions:
-            i = _as_count(i, "region start")
-            j = _as_count(j, "region end")
-            if not (1 <= i <= j <= n):
-                raise IndexOutOfRangeError(
-                    f"region ({i}, {j}) outside atom range 1..{n}"
-                )
-            key = RegionKey(i, j)
-            if key in table:
-                raise DuplicateRegionError(f"region {key} given twice")
-            zeta = _as_count(zeta, "zeta", ZetaRangeError)
-            size = self._offsets[j] - self._offsets[i - 1]
-            if not (0 <= zeta <= size):
-                raise ZetaRangeError(
-                    f"zeta={zeta} for region {key} outside 0..{size}"
-                )
-            table[key] = zeta
+    def _with_zetas(self, zeta) -> "ForestFamily":
+        """A copy with the row-aligned budgets ``zeta``; the structure arrays
+        and lookup caches are shared with this family."""
+        family = ForestFamily.__new__(ForestFamily)
+        family.__dict__.update(self.__dict__)
+        family._zeta = self._checked(np.array(zeta, dtype=np.int64))
+        return family
 
-        self._regions = table
-        self._depths = self._compute_depths(table)
-        self._height = max(self._depths.values(), default=0)
-        self._complete = all(RegionKey(a, a) in table for a in range(1, n + 1))
-        self._atom_of_cache: list[int] | None = None
-        self._layout_cache: _Layout | None = None
-
-    @staticmethod
-    def _compute_depths(table: dict[RegionKey, int]) -> dict[RegionKey, int]:
-        # Single sweep over keys sorted by (i, -j): the stack holds exactly the
-        # strict containers of the current interval, so its size gives the
-        # depth, and any partial overlap surfaces as a failed nesting test.
-        depths: dict[RegionKey, int] = {}
-        stack: list[RegionKey] = []
-        for key in sorted(table, key=lambda k: (k[0], -k[1])):
-            while stack and stack[-1][1] < key[0]:
-                stack.pop()
-            if stack and key[1] > stack[-1][1]:
-                raise OverlapError(
-                    f"regions {stack[-1]} and {key} overlap without nesting"
-                )
-            depths[key] = len(stack) + 1
-            stack.append(key)
-        return depths
+    def _checked(self, zeta: np.ndarray) -> np.ndarray:
+        # Budgets in 0..|R|, row by row, made read-only.
+        size = self._sizes()
+        bad = np.flatnonzero((zeta < 0) | (zeta > size))
+        if bad.size:
+            r = bad[0]
+            key = RegionKey(int(self._left[r]), int(self._right[r]))
+            raise ZetaRangeError(
+                f"zeta={zeta[r]} for region {key} outside 0..{size[r]}"
+            )
+        return _frozen(zeta)
 
     # -- basic queries ----------------------------------------------------
 
@@ -215,90 +216,108 @@ class ForestFamily:
 
     @property
     def height(self) -> int:
-        return self._height
+        return len(self._levels) - 1
 
     @property
     def is_complete(self) -> bool:
         return self._complete
 
     def __len__(self) -> int:
-        return len(self._regions)
+        return len(self._zeta)
 
     def __contains__(self, key) -> bool:
-        return RegionKey(*key) in self._regions
+        return RegionKey(*key) in self._rows()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ForestFamily):
             return NotImplemented
+        # Rows in (depth, i) order are canonical: equal region sets give
+        # equal tables.
         return (
             self.m == other.m
             and self.atom_sizes == other.atom_sizes
-            and self._regions == other._regions
+            and np.array_equal(self._left, other._left)
+            and np.array_equal(self._right, other._right)
+            and np.array_equal(self._zeta, other._zeta)
         )
 
     def __repr__(self) -> str:
         return (
             f"ForestFamily(m={self.m}, atoms={self.n_atoms}, "
-            f"regions={len(self._regions)}, height={self.height}, "
+            f"regions={len(self)}, height={self.height}, "
             f"complete={self._complete})"
         )
 
     def keys(self) -> Iterator[RegionKey]:
-        return iter(sorted(self._regions))
+        """Region keys sorted by (i, j)."""
+        order = np.lexsort((self._right, self._left))
+        return map(RegionKey, self._left[order].tolist(), self._right[order].tolist())
 
     def regions(self) -> Iterator[Region]:
-        for key in sorted(self._regions):
-            yield Region(key, self._regions[key], self._depths[key])
+        """Regions sorted by key."""
+        return map(self.region, self.keys())
 
     def region(self, key) -> Region:
-        key = RegionKey(*key)
-        if key not in self._regions:
-            raise UnknownRegionError(f"region {key} not in family")
-        return Region(key, self._regions[key], self._depths[key])
+        r = self._row(key)
+        return Region(RegionKey(*key), int(self._zeta[r]), int(self._depth[r]))
 
     def zeta(self, key) -> int:
-        return self.region(key).zeta
+        return int(self._zeta[self._row(key)])
 
     def region_size(self, key) -> int:
         """Number of hypotheses covered by the region's atoms."""
-        key = RegionKey(*key)
-        if key not in self._regions:
-            raise UnknownRegionError(f"region {key} not in family")
-        return self._offsets[key.j] - self._offsets[key.i - 1]
+        return len(self.region_members(key))
+
+    def region_members(self, key) -> range:
+        """Hypothesis indices covered by a region (contiguous by construction)."""
+        r = self._row(key)
+        lo = int(self._offsets[self._left[r] - 1])
+        return range(lo + 1, int(self._offsets[self._right[r]]) + 1)
 
     def atom_members(self, n: int) -> range:
         """Hypothesis indices of atom n (1-based, contiguous)."""
         if not 1 <= n <= self.n_atoms:
             raise IndexOutOfRangeError(f"atom {n} outside 1..{self.n_atoms}")
-        return range(self._offsets[n - 1] + 1, self._offsets[n] + 1)
-
-    def with_zetas(self, zetas: dict[RegionKey, int]) -> "ForestFamily":
-        """A copy of this family with region budgets replaced."""
-        return ForestFamily(
-            self.m,
-            self.atom_sizes,
-            ((k.i, k.j, zetas.get(k, z)) for k, z in self._regions.items()),
-        )
+        return range(int(self._offsets[n - 1]) + 1, int(self._offsets[n]) + 1)
 
     # -- derived structures (lazy, cached) --------------------------------
 
-    def _atom_of(self) -> list[int]:
-        cache = self._atom_of_cache
-        if cache is None:
-            cache = [0] * (self.m + 1)
-            for n, size in enumerate(self.atom_sizes, start=1):
-                lo = self._offsets[n - 1]
-                for h in range(lo + 1, lo + size + 1):
-                    cache[h] = n
-            self._atom_of_cache = cache
-        return cache
+    def _sizes(self) -> np.ndarray:
+        """Number of hypotheses of every row."""
+        return self._offsets[self._right] - self._offsets[self._left - 1]
 
-    def _layout(self) -> _Layout:
-        lay = self._layout_cache
-        if lay is None:
-            lay = _Layout(self)
-            self._layout_cache = lay
-        return lay
+    def _rows(self) -> dict[tuple[int, int], int]:
+        rows = self._rows_cache
+        if rows is None:
+            keys = zip(self._left.tolist(), self._right.tolist())
+            rows = dict(zip(keys, range(len(self))))
+            self._rows_cache = rows
+        return rows
+
+    def _row(self, key) -> int:
+        key = RegionKey(*key)
+        r = self._rows().get(key)
+        if r is None:
+            raise UnknownRegionError(f"region {key} not in family")
+        return r
+
+    def _walk(self) -> tuple[list[int], list[tuple[int, ...]]]:
+        """What the curve walk reads per hypothesis: ``atom_of[h]`` is the
+        atom of hypothesis h (entry 0 is padding), and ``chains[n]`` lists
+        the rows containing atom n from shallowest to deepest."""
+        walk = self._walk_cache
+        if walk is None:
+            atom_of = [0]
+            for n, size in enumerate(self.atom_sizes, start=1):
+                atom_of += [n] * size
+            chains: list[list[int]] = [[] for _ in range(self.n_atoms + 1)]
+            rows = zip(self._left.tolist(), self._right.tolist())
+            for r, (i, j) in enumerate(rows):
+                for n in range(i, j + 1):
+                    chains[n].append(r)
+            walk = (atom_of, [tuple(c) for c in chains])
+            self._walk_cache = walk
+        return walk
 
 
 def build_family(
@@ -319,20 +338,15 @@ def complete_family(family: ForestFamily) -> ForestFamily:
     """
     if family.is_complete:
         return family
-    triples = [(k.i, k.j, z) for k, z in family._regions.items()]
-    for n, size in enumerate(family.atom_sizes, start=1):
-        if RegionKey(n, n) not in family._regions:
-            triples.append((n, n, size))
-    return ForestFamily(family.m, family.atom_sizes, triples)
-
-
-def region_members(family: ForestFamily, key) -> range:
-    """Hypothesis indices covered by a region (contiguous by construction)."""
-    key = RegionKey(*key)
-    if key not in family._regions:
-        raise UnknownRegionError(f"region {key} not in family")
-    return range(
-        family._offsets[key.i - 1] + 1, family._offsets[key.j] + 1
+    atoms = family._left[family._left == family._right]
+    missing = np.setdiff1d(np.arange(1, family.n_atoms + 1), atoms)
+    sizes = np.diff(family._offsets)[missing - 1]
+    return ForestFamily._from_rows(
+        family.m,
+        family.atom_sizes,
+        np.concatenate((family._left, missing)),
+        np.concatenate((family._right, missing)),
+        np.concatenate((family._zeta, sizes)),
     )
 
 
@@ -364,10 +378,9 @@ def build_dyadic(height: int, atom_size: int) -> ForestFamily:
             f"m = 2**{height - 1} * {atom_size} > {DYADIC_MAX_M}"
         )
     n = 2 ** (height - 1)
-    triples = []
-    span = n
-    while span >= 1:
-        for start in range(1, n + 1, span):
-            triples.append((start, start + span - 1, span * atom_size))
-        span //= 2
-    return ForestFamily(n * atom_size, (atom_size,) * n, triples)
+    spans = n >> np.arange(height)  # n, n/2, ..., 1 atoms per region
+    left = np.concatenate([np.arange(1, n + 1, span) for span in spans.tolist()])
+    span = np.repeat(spans, n // spans)
+    return ForestFamily._from_rows(
+        n * atom_size, (atom_size,) * n, left, left + span - 1, span * atom_size
+    )

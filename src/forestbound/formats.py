@@ -27,16 +27,14 @@ def dump_forest(family: ForestFamily) -> str:
     The text is what ``json.dumps(doc, indent=2)`` gives for the document;
     it holds integers only, so it is written out directly.
     """
-    depths = family._depths
-    zetas = family._regions
-    keys = sorted(zetas, key=lambda k: (depths[k], k[0]))
+    rows = zip(family._left.tolist(), family._right.tolist(), family._zeta.tolist())
     sizes = ",\n    ".join(map(str, family.atom_sizes))
-    if keys:
+    if len(family):
         records = ",\n".join(
             [
-                f'    {{\n      "i": {k[0]},\n      "j": {k[1]},\n'
-                f'      "zeta": {zetas[k]}\n    }}'
-                for k in keys
+                f'    {{\n      "i": {i},\n      "j": {j},\n'
+                f'      "zeta": {zeta}\n    }}'
+                for i, j, zeta in rows
             ]
         )
         regions = f"[\n{records}\n  ]"

@@ -18,9 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .bounds import _sweep_py
 from .errors import IncompleteFamilyError
-from .forest import ForestFamily, RegionKey, build_family
+from .forest import ForestFamily, RegionKey
 
 
 @dataclass(frozen=True)
@@ -43,29 +45,26 @@ def prune(family: ForestFamily) -> PruneResult:
     """
     if not family.is_complete:
         raise IncompleteFamilyError("pruning requires a complete family")
-    lay = family._layout()
-    acc = _sweep_py(lay, [0, *family.atom_sizes])
-    removed_set = frozenset(
-        key
-        for key, z, child_sum, atom in zip(lay.keys, lay.zeta, acc, lay.is_atom)
-        if not atom and z >= child_sum
+    # On the full set a row's count is its size, and the sizes of a
+    # non-atom's children add up to its own: it is dominated exactly when
+    # its budget is at least the summed values of its children.
+    acc = _sweep_py(family, [0, *family.atom_sizes])
+    left, right, zeta = family._left, family._right, family._zeta
+    children = family._sizes() + np.array(acc[:-1], dtype=np.int64)
+    dominated = (left != right) & (zeta >= children)
+    removed = frozenset(
+        map(RegionKey, left[dominated].tolist(), right[dominated].tolist())
     )
-    kept = [
-        (k.i, k.j, z)
-        for k, z in family._regions.items()
-        if k not in removed_set
-    ]
-    pruned = build_family(family.m, family.atom_sizes, kept)
-    return PruneResult(pruned_family=pruned, removed=removed_set, vstar_full=acc[-1])
+    kept = ~dominated
+    pruned = ForestFamily._from_rows(
+        family.m, family.atom_sizes, left[kept], right[kept], zeta[kept]
+    )
+    return PruneResult(pruned_family=pruned, removed=removed, vstar_full=acc[-1])
 
 
 def compact(result: PruneResult) -> ForestFamily:
-    """The pruned family.
-
-    Pruning already builds it from the surviving regions alone, with depths
-    re-derived and every lookup structure fresh, so there is nothing left to
-    re-index; kept for callers that compact after pruning.
-    """
+    """The pruned family, already built from the surviving regions alone;
+    kept for callers that compact after pruning."""
     return result.pruned_family
 
 

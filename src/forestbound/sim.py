@@ -23,11 +23,10 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .bounds import naive_curve
-from .curve import BoundCurve, fast_curve
-from .errors import InvalidProbabilityError
+from .curve import BoundCurve, _pvalue_path, fast_curve
 from .forest import ForestFamily, build_dyadic
 from .pruning import prune
-from .zeta import ZETA_METHODS, ZetaEstimator
+from .zeta import ZETA_METHODS, ZetaEstimator, _check_alpha
 
 VARIANTS = (
     "naive.not.pruned",
@@ -67,8 +66,7 @@ class ScenarioConfig:
             raise ValueError("n_repl must be >= 1")
         if self.zeta_method not in ZETA_METHODS:
             raise ValueError(f"unknown zeta method {self.zeta_method!r}")
-        if not 0.0 < self.alpha < 1.0:
-            raise InvalidProbabilityError("alpha must be in (0, 1)")
+        _check_alpha(self.alpha)
 
     @property
     def atom_size(self) -> int:
@@ -166,7 +164,7 @@ class _PreparedScenario:
         family = _scenario_family(cfg, pvalues)
         pruned = prune(family).pruned_family
         if cfg.order_by_pvalue:
-            path = (np.argsort(pvalues, kind="stable") + 1).tolist()
+            path = _pvalue_path(cfg.m, pvalues)
         else:
             path = list(range(1, cfg.m + 1))
         self.region_count = len(family)

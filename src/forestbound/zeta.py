@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -27,9 +26,13 @@ ZETA_METHODS = ("trivial", "dkwm")
 
 def zeta_trivial(family: ForestFamily) -> ForestFamily:
     """Set every region's budget to its size (no information)."""
-    return family.with_zetas(
-        {key: family.region_size(key) for key in family.keys()}
-    )
+    return family._with_zetas(family._sizes())
+
+
+def _check_alpha(alpha: float) -> None:
+    # The one check of a confidence level, for every entry point taking one.
+    if not 0.0 < alpha < 1.0:
+        raise InvalidProbabilityError(f"alpha must be in (0, 1), got {alpha}")
 
 
 def upper_null_count(pvalues: np.ndarray, alpha: float) -> int:
@@ -85,31 +88,19 @@ def zeta_dkwm(
         )
     if not np.all(np.isfinite(arr)) or arr.min() < 0.0 or arr.max() > 1.0:
         raise InvalidProbabilityError("p-values must be finite and within [0, 1]")
-    if not 0.0 < alpha < 1.0:
-        raise InvalidProbabilityError(f"alpha must be in (0, 1), got {alpha}")
-    keys = list(family._depths)
-    count = len(keys)
-    ij = np.fromiter(chain.from_iterable(keys), dtype=np.int64, count=2 * count)
-    ij = ij.reshape(count, 2)
-    depth = np.fromiter(family._depths.values(), dtype=np.int64, count=count)
-    offsets = np.asarray(family._offsets, dtype=np.int64)
-    lo = offsets[ij[:, 0] - 1]
-    hi = offsets[ij[:, 1]]
-    budgets = np.empty(count, dtype=np.int64)
+    _check_alpha(alpha)
+    lo = family._offsets[family._left - 1]
+    hi = family._offsets[family._right]
+    budgets = np.empty(len(family), dtype=np.int64)
 
     order = np.argsort(arr, kind="stable")
     p_sorted = arr[order]
     c = math.log(1.0 / alpha) / 2.0
-    by_level = np.lexsort((lo, depth))
-    level_ends = np.searchsorted(
-        depth[by_level], np.arange(1, family.height + 1), side="right"
-    )
-    start = 0
-    for end in level_ends.tolist():
-        rids = by_level[start:end]
-        budgets[rids] = _level_null_counts(p_sorted, order, lo[rids], hi[rids], c)
-        start = end
-    return apply_zetas(family, dict(zip(keys, budgets.tolist())))
+    levels = family._levels.tolist()
+    for a, b in zip(levels, levels[1:]):
+        # The rows of a level are sorted by i, so lo increases.
+        budgets[a:b] = _level_null_counts(p_sorted, order, lo[a:b], hi[a:b], c)
+    return family._with_zetas(budgets)
 
 
 def _level_null_counts(
@@ -168,10 +159,12 @@ def apply_zetas(
     An estimate that is a boolean or not a finite number raises
     ZetaRangeError.
     """
-    zetas = {}
+    sizes = family._sizes().tolist()
+    zeta = family._zeta.copy()
     clamped_keys = []
     for key, z in estimates.items():
-        size = family.region_size(key)
+        r = family._row(key)
+        size = sizes[r]
         try:
             clamped = None if isinstance(z, bool) else min(max(int(z), 0), size)
         except (TypeError, ValueError, OverflowError):
@@ -182,14 +175,14 @@ def apply_zetas(
             )
         if clamped != z:
             clamped_keys.append(key)
-        zetas[key] = clamped
+        zeta[r] = clamped
     if clamped_keys:
         warnings.warn(
             f"clamped {len(clamped_keys)} zeta estimate(s) into the "
             "structural range 0..|R|",
             stacklevel=2,
         )
-    return family.with_zetas(zetas)
+    return family._with_zetas(zeta)
 
 
 @dataclass(frozen=True)
@@ -202,10 +195,7 @@ class ZetaEstimator:
     def __post_init__(self) -> None:
         if self.method not in ZETA_METHODS:
             raise ValueError(f"unknown zeta method {self.method!r}")
-        if not 0.0 < self.alpha < 1.0:
-            raise InvalidProbabilityError(
-                f"alpha must be in (0, 1), got {self.alpha}"
-            )
+        _check_alpha(self.alpha)
 
     def apply(
         self, family: ForestFamily, pvalues: Sequence[float] | None = None

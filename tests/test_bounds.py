@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 import forestbound as fb
@@ -17,6 +18,7 @@ from forestbound.bounds import (
     _sweep_np,
     _sweep_py,
     atom_hit_counts,
+    validate_path,
 )
 
 from conftest import EXAMPLE_CURVE, EXAMPLE_PATH, random_family, random_selection
@@ -25,8 +27,7 @@ from conftest import EXAMPLE_CURVE, EXAMPLE_PATH, random_family, random_selectio
 def both_engines(family, selection):
     """The bound from each sweep engine, whatever the family's size."""
     hits = atom_hit_counts(family, selection)
-    lay = family._layout()
-    return _sweep_py(lay, hits)[-1], _sweep_np(lay, hits)
+    return _sweep_py(family, hits)[-1], _sweep_np(family, hits)
 
 
 class TestVstar:
@@ -60,6 +61,16 @@ class TestVstar:
         with pytest.raises(IndexOutOfRangeError):
             fb.vstar(example_family, [1, 1])
 
+    def test_boolean_members_rejected(self, example_family):
+        # True hashes like 1, so it hides in sets as well as sequences.
+        for bad in ([True], {True}, frozenset({True, 2}), (3, True), [False]):
+            with pytest.raises(IndexOutOfRangeError):
+                fb.vstar(example_family, bad)
+            with pytest.raises(IndexOutOfRangeError):
+                atom_hit_counts(example_family, bad)
+        assert fb.vstar(example_family, [1]) == fb.vstar(example_family, {1}) == 1
+        assert atom_hit_counts(example_family, (2, 1))[1] == 2
+
     def test_accepts_lists_and_sets(self, example_family):
         assert fb.vstar(example_family, [11, 17]) == fb.vstar(
             example_family, {17, 11}
@@ -81,7 +92,9 @@ class TestVstar:
             assert both_engines(fam, sel) == (expected, expected)
         for _ in range(40):
             fam = fb.complete_family(
-                random_family(rng, min_atoms=NUMPY_MIN_ATOMS, max_atoms=48)
+                random_family(
+                    rng, min_atoms=NUMPY_MIN_ATOMS, max_atoms=NUMPY_MIN_ATOMS + 16
+                )
             )
             sel = set(rng.sample(range(1, fam.m + 1), rng.randint(0, 10)))
             expected = fb.oracle_vstar_sets(fam, sel)
@@ -210,7 +223,7 @@ class TestVstarProperties:
             sel = random_selection(rng, fam.m)
             v = fb.vstar(fam, sel)
             for reg in fam.regions():
-                members = set(fb.region_members(fam, reg.key))
+                members = set(fam.region_members(reg.key))
                 cap = min(reg.zeta, len(sel & members)) + len(sel - members)
                 assert v <= cap
 
@@ -235,3 +248,12 @@ class TestNaiveCurve:
             fb.naive_curve(example_family, [26])
         with pytest.raises(NotAPermutationError):
             fb.naive_curve(example_family, [1.5])
+
+    def test_boolean_steps_rejected(self, example_family):
+        for bad in ([True], [2, True], [False]):
+            with pytest.raises(NotAPermutationError):
+                fb.naive_curve(example_family, bad)
+            with pytest.raises(NotAPermutationError):
+                validate_path(example_family.m, bad)
+        assert validate_path(25, [2, 1]) == (2, 1)
+        assert validate_path(25, np.array([3, 1])) == (3, 1)

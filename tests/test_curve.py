@@ -46,15 +46,18 @@ class TestFastCurveExample:
         assert curve.final == 5
 
 
+def row_key(family, r):
+    return fb.RegionKey(int(family._left[r]), int(family._right[r]))
+
+
 class TestLocateChains:
     # The walk's ancestor chains: for hypothesis 7 the chain ends at depth 3,
     # for 1 at depth 2, for 24 at depth 1.
     def test_chain_fixtures(self, example_family):
-        lay = example_family._layout()
-        atom_of = example_family._atom_of()
+        atom_of, chains = example_family._walk()
 
         def chain_keys(hyp):
-            return [lay.keys[r] for r in lay.chains[atom_of[hyp]]]
+            return [row_key(example_family, r) for r in chains[atom_of[hyp]]]
 
         assert chain_keys(7) == [(1, 5), (2, 3), (3, 3)]
         assert chain_keys(1) == [(1, 5), (1, 1)]
@@ -64,9 +67,9 @@ class TestLocateChains:
         rng = random.Random(89)
         for _ in range(40):
             fam = fb.complete_family(random_family(rng, max_atoms=8))
-            lay = fam._layout()
+            chains = fam._walk()[1]
             for n in range(1, fam.n_atoms + 1):
-                chain = [lay.keys[r] for r in lay.chains[n]]
+                chain = [row_key(fam, r) for r in chains[n]]
                 assert chain, f"atom {n} missing from every region"
                 for outer, inner in zip(chain, chain[1:]):
                     assert outer.i <= inner.i and inner.j <= outer.j
@@ -129,6 +132,13 @@ class TestValidation:
         for bad in ([1, 1], [0], [26], [2.5]):
             with pytest.raises(NotAPermutationError):
                 fb.fast_curve(example_family, bad)
+
+    def test_boolean_steps_rejected(self, example_family):
+        for bad in ([True], [2, True], [False]):
+            for audit in (False, True):
+                with pytest.raises(NotAPermutationError):
+                    fb.fast_curve(example_family, bad, audit=audit)
+        assert fb.fast_curve(example_family, [1]).values == (0, 1)
 
     def test_incomplete_family(self, partial_family):
         with pytest.raises(IncompleteFamilyError):

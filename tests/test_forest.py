@@ -111,6 +111,18 @@ class TestBuildFamily:
         with pytest.raises(ZetaRangeError):
             fb.build_family(2, (1, 1), [(1, 1, False)])
 
+    def test_counts_must_fit_int64(self):
+        # The row table is int64: m, keys and budgets beyond it are refused.
+        with pytest.raises(SizeMismatchError):
+            fb.build_family(2**63, (2**63,), [])
+        with pytest.raises(SizeMismatchError):
+            fb.build_family(2**64, (2**63, 2**63), [])
+        assert fb.build_family(2**63 - 1, (2**63 - 1,), [(1, 1, 2**62)]).m == 2**63 - 1
+        with pytest.raises(IndexOutOfRangeError):
+            fb.build_family(2, (1, 1), [(1, 2**64, 0)])
+        with pytest.raises(ZetaRangeError):
+            fb.build_family(2, (1, 1), [(1, 2, -(2**64))])
+
     def test_region_key_out_of_range(self):
         with pytest.raises(IndexOutOfRangeError):
             fb.build_family(2, (1, 1), [(1, 3, 0)])
@@ -236,21 +248,21 @@ class TestCompletion:
 
 class TestRegionMembers:
     def test_example_members(self, example_family):
-        assert list(fb.region_members(example_family, (4, 5))) == list(
+        assert list(example_family.region_members((4, 5))) == list(
             range(11, 21)
         )
-        assert list(fb.region_members(example_family, (1, 5))) == list(
+        assert list(example_family.region_members((1, 5))) == list(
             range(1, 21)
         )
 
     def test_unit_atoms(self):
         fam = fb.build_family(3, (1, 1, 1), [(2, 2, 1)])
-        assert list(fb.region_members(fam, (2, 2))) == [2]
+        assert list(fam.region_members((2, 2))) == [2]
 
     def test_dyadic_prefix_sums(self):
         fam = fb.build_dyadic(2, 3)
-        assert list(fb.region_members(fam, (1, 2))) == list(range(1, 7))
-        assert list(fb.region_members(fam, (2, 2))) == [4, 5, 6]
+        assert list(fam.region_members((1, 2))) == list(range(1, 7))
+        assert list(fam.region_members((2, 2))) == [4, 5, 6]
 
     def test_atom_members(self, example_family):
         assert list(example_family.atom_members(3)) == list(range(5, 11))

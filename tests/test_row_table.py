@@ -1,0 +1,350 @@
+"""The row-table constructor, pinned to the dict-and-stack construction.
+
+``reference_build`` is how a family was built before its regions became one
+row table: per-triple checks into a dict, then one stack sweep over the keys
+for the depths.  Hypothesis draws laminar families (complete, incomplete,
+with gaps, with zero budgets) and single-fault corruptions of them.  The
+family must accept and reject exactly what the reference does, with the same
+error class, and agree with it on regions, depths, the forest file and
+equality.
+"""
+
+import json
+import operator
+from itertools import accumulate
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import forestbound as fb
+from forestbound import (
+    DuplicateRegionError,
+    ForestError,
+    IndexOutOfRangeError,
+    OverlapError,
+    RegionKey,
+    SizeMismatchError,
+    ZetaRangeError,
+)
+from forestbound.forest import ForestFamily
+from forestbound.formats import dump_forest
+
+MAX_ATOMS = 8  # within ORACLE_MAX_ATOMS, so the partition oracle applies
+
+
+# -- reference construction ----------------------------------------------
+
+
+def _ref_count(value, what, error=SizeMismatchError):
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise error(f"{what} must be an integer, got {value!r}")
+
+
+def reference_build(m, atom_sizes, regions):
+    """(m, sizes, {key: zeta}, {key: depth}), or what the old constructor raised."""
+    m = _ref_count(m, "m")
+    if m < 1:
+        raise SizeMismatchError(f"m must be >= 1, got {m}")
+    sizes = tuple(_ref_count(s, "atom size") for s in atom_sizes)
+    if not sizes or any(s < 1 for s in sizes):
+        raise SizeMismatchError(f"atom sizes must be positive, got {sizes}")
+    if sum(sizes) != m:
+        raise SizeMismatchError(f"atom sizes sum to {sum(sizes)}, expected m={m}")
+    offsets = tuple(accumulate(sizes, initial=0))
+    n = len(sizes)
+    table = {}
+    for i, j, zeta in regions:
+        i = _ref_count(i, "region start")
+        j = _ref_count(j, "region end")
+        if not (1 <= i <= j <= n):
+            raise IndexOutOfRangeError(f"region ({i}, {j}) outside atom range 1..{n}")
+        key = RegionKey(i, j)
+        if key in table:
+            raise DuplicateRegionError(f"region {key} given twice")
+        zeta = _ref_count(zeta, "zeta", ZetaRangeError)
+        size = offsets[j] - offsets[i - 1]
+        if not (0 <= zeta <= size):
+            raise ZetaRangeError(f"zeta={zeta} for region {key} outside 0..{size}")
+        table[key] = zeta
+    depths = {}
+    stack = []
+    for key in sorted(table, key=lambda k: (k[0], -k[1])):
+        while stack and stack[-1][1] < key[0]:
+            stack.pop()
+        if stack and key[1] > stack[-1][1]:
+            raise OverlapError(f"regions {stack[-1]} and {key} overlap without nesting")
+        depths[key] = len(stack) + 1
+        stack.append(key)
+    return m, sizes, table, depths
+
+
+def reference_dump(m, sizes, table, depths):
+    keys = sorted(table, key=lambda k: (depths[k], k[0]))
+    doc = {
+        "m": m,
+        "atom_sizes": list(sizes),
+        "regions": [{"i": k.i, "j": k.j, "zeta": table[k]} for k in keys],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def error_class(build, args):
+    try:
+        build(*args)
+    except ForestError as exc:
+        return type(exc)
+    return None
+
+
+# -- strategies -------------------------------------------------------------
+
+
+def _size(sizes, i, j):
+    return sum(sizes[i - 1 : j])
+
+
+@st.composite
+def laminar_inputs(draw):
+    """(m, atom_sizes, triples) of a valid family, triples in random order.
+
+    Intervals come from recursive splitting of the atom range, with some
+    parts skipped (gaps); about half the families get every atom (complete).
+    Budgets favour 0 and the region size.
+    """
+    n = draw(st.integers(1, MAX_ATOMS))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    keys = set()
+
+    def split(i, j):
+        if draw(st.booleans()):
+            keys.add((i, j))
+        if i == j:
+            return
+        cuts = draw(st.sets(st.integers(i, j - 1), min_size=1, max_size=min(3, j - i)))
+        lo = i
+        for cut in sorted(cuts) + [j]:
+            if draw(st.integers(0, 5)):  # 0: leave a gap
+                split(lo, cut)
+            lo = cut + 1
+
+    split(1, n)
+    if draw(st.booleans()):
+        keys.update((a, a) for a in range(1, n + 1))
+    triples = []
+    for i, j in sorted(keys):
+        size = _size(sizes, i, j)
+        zeta = draw(st.one_of(st.just(0), st.just(size), st.integers(0, size)))
+        triples.append((i, j, zeta))
+    return sum(sizes), sizes, draw(st.permutations(triples))
+
+
+def _partial(a, b, i, j):
+    # (a, b) and (i, j) intersect and neither contains the other.
+    return max(a, i) <= min(b, j) and not (
+        (a <= i and j <= b) or (i <= a and b <= j)
+    )
+
+
+@st.composite
+def corrupted_inputs(draw):
+    """A valid input with exactly one fault, and the fault's name."""
+    m, sizes, triples = draw(laminar_inputs())
+    triples = list(triples)
+    n = len(sizes)
+    kind = draw(
+        st.sampled_from(
+            ["overlap", "duplicate", "key range", "zeta range", "not an integer"]
+        )
+    )
+    if not triples:
+        triples.append((1, 1, 0))
+    if kind == "overlap":
+        if n < 3:  # too few atoms for any partial overlap
+            sizes = sizes + [1] * (3 - n)
+            m, n = sum(sizes), 3
+        keys = {(i, j) for i, j, _ in triples}
+        overlapping = [
+            (a, b)
+            for a in range(1, n + 1)
+            for b in range(a, n + 1)
+            if (a, b) not in keys and any(_partial(a, b, i, j) for i, j in keys)
+        ]
+        # Without a candidate, neither (1, 2) nor (2, 3) is a key.
+        added = [(1, 2), (2, 3)]
+        if overlapping:
+            added = [draw(st.sampled_from(overlapping))]
+        for a, b in added:
+            at = draw(st.integers(0, len(triples)))
+            triples.insert(at, (a, b, draw(st.integers(0, _size(sizes, a, b)))))
+        return kind, (m, sizes, triples)
+    k = draw(st.integers(0, len(triples) - 1))
+    i, j, zeta = triples[k]
+    size = _size(sizes, i, j)
+    if kind == "duplicate":
+        at = draw(st.integers(0, len(triples)))
+        triples.insert(at, (i, j, draw(st.integers(0, size))))
+    elif kind == "key range":
+        triples[k] = draw(
+            st.sampled_from(
+                [
+                    (draw(st.integers(-3, 0)), j, zeta),
+                    (i, n + draw(st.integers(1, 3)), zeta),
+                    (j + draw(st.integers(1, 2)), j, zeta),
+                    (i, 2**70, zeta),
+                    (-(2**70), j, zeta),
+                ]
+            )
+        )
+    elif kind == "zeta range":
+        above = size + draw(st.integers(1, 3))
+        bad = draw(st.sampled_from([-draw(st.integers(1, 3)), above, 2**70, -(2**70)]))
+        triples[k] = (i, j, bad)
+    else:
+        field = draw(st.sampled_from(["m", "atom size", "i", "j", "zeta"]))
+        value = {"m": m, "atom size": sizes[0], "i": i, "j": j, "zeta": zeta}[field]
+        bad = draw(st.sampled_from([True, False, float(value), value + 0.5]))
+        if field == "m":
+            m = bad
+        elif field == "atom size":
+            sizes = [bad, *sizes[1:]]
+        else:
+            row = [i, j, zeta]
+            row[["i", "j", "zeta"].index(field)] = bad
+            triples[k] = tuple(row)
+    return kind, (m, sizes, triples)
+
+
+# -- the constructor against the reference -------------------------------
+
+
+class TestAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(laminar_inputs())
+    def test_valid_families(self, args):
+        m, sizes, table, depths = reference_build(*args)
+        fam = fb.build_family(*args)
+        assert {(r.key, r.zeta, r.depth) for r in fam.regions()} == {
+            (k, table[k], depths[k]) for k in table
+        }
+        assert list(fam.keys()) == sorted(table)
+        assert len(fam) == len(table)
+        assert fam.height == max(depths.values(), default=0)
+        assert fam.is_complete == all((a, a) in table for a in range(1, len(sizes) + 1))
+        assert dump_forest(fam) == reference_dump(m, sizes, table, depths)
+        atoms = range(1, len(sizes) + 1)
+        missing = [(a, a, sizes[a - 1]) for a in atoms if (a, a) not in table]
+        assert fb.complete_family(fam) == fb.build_family(m, sizes, args[2] + missing)
+
+    @settings(max_examples=400, deadline=None)
+    @given(corrupted_inputs())
+    def test_corrupted_inputs(self, corrupted):
+        kind, args = corrupted
+        expected = error_class(reference_build, args)
+        assert expected is not None, kind  # the corruption is a fault
+        assert error_class(fb.build_family, args) is expected, kind
+
+    @settings(max_examples=300, deadline=None)
+    @given(laminar_inputs(), st.data())
+    def test_equality(self, args, data):
+        m, sizes, triples = args
+        variants = ["reordered", "budget", "dropped", "other"]
+        variant = data.draw(st.sampled_from(variants))
+        if variant == "reordered":
+            other = (m, sizes, data.draw(st.permutations(triples)))
+        elif variant == "budget" and triples:
+            k = data.draw(st.integers(0, len(triples) - 1))
+            i, j, _ = triples[k]
+            zeta = data.draw(st.integers(0, _size(sizes, i, j)))
+            other = (m, sizes, triples[:k] + [(i, j, zeta)] + triples[k + 1 :])
+        elif variant == "dropped" and triples:
+            other = (m, sizes, triples[1:])
+        else:
+            other = data.draw(laminar_inputs())
+        same = reference_build(*args)[:3] == reference_build(*other)[:3]
+        assert (fb.build_family(*args) == fb.build_family(*other)) == same
+
+
+class TestCurvesOnDrawnFamilies:
+    @settings(max_examples=200, deadline=None)
+    @given(laminar_inputs(), st.data())
+    def test_fast_naive_pruned_and_oracle_agree(self, args, data):
+        fam = fb.complete_family(fb.build_family(*args))
+        order = data.draw(st.permutations(range(1, fam.m + 1)))
+        path = order[: data.draw(st.integers(0, fam.m))]
+        result = fb.prune(fam)
+        fast = fb.fast_curve(fam, path)
+        assert fast == fb.naive_curve(fam, path)
+        assert fast == fb.fast_curve(result.pruned_family, path)
+        for t in range(len(path) + 1):
+            assert fast[t] == fb.oracle_vstar_partitions(fam, path[:t])
+        kept = [
+            (r.key.i, r.key.j, r.zeta)
+            for r in fam.regions()
+            if r.key not in result.removed
+        ]
+        assert result.pruned_family == fb.build_family(fam.m, fam.atom_sizes, kept)
+        assert result.removed == fb.definition_removed_set(fam)
+
+
+# -- budgets replace one array ---------------------------------------------
+
+STRUCTURE = ("_left", "_right", "_depth", "_parent", "_offsets", "_levels")
+
+
+def _estimates(fam):
+    p = np.linspace(0.0, 1.0, fam.m)
+    clamped = {key: fam.region_size(key) - 1 for key in fam.keys()}
+    return [
+        fb.zeta_trivial(fam),
+        fb.zeta_dkwm(fam, p, 0.05),
+        fb.apply_zetas(fam, clamped),
+        fb.ZetaEstimator("dkwm", 0.1).apply(fam, p),
+    ]
+
+
+class TestBudgetsAreACopy:
+    def test_shares_read_only_structure(self):
+        fam = fb.build_dyadic(4, 3)
+        for est in _estimates(fam):
+            for name in STRUCTURE:
+                assert getattr(est, name) is getattr(fam, name), name
+            assert est._zeta is not fam._zeta
+            assert est.is_complete and est.height == fam.height
+        for name in STRUCTURE + ("_zeta",):
+            column = getattr(fam, name)
+            assert not column.flags.writeable, name
+            with pytest.raises(ValueError):
+                column[0] = 0
+
+    def test_no_structural_pass(self, monkeypatch):
+        fam = fb.build_dyadic(4, 3)
+
+        def refuse(*args):
+            raise AssertionError("the structural pass ran")
+
+        monkeypatch.setattr(ForestFamily, "_build", refuse)
+        for est in _estimates(fam):
+            assert sorted(est.keys()) == sorted(fam.keys())
+
+    def test_budget_range_checked(self):
+        fam = fb.build_dyadic(3, 2)
+        sizes = fam._sizes()
+        assert fam._with_zetas(sizes) == fam
+        assert fam._with_zetas(np.zeros(len(fam), dtype=np.int64)).zeta((1, 4)) == 0
+        with pytest.raises(ZetaRangeError):
+            fam._with_zetas(sizes + 1)
+        with pytest.raises(ZetaRangeError):
+            fam._with_zetas(-np.ones(len(fam), dtype=np.int64))
+
+    def test_source_family_unchanged(self):
+        fam = fb.build_dyadic(3, 2)
+        before = dump_forest(fam)
+        est = fb.apply_zetas(fam, {(1, 4): 0})
+        assert est.zeta((1, 4)) == 0
+        assert dump_forest(fam) == before

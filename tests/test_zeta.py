@@ -145,10 +145,10 @@ class TestZetaDkwmMatchesRegionwise:
     @staticmethod
     def assert_regionwise(fam, p, alpha):
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # nothing for apply_zetas to clamp
+            warnings.simplefilter("error")  # no budget may need clamping
             out = fb.zeta_dkwm(fam, p, alpha)
         for key in fam.keys():
-            members = fb.region_members(fam, key)
+            members = fam.region_members(key)
             region_p = p[members.start - 1 : members.stop - 1]
             assert out.zeta(key) == upper_null_count(region_p, alpha), key
 
@@ -227,3 +227,15 @@ class TestZetaEstimator:
             fb.ZetaEstimator(method="simes")
         with pytest.raises(InvalidProbabilityError):
             fb.ZetaEstimator(method="dkwm", alpha=0.0)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, 1.5, float("nan")])
+def test_one_alpha_check(example_family, alpha):
+    # zeta_dkwm, ZetaEstimator and ScenarioConfig share one check and message.
+    message = r"^alpha must be in \(0, 1\), got "
+    with pytest.raises(InvalidProbabilityError, match=message):
+        fb.zeta_dkwm(example_family, [0.5] * 25, alpha)
+    with pytest.raises(InvalidProbabilityError, match=message):
+        fb.ZetaEstimator("dkwm", alpha)
+    with pytest.raises(InvalidProbabilityError, match=message):
+        fb.ScenarioConfig(m=16, tree_height=3, signal_leaves=frozenset(), alpha=alpha)
