@@ -3,13 +3,18 @@ reference families, with an incremental algorithm for whole bound curves."""
 
 from .bounds import (
     atom_hit_counts,
-    naive_curve,
     oracle_vstar_partitions,
     oracle_vstar_sets,
     oracle_vstar_subsets,
     vstar,
 )
-from .curve import BoundCurve, curve_from_pvalues, fast_curve, fdp_curve
+from .curve import (
+    BoundCurve,
+    curve_from_pvalues,
+    fast_curve,
+    fdp_curve,
+    naive_curve,
+)
 from .errors import (
     DuplicateRegionError,
     ForestError,

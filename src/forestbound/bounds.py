@@ -16,10 +16,7 @@ from __future__ import annotations
 
 import operator
 from itertools import accumulate
-from typing import TYPE_CHECKING, Collection, Iterator, Sequence
-
-if TYPE_CHECKING:
-    from .curve import BoundCurve
+from typing import Collection, Iterator, Sequence
 
 import numpy as np
 
@@ -29,7 +26,7 @@ from .errors import (
     NotAPermutationError,
     TooLargeForOracleError,
 )
-from .forest import ForestFamily, RegionKey, complete_family
+from .forest import ForestFamily, RegionKey
 
 # Families with at least this many atoms go through the vectorized sweep;
 # below it, plain lists beat the per-call overhead (on a 2-vCPU x86 host,
@@ -68,14 +65,20 @@ def atom_hit_counts(family: ForestFamily, selection: Collection[int]) -> list[in
     return hits
 
 
-def _require_complete(family: ForestFamily, auto_complete: bool) -> ForestFamily:
-    if family.is_complete:
-        return family
-    if auto_complete:
-        return complete_family(family)
-    raise IncompleteFamilyError(
-        "family is not complete; call complete_family() or pass auto_complete=True"
-    )
+def _require_complete(family: ForestFamily) -> None:
+    # The one completeness check of every bound, curve and pruning entry.
+    if not family.is_complete:
+        raise IncompleteFamilyError(
+            "family is not complete; add its missing atoms with "
+            "complete_family() or `forestbound complete`"
+        )
+
+
+def _sweep(family: ForestFamily, hits: list[int]) -> list[int] | np.ndarray:
+    """The bottom-up sweep's accumulator, from the engine the size suits."""
+    if family.n_atoms >= NUMPY_MIN_ATOMS:
+        return _sweep_np(family, hits)
+    return _sweep_py(family, hits)
 
 
 def _sweep_py(family: ForestFamily, hits: list[int]) -> list[int]:
@@ -104,9 +107,10 @@ def _sweep_py(family: ForestFamily, hits: list[int]) -> list[int]:
     return acc
 
 
-def _sweep_np(family: ForestFamily, hits: list[int]) -> int:
-    # _sweep_py's sweep, one depth level at a time.  hc[k] counts the
-    # selected hypotheses in atoms below k, so row (i, j) holds hc[j+1] - hc[i].
+def _sweep_np(family: ForestFamily, hits: list[int]) -> np.ndarray:
+    # _sweep_py's sweep and accumulator, one depth level at a time.  hc[k]
+    # counts the selected hypotheses in atoms below k, so row (i, j) holds
+    # hc[j+1] - hc[i].
     hc = np.zeros(len(hits) + 1, dtype=np.int64)
     np.cumsum(np.fromiter(hits, dtype=np.int64, count=len(hits)), out=hc[1:])
     slack = family._zeta - (hc[1:][family._right] - hc[family._left])
@@ -115,27 +119,19 @@ def _sweep_np(family: ForestFamily, hits: list[int]) -> int:
     parent, levels = family._parent, family._levels.tolist()
     for a, b in zip(levels[-2::-1], levels[:0:-1]):  # deepest level first
         np.add.at(acc, parent[a:b], np.minimum(slack[a:b], acc[a:b]))
-    return int(acc[-1])
+    return acc
 
 
-def vstar(
-    family: ForestFamily,
-    selection: Collection[int],
-    *,
-    auto_complete: bool = False,
-) -> int:
+def vstar(family: ForestFamily, selection: Collection[int]) -> int:
     """Upper bound on the number of false discoveries in ``selection``.
 
-    The family must be complete (pass ``auto_complete=True`` to complete a
-    copy on the fly).  The result is exact for the family's interpolated
-    bound: the minimum over partition-realizing region subsets of the summed
-    capped budgets.
+    The family must be complete (:func:`forestbound.complete_family` makes
+    it so).  The result is exact for the family's interpolated bound: the
+    minimum over partition-realizing region subsets of the summed capped
+    budgets.
     """
-    family = _require_complete(family, auto_complete)
-    hits = atom_hit_counts(family, selection)
-    if family.n_atoms >= NUMPY_MIN_ATOMS:
-        return _sweep_np(family, hits)
-    return _sweep_py(family, hits)[-1]
+    _require_complete(family)
+    return int(_sweep(family, atom_hit_counts(family, selection))[-1])
 
 
 def validate_path(m: int, path: Sequence[int]) -> tuple[int, ...]:
@@ -160,45 +156,14 @@ def validate_path(m: int, path: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def naive_curve(
-    family: ForestFamily,
-    path: Sequence[int],
-    *,
-    auto_complete: bool = False,
-) -> "BoundCurve":
-    """Bound curve along a nested path by independent vstar calls.
-
-    Quadratic in the path length; kept as the reference baseline for
-    :func:`forestbound.curve.fast_curve`.  Accepts a prefix of a permutation
-    and returns one value per prefix length, starting at V_0 = 0.
-    """
-    from .curve import BoundCurve
-
-    family = _require_complete(family, auto_complete)
-    steps = validate_path(family.m, path)
-    values = [0]
-    selected: set[int] = set()
-    for idx in steps:
-        selected.add(idx)
-        values.append(vstar(family, selected))
-    return BoundCurve(tuple(values))
-
-
 # -- oracles -------------------------------------------------------------
 
 
 def _selection_mask(family: ForestFamily, selection: Collection[int]) -> int:
+    atom_hit_counts(family, selection)  # refuses what vstar refuses
     mask = 0
     for s in selection:
-        try:
-            si = operator.index(s)
-        except TypeError:
-            si = 0
-        if not 1 <= si <= family.m:
-            raise IndexOutOfRangeError(
-                f"selection members must be integers in 1..{family.m}"
-            )
-        mask |= 1 << (si - 1)
+        mask |= 1 << (operator.index(s) - 1)
     return mask
 
 
@@ -271,8 +236,7 @@ def oracle_vstar_partitions(
         raise TooLargeForOracleError(
             f"N={family.n_atoms} exceeds {ORACLE_MAX_ATOMS}"
         )
-    if not family.is_complete:
-        raise IncompleteFamilyError("partition oracle requires a complete family")
+    _require_complete(family)
     hits = atom_hit_counts(family, selection)
     prefix = list(accumulate(hits))
     best = None

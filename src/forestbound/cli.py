@@ -53,7 +53,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("vstar", help="bound for one selection set")
     p.add_argument("--family", required=True)
     p.add_argument("--sel", required=True, help="selection CSV (hypothesis_index)")
-    p.add_argument("--auto-complete", action="store_true")
 
     p = sub.add_parser("curve", help="bound curve along a selection path")
     p.add_argument("--family", required=True)
@@ -66,7 +65,6 @@ def _build_parser() -> _Parser:
         action="store_true",
         help="per-step self-checks; quadratic in m (about 12 s at m=2048)",
     )
-    p.add_argument("--auto-complete", action="store_true")
 
     p = sub.add_parser("gen-dyadic", help="write a dyadic-tree family")
     p.add_argument("--height", type=int, required=True)
@@ -141,7 +139,7 @@ def _cmd_prune(args) -> int:
 def _cmd_vstar(args) -> int:
     family = formats.parse_forest(_read_text(args.family))
     selection = formats.parse_path_csv(_read_text(args.sel))
-    print(vstar(family, selection, auto_complete=args.auto_complete))
+    print(vstar(family, selection))
     return EXIT_OK
 
 
@@ -156,9 +154,7 @@ def _cmd_curve(args) -> int:
     else:
         pvalues = formats.parse_pvalues_csv(_read_text(args.pvalues))
         path = _pvalue_path(family.m, pvalues)
-    curve = fast_curve(
-        family, path, audit=args.audit, auto_complete=args.auto_complete
-    )
+    curve = fast_curve(family, path, audit=args.audit)
     _write_text(args.outfile, formats.dump_curve_csv(path, curve))
     return EXIT_OK
 

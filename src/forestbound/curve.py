@@ -24,8 +24,8 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import _require_complete, validate_path, vstar
-from .errors import InvalidProbabilityError
 from .forest import ForestFamily, RegionKey
+from .zeta import _check_pvalues
 
 
 @dataclass(frozen=True)
@@ -48,22 +48,36 @@ class BoundCurve:
         return self.values[-1]
 
 
+def naive_curve(family: ForestFamily, path: Sequence[int]) -> BoundCurve:
+    """Bound curve along a nested path by independent vstar calls.
+
+    Quadratic in the path length; kept as the reference baseline for
+    :func:`fast_curve`.  Takes the same complete family and path prefix, and
+    returns one value per prefix length, starting at V_0 = 0.
+    """
+    _require_complete(family)
+    steps = validate_path(family.m, path)
+    values = [0]
+    selected: set[int] = set()
+    for idx in steps:
+        selected.add(idx)
+        values.append(vstar(family, selected))
+    return BoundCurve(tuple(values))
+
+
 def fast_curve(
-    family: ForestFamily,
-    path: Sequence[int],
-    *,
-    audit: bool = False,
-    auto_complete: bool = False,
+    family: ForestFamily, path: Sequence[int], *, audit: bool = False
 ) -> BoundCurve:
     """Bound values for every prefix of ``path`` in a single forward pass.
 
-    ``path`` must be a prefix of a permutation of 1..m; the returned curve
-    has one entry per prefix length, starting at V_0 = 0.  Pruning the family
-    first is optional and does not change the output.  With ``audit=True``
-    the per-step identities of the partition-tracking formulation are
-    asserted (slow; meant for verification on small inputs).
+    The family must be complete (:func:`forestbound.complete_family` makes
+    it so).  ``path`` must be a prefix of a permutation of 1..m; the returned
+    curve has one entry per prefix length, starting at V_0 = 0.  Pruning the
+    family first is optional and does not change the output.  With
+    ``audit=True`` the per-step identities of the partition-tracking
+    formulation are asserted (slow; meant for verification on small inputs).
     """
-    family = _require_complete(family, auto_complete)
+    _require_complete(family)
     steps = validate_path(family.m, path)
     if audit:
         return BoundCurve(_fast_curve_audit(family, steps))
@@ -193,11 +207,7 @@ def _assert_eta_matches_vstar(family, t, eta, partition, selected) -> None:
 
 
 def curve_from_pvalues(
-    family: ForestFamily,
-    pvalues: Sequence[float],
-    *,
-    audit: bool = False,
-    auto_complete: bool = False,
+    family: ForestFamily, pvalues: Sequence[float], *, audit: bool = False
 ) -> BoundCurve:
     """Bound curve along the path ordering the p-values increasingly.
 
@@ -205,20 +215,13 @@ def curve_from_pvalues(
     deterministic.
     """
     path = _pvalue_path(family.m, pvalues)
-    return fast_curve(family, path, audit=audit, auto_complete=auto_complete)
+    return fast_curve(family, path, audit=audit)
 
 
 def _pvalue_path(m: int, pvalues: Sequence[float]) -> list[int]:
     # The hypotheses 1..m by increasing p-value, ties by ascending index:
     # the one ordering behind curve_from_pvalues and the CLI's curve CSV.
-    arr = np.asarray(pvalues, dtype=float)
-    if arr.shape != (m,):
-        raise InvalidProbabilityError(
-            f"expected {m} p-values, got shape {arr.shape}"
-        )
-    if not np.all(np.isfinite(arr)) or arr.min() < 0.0 or arr.max() > 1.0:
-        raise InvalidProbabilityError("p-values must be finite and within [0, 1]")
-    return (np.argsort(arr, kind="stable") + 1).tolist()
+    return (np.argsort(_check_pvalues(m, pvalues), kind="stable") + 1).tolist()
 
 
 def fdp_curve(curve: BoundCurve) -> list[Fraction]:

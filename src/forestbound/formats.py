@@ -63,16 +63,6 @@ def parse_forest(text: str) -> ForestFamily:
     return build_family(m, atom_sizes, regions)
 
 
-def read_forest(path) -> ForestFamily:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_forest(fh.read())
-
-
-def write_forest(path, family: ForestFamily) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_forest(family))
-
-
 def dump_path_csv(path_indices: Sequence[int]) -> str:
     lines = ["hypothesis_index"]
     lines.extend(str(int(i)) for i in path_indices)

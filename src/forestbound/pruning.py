@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _sweep_py
-from .errors import IncompleteFamilyError
+from .bounds import _require_complete, _sweep
 from .forest import ForestFamily, RegionKey
 
 
@@ -43,14 +42,13 @@ def prune(family: ForestFamily) -> PruneResult:
     exactly the same bound.  Pruning an already-pruned family removes
     nothing.
     """
-    if not family.is_complete:
-        raise IncompleteFamilyError("pruning requires a complete family")
+    _require_complete(family)
     # On the full set a row's count is its size, and the sizes of a
     # non-atom's children add up to its own: it is dominated exactly when
     # its budget is at least the summed values of its children.
-    acc = _sweep_py(family, [0, *family.atom_sizes])
+    acc = _sweep(family, [0, *family.atom_sizes])
     left, right, zeta = family._left, family._right, family._zeta
-    children = family._sizes() + np.array(acc[:-1], dtype=np.int64)
+    children = family._sizes() + np.asarray(acc[:-1], dtype=np.int64)
     dominated = (left != right) & (zeta >= children)
     removed = frozenset(
         map(RegionKey, left[dominated].tolist(), right[dominated].tolist())
@@ -59,7 +57,9 @@ def prune(family: ForestFamily) -> PruneResult:
     pruned = ForestFamily._from_rows(
         family.m, family.atom_sizes, left[kept], right[kept], zeta[kept]
     )
-    return PruneResult(pruned_family=pruned, removed=removed, vstar_full=acc[-1])
+    return PruneResult(
+        pruned_family=pruned, removed=removed, vstar_full=int(acc[-1])
+    )
 
 
 def compact(result: PruneResult) -> ForestFamily:

@@ -22,8 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .bounds import naive_curve
-from .curve import BoundCurve, _pvalue_path, fast_curve
+from .curve import BoundCurve, _pvalue_path, fast_curve, naive_curve
 from .forest import ForestFamily, build_dyadic
 from .pruning import prune
 from .zeta import ZETA_METHODS, ZetaEstimator, _check_alpha

@@ -35,6 +35,16 @@ def _check_alpha(alpha: float) -> None:
         raise InvalidProbabilityError(f"alpha must be in (0, 1), got {alpha}")
 
 
+def _check_pvalues(m: int, pvalues: Sequence[float]) -> np.ndarray:
+    # The one check of a p-value vector, for every entry point taking one.
+    arr = np.asarray(pvalues, dtype=float)
+    if arr.shape != (m,) or not (
+        np.all(np.isfinite(arr)) and arr.min() >= 0.0 and arr.max() <= 1.0
+    ):
+        raise InvalidProbabilityError(f"expected {m} finite p-values within [0, 1]")
+    return arr
+
+
 def upper_null_count(pvalues: np.ndarray, alpha: float) -> int:
     """Level-(1-alpha) upper confidence count of true nulls in one region.
 
@@ -81,13 +91,7 @@ def zeta_dkwm(
     increasing order, and the bound is reduced per region over the whole
     level at once.
     """
-    arr = np.asarray(pvalues, dtype=float)
-    if arr.shape != (family.m,):
-        raise InvalidProbabilityError(
-            f"expected {family.m} p-values, got shape {arr.shape}"
-        )
-    if not np.all(np.isfinite(arr)) or arr.min() < 0.0 or arr.max() > 1.0:
-        raise InvalidProbabilityError("p-values must be finite and within [0, 1]")
+    arr = _check_pvalues(family.m, pvalues)
     _check_alpha(alpha)
     lo = family._offsets[family._left - 1]
     hi = family._offsets[family._right]

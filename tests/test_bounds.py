@@ -25,9 +25,12 @@ from conftest import EXAMPLE_CURVE, EXAMPLE_PATH, random_family, random_selectio
 
 
 def both_engines(family, selection):
-    """The bound from each sweep engine, whatever the family's size."""
+    """The bound from each sweep engine, whatever the family's size, after
+    checking that the two accumulators agree row by row."""
     hits = atom_hit_counts(family, selection)
-    return _sweep_py(family, hits)[-1], _sweep_np(family, hits)
+    py, vec = _sweep_py(family, hits), _sweep_np(family, hits)
+    assert py == vec.tolist()
+    return py[-1], int(vec[-1])
 
 
 class TestVstar:
@@ -45,9 +48,11 @@ class TestVstar:
         with pytest.raises(IncompleteFamilyError):
             fb.vstar(partial_family, {1})
 
-    def test_auto_complete_flag(self, partial_family, example_family):
-        got = fb.vstar(partial_family, {11, 17, 12, 13, 18, 3}, auto_complete=True)
-        assert got == fb.vstar(example_family, {11, 17, 12, 13, 18, 3})
+    def test_completed_copy_gives_golden_value(self, partial_family):
+        sel = {11, 17, 12, 13, 18, 3}
+        with pytest.raises(IncompleteFamilyError):
+            fb.vstar(partial_family, sel)
+        assert fb.vstar(fb.complete_family(partial_family), sel) == 5
 
     def test_selection_validation(self, example_family):
         with pytest.raises(IndexOutOfRangeError):
@@ -101,6 +106,39 @@ class TestVstar:
             assert both_engines(fam, sel) == (expected, expected)
             py, np_ = both_engines(fam, random_selection(rng, fam.m))
             assert py == np_
+
+
+def test_one_completeness_check(partial_family):
+    # Every bound, curve and pruning entry refuses an incomplete family with
+    # the same message, which names both ways to complete it.
+    calls = [
+        lambda f: fb.vstar(f, {1}),
+        lambda f: fb.naive_curve(f, [1]),
+        lambda f: fb.fast_curve(f, [1]),
+        lambda f: fb.fast_curve(f, [1], audit=True),
+        lambda f: fb.curve_from_pvalues(f, [0.5] * f.m),
+        fb.prune,
+        lambda f: fb.oracle_vstar_partitions(f, {1}),
+    ]
+    messages = set()
+    for call in calls:
+        with pytest.raises(IncompleteFamilyError) as info:
+            call(partial_family)
+        messages.add(str(info.value))
+    (message,) = messages
+    assert "complete_family()" in message and "forestbound complete" in message
+
+
+@pytest.mark.parametrize("bad", [[True], [True, 2], [3, 3], [0], [26], [1.5]])
+def test_oracles_share_selection_rules(example_family, bad):
+    for bound in (
+        fb.vstar,
+        fb.oracle_vstar_sets,
+        fb.oracle_vstar_subsets,
+        fb.oracle_vstar_partitions,
+    ):
+        with pytest.raises(IndexOutOfRangeError):
+            bound(example_family, bad)
 
 
 class TestHitCounts:

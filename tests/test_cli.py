@@ -108,6 +108,36 @@ class TestPrune:
         assert main(["prune", "--in", str(f), "--out", str(tmp_path / "x")]) == 2
 
 
+class TestIncompleteFamily:
+    @pytest.fixture
+    def partial_file(self, tmp_path):
+        f = tmp_path / "partial.forest"
+        f.write_text(
+            dump_forest(fb.build_family(EXAMPLE_M, EXAMPLE_ATOMS, EXAMPLE_REGIONS))
+        )
+        return f
+
+    def test_vstar_and_curve_exit_2(self, tmp_path, partial_file, path_file, capsys):
+        out = tmp_path / "curve.csv"
+        family = ["--family", str(partial_file)]
+        assert main(["vstar", *family, "--sel", str(path_file)]) == 2
+        assert "forestbound complete" in capsys.readouterr().err
+        argv = ["curve", *family, "--path", str(path_file), "--out", str(out)]
+        assert main(argv) == 2
+        assert "forestbound complete" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_curve_after_complete(self, tmp_path, partial_file, path_file):
+        completed = tmp_path / "complete.forest"
+        out = tmp_path / "curve.csv"
+        argv = ["complete", "--in", str(partial_file), "--out", str(completed)]
+        assert main(argv) == 0
+        argv = ["curve", "--family", str(completed), "--path", str(path_file)]
+        assert main([*argv, "--out", str(out)]) == 0
+        rows = out.read_text().strip().splitlines()[1:]
+        assert [int(r.split(",")[2]) for r in rows] == [1, 2, 3, 3, 4, 5, 5, 5, 5]
+
+
 class TestCurve:
     def test_golden_curve_column(self, tmp_path, family_file, path_file):
         out = tmp_path / "curve.csv"

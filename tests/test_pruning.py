@@ -6,6 +6,7 @@ import pytest
 
 import forestbound as fb
 from forestbound import IncompleteFamilyError, RegionKey
+from forestbound.bounds import NUMPY_MIN_ATOMS
 
 from conftest import random_family, random_path, random_selection
 
@@ -57,10 +58,21 @@ class TestPruneProperties:
                 assert fb.vstar(fam, sel) == fb.vstar(pruned, sel)
 
     def test_matches_definition_checker(self):
+        # Small families run the Python sweep, those from NUMPY_MIN_ATOMS
+        # atoms up the numpy one.
         rng = random.Random(59)
         for _ in range(200):
             fam = fb.complete_family(random_family(rng, max_atoms=8))
             assert fb.prune(fam).removed == fb.definition_removed_set(fam)
+        for _ in range(20):
+            fam = fb.complete_family(
+                random_family(
+                    rng, min_atoms=NUMPY_MIN_ATOMS, max_atoms=NUMPY_MIN_ATOMS + 48
+                )
+            )
+            result = fb.prune(fam)
+            assert result.removed == fb.definition_removed_set(fam)
+            assert result.vstar_full == fb.vstar(fam, set(range(1, fam.m + 1)))
 
     def test_removed_and_kept_partition_the_region_set(self):
         rng = random.Random(61)

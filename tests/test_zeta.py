@@ -229,6 +229,27 @@ class TestZetaEstimator:
             fb.ZetaEstimator(method="dkwm", alpha=0.0)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        [0.5] * 24,
+        [0.5] * 24 + [float("nan")],
+        [0.5] * 24 + [float("inf")],
+        [float("-inf")] + [0.5] * 24,
+        [0.5] * 24 + [-0.1],
+        [1.1] + [0.5] * 24,
+    ],
+)
+def test_one_pvalue_check(example_family, bad):
+    # zeta_dkwm and curve_from_pvalues share one check and message.
+    with pytest.raises(InvalidProbabilityError) as dkwm:
+        fb.zeta_dkwm(example_family, bad, 0.05)
+    with pytest.raises(InvalidProbabilityError) as curve:
+        fb.curve_from_pvalues(example_family, bad)
+    assert str(dkwm.value) == str(curve.value)
+    assert str(dkwm.value) == "expected 25 finite p-values within [0, 1]"
+
+
 @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, 1.5, float("nan")])
 def test_one_alpha_check(example_family, alpha):
     # zeta_dkwm, ZetaEstimator and ScenarioConfig share one check and message.
