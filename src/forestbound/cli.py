@@ -63,7 +63,8 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--audit",
         action="store_true",
-        help="per-step self-checks; quadratic in m (about 12 s at m=2048)",
+        help="check every V_t against vstar(S_t); quadratic in m "
+        "(about 1.3 s at m=2048)",
     )
 
     p = sub.add_parser("gen-dyadic", help="write a dyadic-tree family")

@@ -37,8 +37,11 @@ def _check_alpha(alpha: float) -> None:
 
 def _check_pvalues(m: int, pvalues: Sequence[float]) -> np.ndarray:
     # The one check of a p-value vector, for every entry point taking one.
-    arr = np.asarray(pvalues, dtype=float)
-    if arr.shape != (m,) or not (
+    try:
+        arr = np.asarray(pvalues, dtype=float)
+    except (TypeError, ValueError):  # non-numeric or ragged input
+        arr = None
+    if arr is None or arr.shape != (m,) or not (
         np.all(np.isfinite(arr)) and arr.min() >= 0.0 and arr.max() <= 1.0
     ):
         raise InvalidProbabilityError(f"expected {m} finite p-values within [0, 1]")

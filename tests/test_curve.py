@@ -1,6 +1,9 @@
 """Incremental curve computation against the naive baseline."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -13,6 +16,17 @@ from forestbound import (
 )
 
 from conftest import EXAMPLE_CURVE, EXAMPLE_PATH, random_family, random_path
+
+
+# Builds ``fam``, a family whose cached walk reads every chain deepest first.
+WALK_FAULT_SCRIPT = """\
+import forestbound as fb
+fam = fb.build_family(
+    4, (1, 1, 1, 1), [(1, 4, 1), (1, 2, 2), (1, 1, 1), (2, 2, 1), (3, 3, 1), (4, 4, 1)]
+)
+atom_of, chains = fam._walk()
+fam._walk_cache = (atom_of, [chain[::-1] for chain in chains])
+"""
 
 
 class TestFastCurveExample:
@@ -95,6 +109,31 @@ class TestEquivalence:
             path = random_path(rng, fam.m)
             audited = fb.fast_curve(fam, path, audit=True)
             assert audited == fb.naive_curve(fam, path)
+
+    def test_audit_sees_walk_faults(self):
+        # A walk that reads each chain deepest first saturates the atoms
+        # before the root, so its second step counts past the root's budget.
+        namespace = {}
+        exec(WALK_FAULT_SCRIPT, namespace)
+        fam = namespace["fam"]
+        assert fb.fast_curve(fam, [1, 3]).values == (0, 1, 2)
+        with pytest.raises(AssertionError, match=r"^t=2: the walk gives V_t=2, "):
+            fb.fast_curve(fam, [1, 3], audit=True)
+
+    def test_audit_survives_optimize_flag(self):
+        # The audit is an explicit raise, so ``python -O`` keeps it.
+        script = WALK_FAULT_SCRIPT + "fb.fast_curve(fam, [1, 3], audit=True)\n"
+        src = os.path.dirname(os.path.dirname(fb.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert run.returncode != 0
+        assert "AssertionError: t=2: the walk gives V_t=2, " in run.stderr
 
     def test_path_endpoint_independent_of_order(self):
         rng = random.Random(103)

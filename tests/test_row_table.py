@@ -28,6 +28,7 @@ from forestbound import (
     SizeMismatchError,
     ZetaRangeError,
 )
+from forestbound.bounds import ORACLE_MAX_M
 from forestbound.forest import ForestFamily
 from forestbound.formats import dump_forest
 
@@ -274,15 +275,22 @@ class TestCurvesOnDrawnFamilies:
     @settings(max_examples=200, deadline=None)
     @given(laminar_inputs(), st.data())
     def test_fast_naive_pruned_and_oracle_agree(self, args, data):
-        fam = fb.complete_family(fb.build_family(*args))
+        drawn = fb.build_family(*args)
+        fam = fb.complete_family(drawn)
         order = data.draw(st.permutations(range(1, fam.m + 1)))
         path = order[: data.draw(st.integers(0, fam.m))]
         result = fb.prune(fam)
         fast = fb.fast_curve(fam, path)
         assert fast == fb.naive_curve(fam, path)
+        assert fast == fb.fast_curve(fam, path, audit=True)
         assert fast == fb.fast_curve(result.pruned_family, path)
         for t in range(len(path) + 1):
-            assert fast[t] == fb.oracle_vstar_partitions(fam, path[:t])
+            prefix = path[:t]
+            assert fast[t] == fb.oracle_vstar_partitions(fam, prefix)
+            # Completion adds only vacuous budgets, so the drawn family agrees.
+            assert fast[t] == fb.oracle_vstar_subsets(drawn, prefix)
+            if min(fam.m, t) <= ORACLE_MAX_M:
+                assert fast[t] == fb.oracle_vstar_sets(fam, prefix)
         kept = [
             (r.key.i, r.key.j, r.zeta)
             for r in fam.regions()

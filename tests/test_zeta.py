@@ -238,6 +238,9 @@ class TestZetaEstimator:
         [float("-inf")] + [0.5] * 24,
         [0.5] * 24 + [-0.1],
         [1.1] + [0.5] * 24,
+        ["a"] * 25,
+        [[0.5]] * 12 + [[0.5, 0.5]] * 13,
+        [{}] * 25,
     ],
 )
 def test_one_pvalue_check(example_family, bad):
