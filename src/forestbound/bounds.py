@@ -50,7 +50,7 @@ def atom_hit_counts(family: ForestFamily, selection: Collection[int]) -> list[in
         items = tuple(selection)
         if len(set(items)) != len(items):
             raise IndexOutOfRangeError("selection contains duplicate indices")
-    atom_of = family._walk()[0]
+    atom_of = family._atom_of()
     hits = [0] * (family.n_atoms + 1)
     try:
         for s in items:

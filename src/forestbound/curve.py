@@ -1,11 +1,13 @@
 """Incremental computation of the whole bound curve along a nested path.
 
-Growing the selection set one hypothesis at a time lets the bound be updated
-in O(depth) per step instead of recomputing it from scratch: each region
-counts down its budget as it absorbs selected hypotheses, and freezes once
-the budget is spent.  A step adds 1 to the bound unless the new
-hypothesis falls inside an already-saturated region, in which case the bound
-is unchanged.  Total cost is O(m + sum of region spans), versus the quadratic
+Growing the selection set one hypothesis at a time changes only the regions
+that contain the new hypothesis's atom, and in a forest those are the atom's
+ancestors.  Each region counts down its budget as it absorbs selected
+hypotheses and freezes once the budget is spent, so a step climbs from its
+atom's row up the parent column to the root, decrementing every budget on
+the way, and adds 1 to the bound unless the atom already lies inside a
+saturated region, in which case the bound is unchanged and nothing is
+climbed.  Total cost is O(m + sum of region spans), versus the quadratic
 cost of calling the single-evaluation bound once per prefix.
 
 The audit mode runs the same walk, then checks every value V_t against an
@@ -70,20 +72,28 @@ def fast_curve(
 
     The family must be complete (:func:`forestbound.complete_family` makes
     it so).  ``path`` must be a prefix of a permutation of 1..m; the returned
-    curve has one entry per prefix length, starting at V_0 = 0.  Pruning the
-    family first is optional and does not change the output.  With
-    ``audit=True`` the walk's V_t is compared with ``vstar(S_t)`` at every
-    step t (through :func:`naive_curve`), and the first mismatch raises
-    :class:`AssertionError` naming t and both values.  The audit is
-    quadratic in m (about 0.5 s at m = 2048 with one hypothesis per atom).
+    curve has one entry per prefix length, starting at V_0 = 0.  A step
+    whose atom is not yet covered by a saturated region climbs the family's
+    parent column from the atom's row to the root, decrementing every budget
+    on the way and covering the span of each row whose budget reaches 0.
+    The climb visits every ancestor, so a pruned family (same output, fewer
+    rows) walks faster.  With ``audit=True`` the walk's V_t is compared with
+    ``vstar(S_t)`` at every step t (through :func:`naive_curve`), and the
+    first mismatch raises :class:`AssertionError` naming t and both values.
+    The audit is quadratic in m (about 0.5 s at m = 2048 with one
+    hypothesis per atom).
     """
     _require_complete(family)
     steps = validate_path(family.m, path)
 
-    atom_of, chains = family._walk()
+    atom_of = family._atom_of()
     budget = family._zeta.tolist()  # what each region has left to absorb
+    parent = family._parent.tolist()
     left = family._left.tolist()
     right = family._right.tolist()
+    atoms = np.flatnonzero(family._left == family._right)
+    # The row of each atom (n, n) by n; entry 0 is padding.
+    row_of_atom = [-1, *atoms[np.argsort(family._left[atoms])].tolist()]
     covered = bytearray(family.n_atoms + 1)
     for r in np.flatnonzero(family._zeta == 0).tolist():
         span = right[r] - left[r] + 1
@@ -94,17 +104,16 @@ def fast_curve(
     append = values.append
     for idx in steps:
         n = atom_of[idx]
-        if covered[n]:
-            append(v)
-            continue
-        for r in chains[n]:
-            b = budget[r] - 1
-            budget[r] = b
-            if b == 0:
-                span = right[r] - left[r] + 1
-                covered[left[r] : right[r] + 1] = b"\x01" * span
-                break
-        v += 1
+        if not covered[n]:
+            r = row_of_atom[n]
+            while r >= 0:
+                b = budget[r] - 1
+                budget[r] = b
+                if b == 0:
+                    span = right[r] - left[r] + 1
+                    covered[left[r] : right[r] + 1] = b"\x01" * span
+                r = parent[r]
+            v += 1
         append(v)
     curve = BoundCurve(tuple(values))
     if audit:

@@ -108,7 +108,9 @@ class ForestFamily:
     their parents: read-only int64 arrays ``_left``, ``_right``, ``_zeta``,
     ``_depth`` and ``_parent`` (the row of the tightest strictly containing
     region, -1 for a root).  ``_offsets[n]`` counts the hypotheses in atoms
-    1..n, and rows ``_levels[h-1]:_levels[h]`` have depth h.
+    1..n, and rows ``_levels[h-1]:_levels[h]`` have depth h.  The sweeps of
+    :mod:`forestbound.bounds` and the curve walk of :mod:`forestbound.curve`
+    read ancestry only from ``_parent``.
     """
 
     def __init__(
@@ -184,7 +186,7 @@ class ForestFamily:
             np.searchsorted(self._depth, np.arange(height + 1), side="right")
         )
         self._complete = bool(np.count_nonzero(left == right) == n)
-        self._walk_cache: tuple[list[int], list[tuple[int, ...]]] | None = None
+        self._atom_of_cache: list[int] | None = None
         self._rows_cache: dict[tuple[int, int], int] | None = None
         return self
 
@@ -301,23 +303,15 @@ class ForestFamily:
             raise UnknownRegionError(f"region {key} not in family")
         return r
 
-    def _walk(self) -> tuple[list[int], list[tuple[int, ...]]]:
-        """What the curve walk reads per hypothesis: ``atom_of[h]`` is the
-        atom of hypothesis h (entry 0 is padding), and ``chains[n]`` lists
-        the rows containing atom n from shallowest to deepest."""
-        walk = self._walk_cache
-        if walk is None:
+    def _atom_of(self) -> list[int]:
+        """``atom_of[h]`` is the atom of hypothesis h; entry 0 is padding."""
+        atom_of = self._atom_of_cache
+        if atom_of is None:
             atom_of = [0]
             for n, size in enumerate(self.atom_sizes, start=1):
                 atom_of += [n] * size
-            chains: list[list[int]] = [[] for _ in range(self.n_atoms + 1)]
-            rows = zip(self._left.tolist(), self._right.tolist())
-            for r, (i, j) in enumerate(rows):
-                for n in range(i, j + 1):
-                    chains[n].append(r)
-            walk = (atom_of, [tuple(c) for c in chains])
-            self._walk_cache = walk
-        return walk
+            self._atom_of_cache = atom_of
+        return atom_of
 
 
 def build_family(

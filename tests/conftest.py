@@ -86,6 +86,41 @@ def random_family(
     return fb.build_family(sum(sizes), sizes, triples)
 
 
+# Defines ``cut(family)``, a copy of ``family`` whose (3, 3) row has no
+# parent, and ``fam``, the cut 4-atom family ``source``.  On the path [3, 1]
+# the walk never charges the root for hypothesis 3, so V_2 = 2 passes the
+# root's budget of 1.
+WALK_FAULT_SCRIPT = """\
+import copy
+import forestbound as fb
+
+def cut(family):
+    parent = family._parent.copy()
+    parent[family._row((3, 3))] = -1
+    family = copy.copy(family)
+    family._parent = parent
+    return family
+
+source = fb.build_family(
+    4, (1, 1, 1, 1), [(1, 4, 1), (1, 2, 2), (1, 1, 1), (2, 2, 1), (3, 3, 1), (4, 4, 1)]
+)
+fam = cut(source)
+"""
+
+
+def check_parent_column(family: fb.ForestFamily) -> None:
+    """By brute force over the keys: ``_parent[r]`` is the tightest region
+    strictly containing row r, and -1 exactly for the rows of depth 1."""
+    keys = list(zip(family._left.tolist(), family._right.tolist()))
+    for r, (i, j) in enumerate(keys):
+        containers = [
+            q for q, (a, b) in enumerate(keys) if q != r and a <= i and j <= b
+        ]
+        tightest = min(containers, key=lambda q: keys[q][1] - keys[q][0], default=-1)
+        assert family._parent[r] == tightest, (i, j)
+        assert (family._parent[r] == -1) == (family._depth[r] == 1), (i, j)
+
+
 def random_selection(rng: random.Random, m: int) -> set:
     return set(rng.sample(range(1, m + 1), rng.randint(0, m)))
 

@@ -1,10 +1,14 @@
 """End-to-end CLI flows over temp files."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 import forestbound as fb
+from forestbound import cli
 from forestbound.cli import main
 from forestbound.formats import dump_forest, dump_path_csv, dump_pvalues_csv
 
@@ -14,6 +18,7 @@ from conftest import (
     EXAMPLE_M,
     EXAMPLE_PATH,
     EXAMPLE_REGIONS,
+    WALK_FAULT_SCRIPT,
 )
 
 
@@ -156,15 +161,23 @@ class TestCurve:
         rows = out.read_text().strip().splitlines()[1:]
         assert [int(r.split(",")[2]) for r in rows] == [1, 2, 3, 3, 4, 5, 5, 5, 5]
 
-    def test_prune_flag_gives_identical_file(
+    def test_pruned_input_gives_identical_file(
         self, tmp_path, family_file, path_file
     ):
+        # curve prunes before it walks, so a pruned input changes nothing.
+        pruned_family = tmp_path / "pruned.forest"
+        argv = ["prune", "--in", str(family_file), "--out", str(pruned_family)]
+        assert main(argv) == 0
+        assert pruned_family.read_text() != family_file.read_text()
         plain = tmp_path / "plain.csv"
         pruned = tmp_path / "pruned.csv"
-        args = ["curve", "--family", str(family_file), "--path", str(path_file)]
-        assert main(args + ["--out", str(plain)]) == 0
-        assert main(args + ["--out", str(pruned), "--prune"]) == 0
+        args = ["curve", "--path", str(path_file)]
+        assert main(args + ["--family", str(family_file), "--out", str(plain)]) == 0
+        argv = args + ["--family", str(pruned_family), "--out", str(pruned)]
+        assert main(argv) == 0
         assert plain.read_text() == pruned.read_text()
+        argv = args + ["--family", str(family_file), "--out", str(pruned)]
+        assert main(argv + ["--prune"]) == 1
 
     def test_audit_flag(self, tmp_path, family_file, path_file):
         out = tmp_path / "curve.csv"
@@ -181,6 +194,71 @@ class TestCurve:
             ]
         )
         assert code == 0
+
+    def test_audit_failure_exits_4(self, tmp_path, monkeypatch, capsys):
+        namespace = {}
+        exec(WALK_FAULT_SCRIPT, namespace)
+        cut, real = namespace["cut"], cli.fast_curve
+        monkeypatch.setattr(
+            cli, "fast_curve", lambda f, path, audit: real(cut(f), path, audit=audit)
+        )
+        family = tmp_path / "family.forest"
+        family.write_text(dump_forest(namespace["source"]))
+        path = tmp_path / "path.csv"
+        path.write_text(dump_path_csv([3, 1]))
+        out = tmp_path / "curve.csv"
+        argv = ["curve", "--family", str(family), "--path", str(path)]
+        assert main([*argv, "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert [r.split(",")[2] for r in rows] == ["1", "2"]  # the cut walk
+        out.unlink()
+        assert main([*argv, "--out", str(out), "--audit"]) == cli.EXIT_AUDIT == 4
+        err = capsys.readouterr().err
+        assert err.startswith("audit error: t=2: the walk gives V_t=2, ")
+        assert not out.exists()
+
+    def test_audited_curve_in_a_real_process(self, tmp_path, family_file, path_file):
+        # Only a real process shows the exit code and stderr of an audit
+        # failure; python -O checks that the audit is no bare assert.
+        namespace = {}
+        exec(WALK_FAULT_SCRIPT, namespace)
+        faulty = tmp_path / "faulty.forest"
+        faulty.write_text(dump_forest(namespace["source"]))
+        fault_path = tmp_path / "fault_path.csv"
+        fault_path.write_text(dump_path_csv([3, 1]))
+        out = tmp_path / "curve.csv"
+        src = os.path.dirname(os.path.dirname(fb.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+
+        def run(prelude, family, path):
+            argv = ["curve", "--family", str(family), "--path", str(path)]
+            argv += ["--out", str(out), "--audit"]
+            script = (
+                f"{prelude}import sys\nfrom forestbound import cli\n"
+                f"sys.exit(cli.main({argv!r}))\n"
+            )
+            return subprocess.run(
+                [sys.executable, "-O", "-c", script],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+
+        good = run("", family_file, path_file)
+        assert good.returncode == 0, good.stderr
+        rows = out.read_text().strip().splitlines()[1:]
+        assert [int(r.split(",")[2]) for r in rows] == [1, 2, 3, 3, 4, 5, 5, 5, 5]
+        out.unlink()
+        patch = (
+            "from forestbound import cli\nreal = cli.fast_curve\n"
+            "cli.fast_curve = lambda f, path, audit: real(cut(f), path, audit=audit)\n"
+        )
+        bad = run(WALK_FAULT_SCRIPT + patch, faulty, fault_path)
+        assert bad.returncode == 4
+        assert "Traceback" not in bad.stderr
+        assert bad.stderr.startswith("audit error: t=2: the walk gives V_t=2, ")
+        assert not out.exists()
 
     def test_pvalues_ordering(self, tmp_path, family_file):
         pfile = tmp_path / "p.csv"
@@ -235,6 +313,15 @@ class TestCurve:
             ]
         )
         assert code == 1
+
+    def test_path_options_checked_before_reading_the_family(self, tmp_path):
+        missing = tmp_path / "missing.json"
+        out = tmp_path / "c.csv"
+        argv = ["curve", "--family", str(missing), "--out", str(out)]
+        assert main(argv) == 1
+        assert main([*argv, "--path", str(missing), "--pvalues", str(missing)]) == 1
+        assert main([*argv, "--path", str(missing)]) == 3
+        assert not out.exists()
 
     def test_bad_path_exits_2(self, tmp_path, family_file):
         bad = tmp_path / "bad_path.csv"

@@ -15,18 +15,14 @@ from forestbound import (
     NotAPermutationError,
 )
 
-from conftest import EXAMPLE_CURVE, EXAMPLE_PATH, random_family, random_path
-
-
-# Builds ``fam``, a family whose cached walk reads every chain deepest first.
-WALK_FAULT_SCRIPT = """\
-import forestbound as fb
-fam = fb.build_family(
-    4, (1, 1, 1, 1), [(1, 4, 1), (1, 2, 2), (1, 1, 1), (2, 2, 1), (3, 3, 1), (4, 4, 1)]
+from conftest import (
+    EXAMPLE_CURVE,
+    EXAMPLE_PATH,
+    WALK_FAULT_SCRIPT,
+    check_parent_column,
+    random_family,
+    random_path,
 )
-atom_of, chains = fam._walk()
-fam._walk_cache = (atom_of, [chain[::-1] for chain in chains])
-"""
 
 
 class TestFastCurveExample:
@@ -64,31 +60,27 @@ def row_key(family, r):
     return fb.RegionKey(int(family._left[r]), int(family._right[r]))
 
 
-class TestLocateChains:
-    # The walk's ancestor chains: for hypothesis 7 the chain ends at depth 3,
-    # for 1 at depth 2, for 24 at depth 1.
-    def test_chain_fixtures(self, example_family):
-        atom_of, chains = example_family._walk()
+class TestParentColumn:
+    # The rows a step's climb visits: from its atom up ``_parent`` to a root.
+    def test_climb_fixtures(self, example_family):
+        def climb(hyp):
+            n = example_family._atom_of()[hyp]
+            r = example_family._row((n, n))
+            keys = []
+            while r >= 0:
+                keys.append(row_key(example_family, r))
+                r = int(example_family._parent[r])
+            return keys
 
-        def chain_keys(hyp):
-            return [row_key(example_family, r) for r in chains[atom_of[hyp]]]
+        assert climb(7) == [(3, 3), (2, 3), (1, 5)]
+        assert climb(1) == [(1, 1), (1, 5)]
+        assert climb(24) == [(8, 8)]
 
-        assert chain_keys(7) == [(1, 5), (2, 3), (3, 3)]
-        assert chain_keys(1) == [(1, 5), (1, 1)]
-        assert chain_keys(24) == [(8, 8)]
-
-    def test_chains_are_nested_and_depth_ordered(self):
+    def test_parent_is_tightest_container(self, example_family):
+        check_parent_column(example_family)
         rng = random.Random(89)
         for _ in range(40):
-            fam = fb.complete_family(random_family(rng, max_atoms=8))
-            chains = fam._walk()[1]
-            for n in range(1, fam.n_atoms + 1):
-                chain = [row_key(fam, r) for r in chains[n]]
-                assert chain, f"atom {n} missing from every region"
-                for outer, inner in zip(chain, chain[1:]):
-                    assert outer.i <= inner.i and inner.j <= outer.j
-                    assert outer != inner
-                assert chain[-1] == (n, n)  # complete family: atom is deepest
+            check_parent_column(fb.complete_family(random_family(rng, max_atoms=8)))
 
 
 class TestEquivalence:
@@ -111,18 +103,19 @@ class TestEquivalence:
             assert audited == fb.naive_curve(fam, path)
 
     def test_audit_sees_walk_faults(self):
-        # A walk that reads each chain deepest first saturates the atoms
-        # before the root, so its second step counts past the root's budget.
+        # With the (3, 3) row cut from its parent, hypothesis 3 never charges
+        # the root, so the second step counts past the root's budget.
         namespace = {}
         exec(WALK_FAULT_SCRIPT, namespace)
         fam = namespace["fam"]
-        assert fb.fast_curve(fam, [1, 3]).values == (0, 1, 2)
+        assert fb.fast_curve(namespace["source"], [3, 1]).values == (0, 1, 1)
+        assert fb.fast_curve(fam, [3, 1]).values == (0, 1, 2)
         with pytest.raises(AssertionError, match=r"^t=2: the walk gives V_t=2, "):
-            fb.fast_curve(fam, [1, 3], audit=True)
+            fb.fast_curve(fam, [3, 1], audit=True)
 
     def test_audit_survives_optimize_flag(self):
         # The audit is an explicit raise, so ``python -O`` keeps it.
-        script = WALK_FAULT_SCRIPT + "fb.fast_curve(fam, [1, 3], audit=True)\n"
+        script = WALK_FAULT_SCRIPT + "fb.fast_curve(fam, [3, 1], audit=True)\n"
         src = os.path.dirname(os.path.dirname(fb.__file__))
         env = dict(os.environ, PYTHONPATH=src)
         run = subprocess.run(
@@ -133,7 +126,9 @@ class TestEquivalence:
             timeout=60,
         )
         assert run.returncode != 0
-        assert "AssertionError: t=2: the walk gives V_t=2, " in run.stderr
+        assert "AssertionError: t=2: the walk gives V_t=2, vstar(S_t) gives 1" in (
+            run.stderr
+        )
 
     def test_path_endpoint_independent_of_order(self):
         rng = random.Random(103)

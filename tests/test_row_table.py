@@ -32,6 +32,8 @@ from forestbound.bounds import ORACLE_MAX_M
 from forestbound.forest import ForestFamily
 from forestbound.formats import dump_forest
 
+from conftest import check_parent_column
+
 MAX_ATOMS = 8  # within ORACLE_MAX_ATOMS, so the partition oracle applies
 
 
@@ -241,6 +243,15 @@ class TestAgainstReference:
         atoms = range(1, len(sizes) + 1)
         missing = [(a, a, sizes[a - 1]) for a in atoms if (a, a) not in table]
         assert fb.complete_family(fam) == fb.build_family(m, sizes, args[2] + missing)
+
+    @settings(max_examples=300, deadline=None)
+    @given(laminar_inputs())
+    def test_parent_column(self, args):
+        # reference_build gives no parents, so they are checked against the
+        # keys directly; the curve walk climbs this column.
+        fam = fb.build_family(*args)
+        check_parent_column(fam)
+        check_parent_column(fb.complete_family(fam))
 
     @settings(max_examples=400, deadline=None)
     @given(corrupted_inputs())
