@@ -136,6 +136,8 @@ def vstar(family: ForestFamily, selection: Collection[int]) -> int:
 
 def validate_path(m: int, path: Sequence[int]) -> tuple[int, ...]:
     """Check that ``path`` is a prefix of a permutation of 1..m (no booleans)."""
+    if not isinstance(path, (Sequence, np.ndarray)):
+        path = list(path)  # a one-shot iterable: the boolean check indexes it
     out = []
     seen = set()
     for x in path:

@@ -10,9 +10,8 @@ saturated region, in which case the bound is unchanged and nothing is
 climbed.  Total cost is O(m + sum of region spans), versus the quadratic
 cost of calling the single-evaluation bound once per prefix.
 
-The audit mode runs the same walk, then checks every value V_t against an
-independent evaluation of vstar(S_t) on the prefix S_t.  That check calls
-vstar once per step, so it is quadratic in m; it is meant for verification.
+:func:`naive_curve` evaluates vstar(S_t) afresh on every prefix S_t; it is
+quadratic in m and is the reference to compare a curve with.
 """
 
 from __future__ import annotations
@@ -65,9 +64,7 @@ def naive_curve(family: ForestFamily, path: Sequence[int]) -> BoundCurve:
     return BoundCurve(tuple(values))
 
 
-def fast_curve(
-    family: ForestFamily, path: Sequence[int], *, audit: bool = False
-) -> BoundCurve:
+def fast_curve(family: ForestFamily, path: Sequence[int]) -> BoundCurve:
     """Bound values for every prefix of ``path`` in a single forward pass.
 
     The family must be complete (:func:`forestbound.complete_family` makes
@@ -77,11 +74,8 @@ def fast_curve(
     parent column from the atom's row to the root, decrementing every budget
     on the way and covering the span of each row whose budget reaches 0.
     The climb visits every ancestor, so a pruned family (same output, fewer
-    rows) walks faster.  With ``audit=True`` the walk's V_t is compared with
-    ``vstar(S_t)`` at every step t (through :func:`naive_curve`), and the
-    first mismatch raises :class:`AssertionError` naming t and both values.
-    The audit is quadratic in m (about 0.5 s at m = 2048 with one
-    hypothesis per atom).
+    rows) walks faster.  To check a curve, compare it with
+    :func:`naive_curve` on the same family and path.
     """
     _require_complete(family)
     steps = validate_path(family.m, path)
@@ -115,14 +109,7 @@ def fast_curve(
                 r = parent[r]
             v += 1
         append(v)
-    curve = BoundCurve(tuple(values))
-    if audit:
-        for t, (got, want) in enumerate(zip(curve, naive_curve(family, steps))):
-            if got != want:
-                raise AssertionError(
-                    f"t={t}: the walk gives V_t={got}, vstar(S_t) gives {want}"
-                )
-    return curve
+    return BoundCurve(tuple(values))
 
 
 def curve_from_pvalues(family: ForestFamily, pvalues: Sequence[float]) -> BoundCurve:

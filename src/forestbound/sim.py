@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .curve import BoundCurve, _pvalue_path, fast_curve, naive_curve
-from .forest import ForestFamily, build_dyadic
+from .forest import DYADIC_MAX_M, ForestFamily, build_dyadic
 from .pruning import prune
 from .zeta import ZETA_METHODS, ZetaEstimator, _check_alpha
 
@@ -59,6 +59,10 @@ class ScenarioConfig:
             raise ValueError(
                 f"m={self.m} must be a positive multiple of 2**(H-1)={n_atoms}"
             )
+        # build_dyadic refuses these too, but only after gen_pvalues has
+        # allocated arrays of m floats.
+        if self.m > DYADIC_MAX_M:
+            raise ValueError(f"m={self.m} exceeds {DYADIC_MAX_M}")
         if not self.signal_leaves <= set(range(1, n_atoms + 1)):
             raise ValueError(f"signal leaves must lie in 1..{n_atoms}")
         if self.n_repl < 1:
@@ -126,7 +130,7 @@ def pvalue_from_stat(x) -> np.ndarray | float:
     return ndtr(-np.asarray(x, dtype=float))
 
 
-def gen_pvalues(cfg: ScenarioConfig, rng=None) -> np.ndarray:
+def gen_pvalues(cfg: ScenarioConfig) -> np.ndarray:
     """Draw the scenario's m p-values.
 
     Statistics are independent normals with unit variance; the mean is
@@ -134,8 +138,7 @@ def gen_pvalues(cfg: ScenarioConfig, rng=None) -> np.ndarray:
     the inverse normal CDF applied to the generator's uniforms, so a given
     seed yields the same stream on every platform.
     """
-    if rng is None or isinstance(rng, int):
-        rng = np.random.default_rng(cfg.seed if rng is None else rng)
+    rng = np.random.default_rng(cfg.seed)
     mu = np.zeros(cfg.m)
     size = cfg.atom_size
     for leaf in cfg.signal_leaves:

@@ -115,7 +115,6 @@ def test_one_completeness_check(partial_family):
         lambda f: fb.vstar(f, {1}),
         lambda f: fb.naive_curve(f, [1]),
         lambda f: fb.fast_curve(f, [1]),
-        lambda f: fb.fast_curve(f, [1], audit=True),
         lambda f: fb.curve_from_pvalues(f, [0.5] * f.m),
         fb.prune,
         lambda f: fb.oracle_vstar_partitions(f, {1}),

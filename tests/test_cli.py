@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -180,28 +181,46 @@ class TestCurve:
         assert main(argv + ["--prune"]) == 1
 
     def test_audit_flag(self, tmp_path, family_file, path_file):
+        # An audit that passes writes the file the unaudited run writes.
+        pfile = tmp_path / "p.csv"
+        pfile.write_text(dump_pvalues_csv([(i % 7 + 1) / 10 for i in range(25)]))
+        plain, audited = tmp_path / "plain.csv", tmp_path / "audited.csv"
+        for order in (["--path", str(path_file)], ["--pvalues", str(pfile)]):
+            argv = ["curve", "--family", str(family_file), *order]
+            assert main([*argv, "--out", str(plain)]) == 0
+            assert main([*argv, "--out", str(audited), "--audit"]) == 0
+            assert audited.read_text() == plain.read_text()
+
+    def test_audit_sees_pruning_faults(
+        self, tmp_path, monkeypatch, capsys, family_file, path_file
+    ):
+        # Dropping the non-dominated region (2, 3) after pruning loosens
+        # V_9 from 5 to 6; vstar on the family as read shows it.
+        real = cli.prune
+
+        def faulty_prune(family):
+            pruned = real(family).pruned_family
+            kept = [(r.key.i, r.key.j, r.zeta) for r in pruned.regions()]
+            kept.remove((2, 3, pruned.zeta((2, 3))))
+            cut = fb.build_family(pruned.m, pruned.atom_sizes, kept)
+            return types.SimpleNamespace(pruned_family=cut)
+
+        monkeypatch.setattr(cli, "prune", faulty_prune)
         out = tmp_path / "curve.csv"
-        code = main(
-            [
-                "curve",
-                "--family",
-                str(family_file),
-                "--path",
-                str(path_file),
-                "--out",
-                str(out),
-                "--audit",
-            ]
-        )
-        assert code == 0
+        argv = ["curve", "--family", str(family_file), "--path", str(path_file)]
+        assert main([*argv, "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[-1].split(",")[2] == "6"  # V_9
+        out.unlink()
+        assert main([*argv, "--out", str(out), "--audit"]) == cli.EXIT_AUDIT
+        err = capsys.readouterr().err
+        assert err.startswith("audit error: t=9: the walk gives V_t=6, ")
+        assert not out.exists()
 
     def test_audit_failure_exits_4(self, tmp_path, monkeypatch, capsys):
         namespace = {}
         exec(WALK_FAULT_SCRIPT, namespace)
         cut, real = namespace["cut"], cli.fast_curve
-        monkeypatch.setattr(
-            cli, "fast_curve", lambda f, path, audit: real(cut(f), path, audit=audit)
-        )
+        monkeypatch.setattr(cli, "fast_curve", lambda f, path: real(cut(f), path))
         family = tmp_path / "family.forest"
         family.write_text(dump_forest(namespace["source"]))
         path = tmp_path / "path.csv"
@@ -252,7 +271,7 @@ class TestCurve:
         out.unlink()
         patch = (
             "from forestbound import cli\nreal = cli.fast_curve\n"
-            "cli.fast_curve = lambda f, path, audit: real(cut(f), path, audit=audit)\n"
+            "cli.fast_curve = lambda f, path: real(cut(f), path)\n"
         )
         bad = run(WALK_FAULT_SCRIPT + patch, faulty, fault_path)
         assert bad.returncode == 4
@@ -449,3 +468,11 @@ class TestBench:
 
     def test_bad_scenario_flags_exit_1(self):
         assert main(["bench", "--m", "10", "--height", "3"]) == 1
+
+    def test_oversized_m_exits_1_before_any_work(self, monkeypatch, capsys):
+        def unreachable(cfg):
+            raise AssertionError("bench ran an oversized scenario")
+
+        monkeypatch.setattr(cli.sim, "run_scenario", unreachable)
+        assert main(["bench", "--m", str(2**31), "--height", "5"]) == 1
+        assert capsys.readouterr().err.startswith("usage error: m=2147483648 ")

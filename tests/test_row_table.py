@@ -293,7 +293,6 @@ class TestCurvesOnDrawnFamilies:
         result = fb.prune(fam)
         fast = fb.fast_curve(fam, path)
         assert fast == fb.naive_curve(fam, path)
-        assert fast == fb.fast_curve(fam, path, audit=True)
         assert fast == fb.fast_curve(result.pruned_family, path)
         for t in range(len(path) + 1):
             prefix = path[:t]

@@ -90,6 +90,12 @@ class TestScenarioConfig:
         with pytest.raises(ValueError):
             fb.ScenarioConfig(m=10, tree_height=3, signal_leaves=frozenset())
 
+    def test_m_within_dyadic_limit(self):
+        # Refused before gen_pvalues allocates m floats, as build_dyadic would.
+        fb.ScenarioConfig(m=2**30, tree_height=5)
+        with pytest.raises(ValueError, match="exceeds"):
+            fb.ScenarioConfig(m=2**31, tree_height=5)
+
     def test_signal_leaves_bounds(self):
         with pytest.raises(ValueError):
             fb.ScenarioConfig(m=8, tree_height=2, signal_leaves=frozenset({3}))
