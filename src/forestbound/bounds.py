@@ -28,9 +28,10 @@ from .errors import (
 )
 from .forest import ForestFamily, RegionKey
 
-# Families with at least this many atoms go through the vectorized sweep;
-# below it, plain lists beat the per-call overhead (on a 2-vCPU x86 host,
-# numpy took 1.3-1.6x the Python time at 64 atoms, 0.8-1.2x at 128).
+# Families with at least this many atoms go through the vectorized sweep,
+# and fast_curve through its numpy engine; below it, plain lists beat the
+# per-call overhead (on a 2-vCPU x86 host, the numpy sweep took 1.3-1.6x the
+# Python time at 64 atoms, 0.8-1.2x at 128).
 NUMPY_MIN_ATOMS = 128
 
 ORACLE_MAX_M = 20
@@ -156,6 +157,34 @@ def validate_path(m: int, path: Sequence[int]) -> tuple[int, ...]:
     if 1 in seen and path[out.index(1)] is True:
         raise NotAPermutationError("path entries must be integers, got True")
     return tuple(out)
+
+
+def _path_array(m: int, path: Sequence[int]) -> np.ndarray:
+    """:func:`validate_path` for the large side: the path as an int64 array.
+
+    A sequence or array that numpy reads as a 1-D integer array is checked
+    whole: range, repeats (``bincount``), and a boolean at the entry whose
+    value is 1.  Any other input, and every fault found, goes through
+    :func:`validate_path`, so a refusal raises the same error and message.
+    """
+    steps = None
+    if isinstance(path, (Sequence, np.ndarray)):
+        try:
+            steps = np.asarray(path)
+        except (TypeError, ValueError, OverflowError):  # ragged or exotic
+            pass
+    if steps is not None and steps.ndim == 1 and steps.dtype.kind in "iu":
+        if not steps.size:
+            return steps.astype(np.int64)
+        lo = steps.min()
+        if 1 <= lo and steps.max() <= m:
+            steps = steps.astype(np.int64, copy=False)
+            # A list may hold True or np.True_, which numpy reads as 1.
+            if np.bincount(steps).max() == 1 and not (
+                lo == 1 and isinstance(path[int(steps.argmin())], (bool, np.bool_))
+            ):
+                return steps
+    return np.array(validate_path(m, path), dtype=np.int64)
 
 
 # -- oracles -------------------------------------------------------------

@@ -150,8 +150,8 @@ def _cmd_curve(args) -> int:
     if (args.path is None) == (args.pvalues is None):
         raise _UsageError("curve needs exactly one of --path or --pvalues")
     family = formats.parse_forest(_read_text(args.family))
-    # The walk climbs every ancestor of a step's atom, so it runs on the
-    # pruned family; pruning changes no bound.
+    # Either curve engine passes every step through every ancestor of its
+    # atom, so the curve runs on the pruned family; pruning changes no bound.
     pruned = prune(family).pruned_family
     if args.path is not None:
         path = formats.parse_path_csv(_read_text(args.path))
@@ -160,7 +160,7 @@ def _cmd_curve(args) -> int:
         path = _pvalue_path(family.m, pvalues)
     curve = fast_curve(pruned, path)
     if args.audit:
-        # vstar on the family as read checks the pruning and the walk at once.
+        # vstar on the family as read checks the pruning and the curve at once.
         for t, (got, want) in enumerate(zip(curve, naive_curve(family, path))):
             if got != want:
                 print(

@@ -8,7 +8,21 @@ atom's row up the parent column to the root, decrementing every budget on
 the way, and adds 1 to the bound unless the atom already lies inside a
 saturated region, in which case the bound is unchanged and nothing is
 climbed.  Total cost is O(m + sum of region spans), versus the quadratic
-cost of calling the single-evaluation bound once per prefix.
+cost of calling the single-evaluation bound once per prefix.  This walk is
+the paper's algorithm; :func:`fast_curve` runs it below
+``bounds.NUMPY_MIN_ATOMS`` atoms.
+
+From that size up it runs a rank-and-truncate engine with the same output.
+Call a region's *increment times* the steps that it passes up: an atom's
+are the first zeta of the steps that enter it, and a region's are the first
+zeta of the union of its children's.  Up to step t a region then passes up
+min(zeta, sum over its children) times, which is its value in the
+bottom-up sweep of vstar(S_t), so V_t counts the roots' increment times up
+to t.  The engine sorts the steps once, keyed by their atom's row, then
+per depth level, deepest first, keeps each row's first zeta keys and
+re-keys them to the parent row; a level whose budgets are all vacuous
+keeps every key and needs no sort.  It costs O(T log T) per level with no
+Python loop over the steps.
 
 :func:`naive_curve` evaluates vstar(S_t) afresh on every prefix S_t; it is
 quadratic in m and is the reference to compare a curve with.
@@ -22,7 +36,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import _require_complete, validate_path, vstar
+from .bounds import (
+    NUMPY_MIN_ATOMS,
+    _path_array,
+    _require_complete,
+    validate_path,
+    vstar,
+)
 from .forest import ForestFamily
 from .zeta import _check_pvalues
 
@@ -68,18 +88,27 @@ def fast_curve(family: ForestFamily, path: Sequence[int]) -> BoundCurve:
     """Bound values for every prefix of ``path`` in a single forward pass.
 
     The family must be complete (:func:`forestbound.complete_family` makes
-    it so).  ``path`` must be a prefix of a permutation of 1..m; the returned
-    curve has one entry per prefix length, starting at V_0 = 0.  A step
-    whose atom is not yet covered by a saturated region climbs the family's
-    parent column from the atom's row to the root, decrementing every budget
-    on the way and covering the span of each row whose budget reaches 0.
-    The climb visits every ancestor, so a pruned family (same output, fewer
-    rows) walks faster.  To check a curve, compare it with
-    :func:`naive_curve` on the same family and path.
+    it so).  ``path`` must be a prefix of a permutation of 1..m, as a
+    sequence or an integer array; the returned curve has one entry per
+    prefix length, starting at V_0 = 0.  Below ``bounds.NUMPY_MIN_ATOMS``
+    atoms this is the paper's walk: a step whose atom is not yet covered by
+    a saturated region climbs the parent column from the atom's row to the
+    root, decrementing every budget on the way and covering the span of each
+    row whose budget reaches 0.  From that size up, the rank-and-truncate
+    engine of the module docstring gives the same values with one sort per
+    depth level, and checks the path as one array.  Both pass every step
+    through every ancestor, so a pruned family (same output, fewer rows)
+    runs faster.  To check a curve, compare it with :func:`naive_curve` on
+    the same family and path.
     """
     _require_complete(family)
-    steps = validate_path(family.m, path)
+    if family.n_atoms >= NUMPY_MIN_ATOMS:
+        return _curve_np(family, _path_array(family.m, path))
+    return _curve_py(family, validate_path(family.m, path))
 
+
+def _curve_py(family: ForestFamily, steps: Sequence[int]) -> BoundCurve:
+    # The paper's walk over plain lists, along a checked path.
     atom_of = family._atom_of()
     budget = family._zeta.tolist()  # what each region has left to absorb
     parent = family._parent.tolist()
@@ -112,6 +141,52 @@ def fast_curve(family: ForestFamily, path: Sequence[int]) -> BoundCurve:
     return BoundCurve(tuple(values))
 
 
+def _curve_np(family: ForestFamily, steps: np.ndarray) -> BoundCurve:
+    """The curve from every row's increment times, one depth level at a time.
+
+    ``steps`` is a checked path as an int64 array.  Step t is keyed
+    ``row << shift | t`` by the row that owns it, first its atom's; the keys
+    are sorted once.  Deepest level first, a row keeps the first zeta of its
+    keys and hands them to its parent, which sorts them among its own.
+    Roots hand theirs to row -1, so their keys still end in their times.
+    """
+    n_steps = len(steps)
+    shift = n_steps.bit_length()
+    seq = np.arange(n_steps + 1)  # the times 1..T, and positions in a level
+    keys = family._atom_rows()[steps]
+    keys <<= shift
+    keys += seq[1:]
+    keys.sort()
+    rows = np.arange(len(family) + 1)
+    bounds = rows << shift  # rows r..q own the keys bounds[r]:bounds[q + 1]
+    rekey = (family._parent - rows[:-1]) << shift
+    zeta, levels = family._zeta, family._levels.tolist()
+    # keys[cut[h - 1]:cut[h]] are the steps in the atoms of depth h.
+    cut = keys.searchsorted(bounds[family._levels]).tolist()
+    # Only a level with a budget below its region's size can refuse a key.
+    binds = np.logical_or.reduceat(zeta < family._sizes(), levels[:-1]).tolist()
+    up = keys[:0]  # the keys the level below handed up
+    for h in range(len(levels) - 1, 0, -1):
+        here = keys[cut[h - 1] : cut[h]]
+        if up.size:
+            here = np.concatenate((up, here))
+            if binds[h - 1]:
+                here.sort()
+        elif not here.size:
+            continue
+        a, b = levels[h - 1], levels[h]
+        if binds[h - 1]:
+            # A key stays when fewer than zeta keys of its row come before it.
+            first = here.searchsorted(bounds[a : b + 1])
+            limit = (first[:-1] + zeta[a:b]).repeat(first[1:] - first[:-1])
+            here = here[seq[: here.size] < limit]
+        up = rekey[here >> shift]
+        up += here
+    values = np.bincount(up & ((1 << shift) - 1), minlength=n_steps + 1)
+    del seq, keys, here, up  # before the tuple of Python ints is built
+    return BoundCurve(tuple(values.cumsum(out=values).tolist()))
+
+
 def curve_from_pvalues(family: ForestFamily, pvalues: Sequence[float]) -> BoundCurve:
     """Bound curve along the path ordering the p-values increasingly.
 
@@ -122,10 +197,11 @@ def curve_from_pvalues(family: ForestFamily, pvalues: Sequence[float]) -> BoundC
     return fast_curve(family, path)
 
 
-def _pvalue_path(m: int, pvalues: Sequence[float]) -> list[int]:
-    # The hypotheses 1..m by increasing p-value, ties by ascending index:
-    # the one ordering behind curve_from_pvalues and the CLI's curve CSV.
-    return (np.argsort(_check_pvalues(m, pvalues), kind="stable") + 1).tolist()
+def _pvalue_path(m: int, pvalues: Sequence[float]) -> np.ndarray:
+    # The hypotheses 1..m by increasing p-value, ties by ascending index, as
+    # an int64 array: the one ordering behind curve_from_pvalues and the
+    # CLI's curve CSV.
+    return np.argsort(_check_pvalues(m, pvalues), kind="stable") + 1
 
 
 def fdp_curve(curve: BoundCurve) -> list[Fraction]:

@@ -109,8 +109,8 @@ class ForestFamily:
     ``_depth`` and ``_parent`` (the row of the tightest strictly containing
     region, -1 for a root).  ``_offsets[n]`` counts the hypotheses in atoms
     1..n, and rows ``_levels[h-1]:_levels[h]`` have depth h.  The sweeps of
-    :mod:`forestbound.bounds` and the curve walk of :mod:`forestbound.curve`
-    read ancestry only from ``_parent``.
+    :mod:`forestbound.bounds` and the curve engines of
+    :mod:`forestbound.curve` read ancestry only from ``_parent``.
     """
 
     def __init__(
@@ -187,6 +187,7 @@ class ForestFamily:
         )
         self._complete = bool(np.count_nonzero(left == right) == n)
         self._atom_of_cache: list[int] | None = None
+        self._atom_rows_cache: np.ndarray | None = None
         self._rows_cache: dict[tuple[int, int], int] | None = None
         return self
 
@@ -312,6 +313,19 @@ class ForestFamily:
                 atom_of += [n] * size
             self._atom_of_cache = atom_of
         return atom_of
+
+    def _atom_rows(self) -> np.ndarray:
+        """``atom_rows[h]`` is the row of the atom of hypothesis h, read-only
+        int64; entry 0 is padding.  Complete families only."""
+        atom_rows = self._atom_rows_cache
+        if atom_rows is None:
+            atoms = np.flatnonzero(self._left == self._right)
+            atoms = atoms[np.argsort(self._left[atoms])]
+            atom_rows = np.empty(self.m + 1, dtype=np.int64)
+            atom_rows[0] = -1
+            atom_rows[1:] = np.repeat(atoms, np.diff(self._offsets))
+            self._atom_rows_cache = atom_rows = _frozen(atom_rows)
+        return atom_rows
 
 
 def build_family(

@@ -15,6 +15,7 @@ feed the cross-check that all variants return identical curves.
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -63,8 +64,15 @@ class ScenarioConfig:
         # allocated arrays of m floats.
         if self.m > DYADIC_MAX_M:
             raise ValueError(f"m={self.m} exceeds {DYADIC_MAX_M}")
-        if not self.signal_leaves <= set(range(1, n_atoms + 1)):
-            raise ValueError(f"signal leaves must lie in 1..{n_atoms}")
+        for leaf in self.signal_leaves:
+            try:
+                ok = 1 <= operator.index(leaf) <= n_atoms and leaf is not True
+            except TypeError:
+                ok = False
+            if not ok:
+                raise ValueError(
+                    f"signal leaves must be integers in 1..{n_atoms}, got {leaf!r}"
+                )
         if self.n_repl < 1:
             raise ValueError("n_repl must be >= 1")
         if self.zeta_method not in ZETA_METHODS:

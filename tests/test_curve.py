@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import forestbound as fb
@@ -11,6 +12,7 @@ from forestbound import (
     InvalidProbabilityError,
     NotAPermutationError,
 )
+from forestbound.bounds import NUMPY_MIN_ATOMS, _path_array, validate_path
 
 from conftest import (
     EXAMPLE_CURVE,
@@ -81,6 +83,20 @@ class TestEquivalence:
             fast = fb.fast_curve(fam, path)
             pruned = fb.fast_curve(fb.prune(fam).pruned_family, path)
             assert naive == fast == pruned
+
+    def test_engine_equals_naive_on_large_families(self):
+        # From NUMPY_MIN_ATOMS atoms up fast_curve runs the numpy engine.
+        rng = random.Random(211)
+        for _ in range(20):
+            fam = fb.complete_family(
+                random_family(
+                    rng, min_atoms=NUMPY_MIN_ATOMS, max_atoms=NUMPY_MIN_ATOMS + 16
+                )
+            )
+            path = random_path(rng, fam.m, partial=rng.random() < 0.3)
+            fast = fb.fast_curve(fam, path)
+            assert fast == fb.naive_curve(fam, path)
+            assert fast == fb.fast_curve(fb.prune(fam).pruned_family, path)
 
     def test_audit_sees_walk_faults(self):
         # With the (3, 3) row cut from its parent, hypothesis 3 never charges
@@ -153,6 +169,74 @@ class TestValidation:
 
     def test_empty_path(self, example_family):
         assert fb.fast_curve(example_family, []).values == (0,)
+
+
+class TestLargeSidePathCheck:
+    # From NUMPY_MIN_ATOMS atoms up, fast_curve checks the path as one array
+    # and hands every fault to validate_path, so both refuse alike.
+    M = 2 * NUMPY_MIN_ATOMS
+
+    @pytest.fixture
+    def large_family(self):
+        m = self.M
+        atoms = [(a, a, 1) for a in range(1, m + 1)]
+        return fb.build_family(m, (1,) * m, [(1, m, 9), *atoms])
+
+    BAD = [
+        lambda m: [True],
+        lambda m: [1, True],
+        lambda m: [2, True],
+        lambda m: [3, np.True_, 2],
+        lambda m: [np.True_],
+        lambda m: [0],
+        lambda m: [m + 1],
+        lambda m: [1, 2**70],
+        lambda m: [1, 2**63],
+        lambda m: [5, 2, 5],
+        lambda m: np.array([7, 3, 7]),
+        lambda m: [1.0, 2.0],
+        lambda m: [2, 1.5],
+        lambda m: np.array([1.0, 2.0]),
+        lambda m: np.array([[1, 2], [3, 4]]),
+        lambda m: (x for x in [4, 1, 4]),
+        lambda m: (x for x in [2, True]),
+        lambda m: [[1], [2]],
+        lambda m: "12",
+        lambda m: [None],
+    ]
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_refusals_match_validate_path(self, large_family, bad):
+        m = large_family.m
+        with pytest.raises(NotAPermutationError) as want:
+            validate_path(m, bad(m))
+        for check in (
+            lambda: fb.fast_curve(large_family, bad(m)),
+            lambda: _path_array(m, bad(m)),
+        ):
+            with pytest.raises(NotAPermutationError) as got:
+                check()
+            assert type(got.value) is type(want.value)
+            assert str(got.value) == str(want.value)
+
+    def test_integer_arrays_accepted(self, large_family):
+        m = large_family.m
+        path = random_path(random.Random(41), m, partial=True)
+        expected = fb.naive_curve(large_family, path)
+        for dtype in (np.int64, np.int32, np.int16, np.uint16, np.uint32, np.uint64):
+            steps = np.array(path, dtype=dtype)
+            assert fb.fast_curve(large_family, steps) == expected
+            assert _path_array(m, steps).tolist() == path
+        full = list(range(1, m + 1))
+        for same, want in [
+            (tuple(path), path),
+            (iter(path), path),
+            (range(1, m + 1), full),
+            ([], []),
+            (np.array([], dtype=int), []),
+        ]:
+            steps = _path_array(m, same)
+            assert steps.dtype == np.int64 and steps.tolist() == want
 
 
 class TestCurveFromPvalues:

@@ -28,11 +28,13 @@ from forestbound import (
     SizeMismatchError,
     ZetaRangeError,
 )
-from forestbound.bounds import ORACLE_MAX_M
+from forestbound import curve
+from forestbound.bounds import NUMPY_MIN_ATOMS, ORACLE_MAX_M
+from forestbound.curve import _curve_np, _curve_py
 from forestbound.forest import ForestFamily
 from forestbound.formats import dump_forest
 
-from conftest import check_parent_column
+from conftest import EXAMPLE_CURVE, EXAMPLE_PATH, check_parent_column
 
 MAX_ATOMS = 8  # within ORACLE_MAX_ATOMS, so the partition oracle applies
 
@@ -310,6 +312,67 @@ class TestCurvesOnDrawnFamilies:
         assert result.removed == fb.definition_removed_set(fam)
 
 
+# -- the rank-and-truncate curve engine ----------------------------------
+
+
+def _steps(path):
+    return np.array(path, dtype=np.int64)
+
+
+class TestCurveEngine:
+    # ``_curve_np`` is called directly, so small families exercise it too.
+    @settings(max_examples=300, deadline=None)
+    @given(laminar_inputs(), st.data())
+    def test_walk_naive_and_oracle_agree(self, args, data):
+        # Completion leaves atoms at different depths; budgets favour 0; the
+        # path is any prefix of a permutation, the empty one included.
+        fam = fb.complete_family(fb.build_family(*args))
+        order = data.draw(st.permutations(range(1, fam.m + 1)))
+        path = order[: data.draw(st.integers(0, fam.m))]
+        got = _curve_np(fam, _steps(path))
+        assert got == _curve_py(fam, path) == fb.naive_curve(fam, path)
+        assert _curve_np(fb.prune(fam).pruned_family, _steps(path)) == got
+        for t in range(len(path) + 1):
+            assert got[t] == fb.oracle_vstar_partitions(fam, path[:t])
+
+    def test_example_family(self, example_family):
+        # Atoms at depths 1 to 3, a zero budget at (7, 7), and (6, 7) pruned.
+        pruned = fb.prune(example_family).pruned_family
+        for fam in (example_family, pruned):
+            assert _curve_np(fam, _steps(EXAMPLE_PATH)).values == EXAMPLE_CURVE
+            for t in range(len(EXAMPLE_PATH) + 1):
+                prefix = _steps(EXAMPLE_PATH[:t])
+                assert _curve_np(fam, prefix).values == EXAMPLE_CURVE[: t + 1]
+
+    def test_zero_budget_root_and_atoms(self):
+        atoms = [(1, 1, 2), (2, 2, 0), (3, 3, 1)]
+        path = [3, 1, 5, 2, 6, 4]
+        fam = fb.build_family(6, (2, 2, 2), [(1, 3, 0), *atoms])
+        assert _curve_np(fam, _steps(path)).values == (0,) * 7
+        fam = fb.build_family(6, (2, 2, 2), [(1, 3, 6), *atoms])
+        assert _curve_np(fam, _steps(path)) == fb.naive_curve(fam, path)
+        assert _curve_np(fam, _steps(path)).values == (0, 0, 1, 2, 3, 3, 3)
+
+    def test_fast_curve_dispatch(self, monkeypatch):
+        # The engine from NUMPY_MIN_ATOMS atoms up, the walk below.
+        calls = []
+        for name in ("_curve_np", "_curve_py"):
+            real = getattr(curve, name)
+
+            def spy(family, steps, name=name, real=real):
+                calls.append(name)
+                return real(family, steps)
+
+            monkeypatch.setattr(curve, name, spy)
+        for n in (NUMPY_MIN_ATOMS - 1, NUMPY_MIN_ATOMS, NUMPY_MIN_ATOMS + 5):
+            atoms = [(a, a, 1) for a in range(1, n + 1)]
+            fam = fb.build_family(2 * n, (2,) * n, [(1, n, n // 3), *atoms])
+            path = list(range(2 * n, 0, -3))
+            calls.clear()
+            assert fb.fast_curve(fam, path) == fb.naive_curve(fam, path)
+            assert calls == ["_curve_np" if n >= NUMPY_MIN_ATOMS else "_curve_py"]
+
+
 # -- budgets replace one array ---------------------------------------------
 
 STRUCTURE = ("_left", "_right", "_depth", "_parent", "_offsets", "_levels")
@@ -329,7 +392,11 @@ def _estimates(fam):
 class TestBudgetsAreACopy:
     def test_shares_read_only_structure(self):
         fam = fb.build_dyadic(4, 3)
+        atom_rows = fam._atom_rows()
+        assert not atom_rows.flags.writeable
+        assert atom_rows[1:].tolist() == [fam._row((n, n)) for n in fam._atom_of()[1:]]
         for est in _estimates(fam):
+            assert est._atom_rows() is atom_rows
             for name in STRUCTURE:
                 assert getattr(est, name) is getattr(fam, name), name
             assert est._zeta is not fam._zeta

@@ -1,6 +1,7 @@
 """Scenario generation and the timing harness."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -99,6 +100,25 @@ class TestScenarioConfig:
     def test_signal_leaves_bounds(self):
         with pytest.raises(ValueError):
             fb.ScenarioConfig(m=8, tree_height=2, signal_leaves=frozenset({3}))
+
+    def test_signal_leaves_are_integer_atoms(self):
+        # True would act as leaf 1 and 5.0 would fail later in gen_pvalues.
+        for bad in (True, 5.0, 0):
+            with pytest.raises(ValueError, match=f"1..8, got {bad!r}"):
+                fb.ScenarioConfig(m=16, tree_height=4, signal_leaves=frozenset({bad}))
+        cfg = fb.ScenarioConfig(
+            m=16, tree_height=4, signal_leaves=frozenset({np.int64(8)})
+        )
+        assert fb.gen_pvalues(cfg).shape == (16,)
+
+    def test_signal_leaves_checked_without_an_atom_set(self):
+        tracemalloc.start()
+        try:
+            fb.ScenarioConfig(m=2**20, tree_height=21)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_n_repl_positive(self):
         with pytest.raises(ValueError):
