@@ -28,10 +28,10 @@ from .errors import (
 )
 from .forest import ForestFamily, RegionKey
 
-# Families with at least this many atoms go through the vectorized sweep,
-# and fast_curve through its numpy engine; below it, plain lists beat the
-# per-call overhead (on a 2-vCPU x86 host, the numpy sweep took 1.3-1.6x the
-# Python time at 64 atoms, 0.8-1.2x at 128).
+# Families with at least this many atoms go through the vectorized sweep of
+# vstar and prune; below it, plain lists beat the per-call overhead (on a
+# 2-vCPU x86 host, the numpy sweep took 1.3-1.6x the Python time at 64
+# atoms, 0.8-1.2x at 128).
 NUMPY_MIN_ATOMS = 128
 
 ORACLE_MAX_M = 20
@@ -160,7 +160,7 @@ def validate_path(m: int, path: Sequence[int]) -> tuple[int, ...]:
 
 
 def _path_array(m: int, path: Sequence[int]) -> np.ndarray:
-    """:func:`validate_path` for the large side: the path as an int64 array.
+    """:func:`validate_path` as one array: the path as int64.
 
     A sequence or array that numpy reads as a 1-D integer array is checked
     whole: range, repeats (``bincount``), and a boolean at the entry whose

@@ -150,8 +150,8 @@ def _cmd_curve(args) -> int:
     if (args.path is None) == (args.pvalues is None):
         raise _UsageError("curve needs exactly one of --path or --pvalues")
     family = formats.parse_forest(_read_text(args.family))
-    # Either curve engine passes every step through every ancestor of its
-    # atom, so the curve runs on the pruned family; pruning changes no bound.
+    # fast_curve passes every step through every ancestor of its atom, so the
+    # curve runs on the pruned family; pruning changes no bound.
     pruned = prune(family).pruned_family
     if args.path is not None:
         path = formats.parse_path_csv(_read_text(args.path))
@@ -164,7 +164,7 @@ def _cmd_curve(args) -> int:
         for t, (got, want) in enumerate(zip(curve, naive_curve(family, path))):
             if got != want:
                 print(
-                    f"audit error: t={t}: the walk gives V_t={got}, "
+                    f"audit error: t={t}: fast_curve gives V_t={got}, "
                     f"vstar(S_t) gives {want}",
                     file=sys.stderr,
                 )

@@ -2,17 +2,13 @@
 
 Growing the selection set one hypothesis at a time changes only the regions
 that contain the new hypothesis's atom, and in a forest those are the atom's
-ancestors.  Each region counts down its budget as it absorbs selected
-hypotheses and freezes once the budget is spent, so a step climbs from its
-atom's row up the parent column to the root, decrementing every budget on
-the way, and adds 1 to the bound unless the atom already lies inside a
-saturated region, in which case the bound is unchanged and nothing is
-climbed.  Total cost is O(m + sum of region spans), versus the quadratic
-cost of calling the single-evaluation bound once per prefix.  This walk is
-the paper's algorithm; :func:`fast_curve` runs it below
-``bounds.NUMPY_MIN_ATOMS`` atoms.
+ancestors.  The paper's walk climbs from each step's atom up to the root,
+counting down the budgets on the way, for a total cost of O(m + sum of
+region spans), versus the quadratic cost of calling the single-evaluation
+bound once per prefix.  :func:`fast_curve` computes the same values with a
+rank-and-truncate engine; the test suite keeps the walk, as
+``reference_walk``, to check it against.
 
-From that size up it runs a rank-and-truncate engine with the same output.
 Call a region's *increment times* the steps that it passes up: an atom's
 are the first zeta of the steps that enter it, and a region's are the first
 zeta of the union of its children's.  Up to step t a region then passes up
@@ -36,13 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import (
-    NUMPY_MIN_ATOMS,
-    _path_array,
-    _require_complete,
-    validate_path,
-    vstar,
-)
+from .bounds import _path_array, _require_complete, validate_path, vstar
 from .forest import ForestFamily
 from .zeta import _check_pvalues
 
@@ -89,56 +79,15 @@ def fast_curve(family: ForestFamily, path: Sequence[int]) -> BoundCurve:
 
     The family must be complete (:func:`forestbound.complete_family` makes
     it so).  ``path`` must be a prefix of a permutation of 1..m, as a
-    sequence or an integer array; the returned curve has one entry per
-    prefix length, starting at V_0 = 0.  Below ``bounds.NUMPY_MIN_ATOMS``
-    atoms this is the paper's walk: a step whose atom is not yet covered by
-    a saturated region climbs the parent column from the atom's row to the
-    root, decrementing every budget on the way and covering the span of each
-    row whose budget reaches 0.  From that size up, the rank-and-truncate
-    engine of the module docstring gives the same values with one sort per
-    depth level, and checks the path as one array.  Both pass every step
-    through every ancestor, so a pruned family (same output, fewer rows)
-    runs faster.  To check a curve, compare it with :func:`naive_curve` on
-    the same family and path.
+    sequence or an integer array, and is checked as one array; the returned
+    curve has one entry per prefix length, starting at V_0 = 0.  The
+    rank-and-truncate engine of the module docstring passes every step
+    through every ancestor of its atom, so a pruned family (same output,
+    fewer rows) runs faster.  To check a curve, compare it with
+    :func:`naive_curve` on the same family and path.
     """
     _require_complete(family)
-    if family.n_atoms >= NUMPY_MIN_ATOMS:
-        return _curve_np(family, _path_array(family.m, path))
-    return _curve_py(family, validate_path(family.m, path))
-
-
-def _curve_py(family: ForestFamily, steps: Sequence[int]) -> BoundCurve:
-    # The paper's walk over plain lists, along a checked path.
-    atom_of = family._atom_of()
-    budget = family._zeta.tolist()  # what each region has left to absorb
-    parent = family._parent.tolist()
-    left = family._left.tolist()
-    right = family._right.tolist()
-    atoms = np.flatnonzero(family._left == family._right)
-    # The row of each atom (n, n) by n; entry 0 is padding.
-    row_of_atom = [-1, *atoms[np.argsort(family._left[atoms])].tolist()]
-    covered = bytearray(family.n_atoms + 1)
-    for r in np.flatnonzero(family._zeta == 0).tolist():
-        span = right[r] - left[r] + 1
-        covered[left[r] : right[r] + 1] = b"\x01" * span
-
-    v = 0
-    values = [0]
-    append = values.append
-    for idx in steps:
-        n = atom_of[idx]
-        if not covered[n]:
-            r = row_of_atom[n]
-            while r >= 0:
-                b = budget[r] - 1
-                budget[r] = b
-                if b == 0:
-                    span = right[r] - left[r] + 1
-                    covered[left[r] : right[r] + 1] = b"\x01" * span
-                r = parent[r]
-            v += 1
-        append(v)
-    return BoundCurve(tuple(values))
+    return _curve_np(family, _path_array(family.m, path))
 
 
 def _curve_np(family: ForestFamily, steps: np.ndarray) -> BoundCurve:

@@ -109,7 +109,7 @@ class ForestFamily:
     ``_depth`` and ``_parent`` (the row of the tightest strictly containing
     region, -1 for a root).  ``_offsets[n]`` counts the hypotheses in atoms
     1..n, and rows ``_levels[h-1]:_levels[h]`` have depth h.  The sweeps of
-    :mod:`forestbound.bounds` and the curve engines of
+    :mod:`forestbound.bounds` and the curve engine of
     :mod:`forestbound.curve` read ancestry only from ``_parent``.
     """
 

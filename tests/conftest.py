@@ -1,4 +1,5 @@
-"""Shared fixtures: the m=25 worked example and random family generators.
+"""Shared fixtures: the m=25 worked example, random family generators and
+the paper's curve walk, kept as the reference for ``fast_curve``.
 
 The example family has 8 atoms of sizes (2, 2, 6, 6, 4, 1, 1, 3) and is used
 throughout as a golden instance: its completion adds atoms 2, 6, 8; pruning
@@ -11,6 +12,7 @@ import random
 import pytest
 
 import forestbound as fb
+from forestbound.bounds import validate_path
 
 EXAMPLE_M = 25
 EXAMPLE_ATOMS = (2, 2, 6, 6, 4, 1, 1, 3)
@@ -86,26 +88,80 @@ def random_family(
     return fb.build_family(sum(sizes), sizes, triples)
 
 
-# Defines ``cut(family)``, a copy of ``family`` whose (3, 3) row has no
-# parent, and ``fam``, the cut 4-atom family ``source``.  On the path [3, 1]
-# the walk never charges the root for hypothesis 3, so V_2 = 2 passes the
-# root's budget of 1.
-WALK_FAULT_SCRIPT = """\
-import copy
+# Defines ``loosen(family)``, a copy of ``family`` whose root (1, 4) has a
+# budget of 2, and ``fam``, the loosened 4-atom family ``source``.  On the
+# path [3, 1] every curve of ``fam`` reaches V_2 = 2, past the root's budget
+# of 1 in ``source``.
+CURVE_FAULT_SCRIPT = """\
 import forestbound as fb
 
-def cut(family):
-    parent = family._parent.copy()
-    parent[family._row((3, 3))] = -1
-    family = copy.copy(family)
-    family._parent = parent
-    return family
+def loosen(family):
+    zeta = family._zeta.copy()
+    zeta[family._row((1, 4))] = 2
+    return family._with_zetas(zeta)
 
 source = fb.build_family(
     4, (1, 1, 1, 1), [(1, 4, 1), (1, 2, 2), (1, 1, 1), (2, 2, 1), (3, 3, 1), (4, 4, 1)]
 )
-fam = cut(source)
+fam = loosen(source)
 """
+
+
+def reference_walk(family: fb.ForestFamily, path, work: dict | None = None):
+    """The paper's walk: the bound curve along ``path``, one climb per step.
+
+    A step whose atom lies in no saturated region climbs the parent column
+    from its atom's row to the root, decrementing every budget on the way
+    and painting covered the atoms of each row whose budget reaches 0, and
+    adds 1 to the bound; a step inside a saturated region adds nothing and
+    climbs nothing.  Rows with a zero budget are painted before the first
+    step.  ``fast_curve`` must give the same values everywhere.
+
+    A ``work`` dict receives the counted work: ``steps``, ``climbing_steps``,
+    ``climbs[r]`` (the steps that climbed into row r), ``paints[r]`` (the
+    times row r was painted) and ``cells`` (the atom cells painted).
+    """
+    assert family.is_complete
+    steps = validate_path(family.m, path)
+    atom_rows = family._atom_rows().tolist()
+    budget = family._zeta.tolist()  # what each region has left to absorb
+    parent = family._parent.tolist()
+    left = family._left.tolist()
+    right = family._right.tolist()
+    climbs = [0] * len(budget)
+    paints = [0] * len(budget)
+    covered = bytearray(family.n_atoms + 1)
+
+    def paint(r):
+        paints[r] += 1
+        covered[left[r] : right[r] + 1] = b"\x01" * (right[r] - left[r] + 1)
+
+    for r, b in enumerate(budget):
+        if b == 0:
+            paint(r)
+    v = 0
+    values = [0]
+    for idx in steps:
+        r = atom_rows[idx]
+        if not covered[left[r]]:
+            while r >= 0:
+                climbs[r] += 1
+                budget[r] -= 1
+                if budget[r] == 0:
+                    paint(r)
+                r = parent[r]
+            v += 1
+        values.append(v)
+    if work is not None:
+        spans = [j - i + 1 for i, j in zip(left, right)]
+        work.update(
+            steps=len(steps),
+            climbing_steps=v,
+            climbs=climbs,
+            paints=paints,
+            cells=sum(p * s for p, s in zip(paints, spans)),
+        )
+    return fb.BoundCurve(tuple(values))
 
 
 def check_parent_column(family: fb.ForestFamily) -> None:

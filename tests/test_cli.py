@@ -19,7 +19,7 @@ from conftest import (
     EXAMPLE_M,
     EXAMPLE_PATH,
     EXAMPLE_REGIONS,
-    WALK_FAULT_SCRIPT,
+    CURVE_FAULT_SCRIPT,
 )
 
 
@@ -165,7 +165,7 @@ class TestCurve:
     def test_pruned_input_gives_identical_file(
         self, tmp_path, family_file, path_file
     ):
-        # curve prunes before it walks, so a pruned input changes nothing.
+        # curve prunes before it runs, so a pruned input changes nothing.
         pruned_family = tmp_path / "pruned.forest"
         argv = ["prune", "--in", str(family_file), "--out", str(pruned_family)]
         assert main(argv) == 0
@@ -213,14 +213,14 @@ class TestCurve:
         out.unlink()
         assert main([*argv, "--out", str(out), "--audit"]) == cli.EXIT_AUDIT
         err = capsys.readouterr().err
-        assert err.startswith("audit error: t=9: the walk gives V_t=6, ")
+        assert err.startswith("audit error: t=9: fast_curve gives V_t=6, ")
         assert not out.exists()
 
     def test_audit_failure_exits_4(self, tmp_path, monkeypatch, capsys):
         namespace = {}
-        exec(WALK_FAULT_SCRIPT, namespace)
-        cut, real = namespace["cut"], cli.fast_curve
-        monkeypatch.setattr(cli, "fast_curve", lambda f, path: real(cut(f), path))
+        exec(CURVE_FAULT_SCRIPT, namespace)
+        loosen, real = namespace["loosen"], cli.fast_curve
+        monkeypatch.setattr(cli, "fast_curve", lambda f, path: real(loosen(f), path))
         family = tmp_path / "family.forest"
         family.write_text(dump_forest(namespace["source"]))
         path = tmp_path / "path.csv"
@@ -229,18 +229,18 @@ class TestCurve:
         argv = ["curve", "--family", str(family), "--path", str(path)]
         assert main([*argv, "--out", str(out)]) == 0
         rows = out.read_text().splitlines()[1:]
-        assert [r.split(",")[2] for r in rows] == ["1", "2"]  # the cut walk
+        assert [r.split(",")[2] for r in rows] == ["1", "2"]  # the loosened root
         out.unlink()
         assert main([*argv, "--out", str(out), "--audit"]) == cli.EXIT_AUDIT == 4
         err = capsys.readouterr().err
-        assert err.startswith("audit error: t=2: the walk gives V_t=2, ")
+        assert err.startswith("audit error: t=2: fast_curve gives V_t=2, ")
         assert not out.exists()
 
     def test_audited_curve_in_a_real_process(self, tmp_path, family_file, path_file):
         # Only a real process shows the exit code and stderr of an audit
         # failure; python -O checks that the audit is no bare assert.
         namespace = {}
-        exec(WALK_FAULT_SCRIPT, namespace)
+        exec(CURVE_FAULT_SCRIPT, namespace)
         faulty = tmp_path / "faulty.forest"
         faulty.write_text(dump_forest(namespace["source"]))
         fault_path = tmp_path / "fault_path.csv"
@@ -271,12 +271,12 @@ class TestCurve:
         out.unlink()
         patch = (
             "from forestbound import cli\nreal = cli.fast_curve\n"
-            "cli.fast_curve = lambda f, path: real(cut(f), path)\n"
+            "cli.fast_curve = lambda f, path: real(loosen(f), path)\n"
         )
-        bad = run(WALK_FAULT_SCRIPT + patch, faulty, fault_path)
+        bad = run(CURVE_FAULT_SCRIPT + patch, faulty, fault_path)
         assert bad.returncode == 4
         assert "Traceback" not in bad.stderr
-        assert bad.stderr.startswith("audit error: t=2: the walk gives V_t=2, ")
+        assert bad.stderr.startswith("audit error: t=2: fast_curve gives V_t=2, ")
         assert not out.exists()
 
     def test_pvalues_ordering(self, tmp_path, family_file):

@@ -17,10 +17,11 @@ from forestbound.bounds import NUMPY_MIN_ATOMS, _path_array, validate_path
 from conftest import (
     EXAMPLE_CURVE,
     EXAMPLE_PATH,
-    WALK_FAULT_SCRIPT,
+    CURVE_FAULT_SCRIPT,
     check_parent_column,
     random_family,
     random_path,
+    reference_walk,
 )
 
 
@@ -54,8 +55,7 @@ class TestParentColumn:
     # The rows a step's climb visits: from its atom up ``_parent`` to a root.
     def test_climb_fixtures(self, example_family):
         def climb(hyp):
-            n = example_family._atom_of()[hyp]
-            r = example_family._row((n, n))
+            r = int(example_family._atom_rows()[hyp])
             keys = []
             while r >= 0:
                 keys.append(row_key(example_family, r))
@@ -85,7 +85,8 @@ class TestEquivalence:
             assert naive == fast == pruned
 
     def test_engine_equals_naive_on_large_families(self):
-        # From NUMPY_MIN_ATOMS atoms up fast_curve runs the numpy engine.
+        # From NUMPY_MIN_ATOMS atoms up naive_curve's vstar runs the numpy
+        # sweep; test_fast_equals_naive_random covers the plain-list side.
         rng = random.Random(211)
         for _ in range(20):
             fam = fb.complete_family(
@@ -99,16 +100,19 @@ class TestEquivalence:
             assert fast == fb.fast_curve(fb.prune(fam).pruned_family, path)
 
     def test_audit_sees_walk_faults(self):
-        # With the (3, 3) row cut from its parent, hypothesis 3 never charges
-        # the root, so the second step counts past the root's budget.  The
-        # naive curve, which ``forestbound curve --audit`` compares with,
-        # does not read the parent column and stays right.
+        # With the root's budget loosened from 1 to 2, the second step counts
+        # past the budget of the family as read.  The naive curve on the
+        # family as read, which ``forestbound curve --audit`` compares with,
+        # stays right; on the loosened family both curves agree on every
+        # path, so the fault is in the budgets, not in either computation.
         namespace = {}
-        exec(WALK_FAULT_SCRIPT, namespace)
-        fam = namespace["fam"]
-        assert fb.fast_curve(namespace["source"], [3, 1]).values == (0, 1, 1)
+        exec(CURVE_FAULT_SCRIPT, namespace)
+        source, fam = namespace["source"], namespace["fam"]
+        assert fb.fast_curve(source, [3, 1]).values == (0, 1, 1)
         assert fb.fast_curve(fam, [3, 1]).values == (0, 1, 2)
-        assert fb.naive_curve(fam, [3, 1]).values == (0, 1, 1)
+        assert fb.naive_curve(source, [3, 1]).values == (0, 1, 1)
+        for path in ([3, 1], [3, 1, 2], [1, 2, 3, 4]):
+            assert fb.fast_curve(fam, path) == fb.naive_curve(fam, path)
 
     def test_path_endpoint_independent_of_order(self):
         rng = random.Random(103)
@@ -172,8 +176,9 @@ class TestValidation:
 
 
 class TestLargeSidePathCheck:
-    # From NUMPY_MIN_ATOMS atoms up, fast_curve checks the path as one array
-    # and hands every fault to validate_path, so both refuse alike.
+    # fast_curve checks the path as one array and hands every fault to
+    # validate_path, so both refuse alike, on the golden family as on a
+    # family of 2 * NUMPY_MIN_ATOMS atoms.
     M = 2 * NUMPY_MIN_ATOMS
 
     @pytest.fixture
@@ -206,18 +211,19 @@ class TestLargeSidePathCheck:
     ]
 
     @pytest.mark.parametrize("bad", BAD)
-    def test_refusals_match_validate_path(self, large_family, bad):
-        m = large_family.m
-        with pytest.raises(NotAPermutationError) as want:
-            validate_path(m, bad(m))
-        for check in (
-            lambda: fb.fast_curve(large_family, bad(m)),
-            lambda: _path_array(m, bad(m)),
-        ):
-            with pytest.raises(NotAPermutationError) as got:
-                check()
-            assert type(got.value) is type(want.value)
-            assert str(got.value) == str(want.value)
+    def test_refusals_match_validate_path(self, large_family, example_family, bad):
+        for family in (large_family, example_family):
+            m = family.m
+            with pytest.raises(NotAPermutationError) as want:
+                validate_path(m, bad(m))
+            for check in (
+                lambda: fb.fast_curve(family, bad(m)),
+                lambda: _path_array(m, bad(m)),
+            ):
+                with pytest.raises(NotAPermutationError) as got:
+                    check()
+                assert type(got.value) is type(want.value)
+                assert str(got.value) == str(want.value)
 
     def test_integer_arrays_accepted(self, large_family):
         m = large_family.m
@@ -237,6 +243,44 @@ class TestLargeSidePathCheck:
         ]:
             steps = _path_array(m, same)
             assert steps.dtype == np.int64 and steps.tolist() == want
+
+
+class TestWalkWork:
+    # The paper's cost law, O(m + sum of region spans), counted on the walk
+    # rather than timed: a step climbs only while it adds to the bound, a
+    # row takes at most min(zeta, |R ∩ S_T|) climbs, and a row's span is
+    # painted at most once.
+    def check(self, family, path):
+        work = {}
+        curve = reference_walk(family, path, work)
+        assert curve == fb.fast_curve(family, path)
+        assert work["steps"] == len(path)
+        assert work["climbing_steps"] == curve.final
+        chosen = set(path)
+        for r, climbs in enumerate(work["climbs"]):
+            i, j = int(family._left[r]), int(family._right[r])
+            members = family.region_members((i, j))
+            assert climbs <= min(int(family._zeta[r]), len(chosen & set(members)))
+        assert max(work["paints"]) <= 1
+        spans = (family._right - family._left + 1).sum()
+        assert work["cells"] <= spans
+
+    def test_dyadic_families(self):
+        rng = random.Random(137)
+        for height, atom_size in [(1, 5), (3, 2), (4, 3), (6, 1), (5, 4)]:
+            fam = fb.build_dyadic(height, atom_size)
+            p = [rng.random() ** 3 for _ in range(fam.m)]
+            budgets = [rng.randint(0, s) for s in fam._sizes().tolist()]
+            for est in (fam, fb.zeta_dkwm(fam, p, 0.1), fam._with_zetas(budgets)):
+                self.check(est, random_path(rng, fam.m))
+                self.check(est, random_path(rng, fam.m, partial=True))
+
+    def test_random_laminar_families(self):
+        rng = random.Random(139)
+        for _ in range(60):
+            fam = fb.complete_family(random_family(rng, max_atoms=10))
+            self.check(fam, random_path(rng, fam.m))
+            self.check(fam, random_path(rng, fam.m, partial=True))
 
 
 class TestCurveFromPvalues:

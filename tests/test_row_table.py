@@ -28,13 +28,17 @@ from forestbound import (
     SizeMismatchError,
     ZetaRangeError,
 )
-from forestbound import curve
-from forestbound.bounds import NUMPY_MIN_ATOMS, ORACLE_MAX_M
-from forestbound.curve import _curve_np, _curve_py
+from forestbound.bounds import ORACLE_MAX_M
+from forestbound.curve import _curve_np
 from forestbound.forest import ForestFamily
 from forestbound.formats import dump_forest
 
-from conftest import EXAMPLE_CURVE, EXAMPLE_PATH, check_parent_column
+from conftest import (
+    EXAMPLE_CURVE,
+    EXAMPLE_PATH,
+    check_parent_column,
+    reference_walk,
+)
 
 MAX_ATOMS = 8  # within ORACLE_MAX_ATOMS, so the partition oracle applies
 
@@ -250,7 +254,7 @@ class TestAgainstReference:
     @given(laminar_inputs())
     def test_parent_column(self, args):
         # reference_build gives no parents, so they are checked against the
-        # keys directly; the curve walk climbs this column.
+        # keys directly; the curve engine re-keys up this column.
         fam = fb.build_family(*args)
         check_parent_column(fam)
         check_parent_column(fb.complete_family(fam))
@@ -320,7 +324,9 @@ def _steps(path):
 
 
 class TestCurveEngine:
-    # ``_curve_np`` is called directly, so small families exercise it too.
+    # ``_curve_np`` is called directly, on checked int64 paths, and compared
+    # with the paper's walk (``reference_walk``), the naive curve and the
+    # partition oracle.
     @settings(max_examples=300, deadline=None)
     @given(laminar_inputs(), st.data())
     def test_walk_naive_and_oracle_agree(self, args, data):
@@ -330,7 +336,7 @@ class TestCurveEngine:
         order = data.draw(st.permutations(range(1, fam.m + 1)))
         path = order[: data.draw(st.integers(0, fam.m))]
         got = _curve_np(fam, _steps(path))
-        assert got == _curve_py(fam, path) == fb.naive_curve(fam, path)
+        assert got == reference_walk(fam, path) == fb.naive_curve(fam, path)
         assert _curve_np(fb.prune(fam).pruned_family, _steps(path)) == got
         for t in range(len(path) + 1):
             assert got[t] == fb.oracle_vstar_partitions(fam, path[:t])
@@ -352,25 +358,6 @@ class TestCurveEngine:
         fam = fb.build_family(6, (2, 2, 2), [(1, 3, 6), *atoms])
         assert _curve_np(fam, _steps(path)) == fb.naive_curve(fam, path)
         assert _curve_np(fam, _steps(path)).values == (0, 0, 1, 2, 3, 3, 3)
-
-    def test_fast_curve_dispatch(self, monkeypatch):
-        # The engine from NUMPY_MIN_ATOMS atoms up, the walk below.
-        calls = []
-        for name in ("_curve_np", "_curve_py"):
-            real = getattr(curve, name)
-
-            def spy(family, steps, name=name, real=real):
-                calls.append(name)
-                return real(family, steps)
-
-            monkeypatch.setattr(curve, name, spy)
-        for n in (NUMPY_MIN_ATOMS - 1, NUMPY_MIN_ATOMS, NUMPY_MIN_ATOMS + 5):
-            atoms = [(a, a, 1) for a in range(1, n + 1)]
-            fam = fb.build_family(2 * n, (2,) * n, [(1, n, n // 3), *atoms])
-            path = list(range(2 * n, 0, -3))
-            calls.clear()
-            assert fb.fast_curve(fam, path) == fb.naive_curve(fam, path)
-            assert calls == ["_curve_np" if n >= NUMPY_MIN_ATOMS else "_curve_py"]
 
 
 # -- budgets replace one array ---------------------------------------------
