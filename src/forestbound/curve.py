@@ -18,7 +18,9 @@ to t.  The engine sorts the steps once, keyed by their atom's row, then
 per depth level, deepest first, keeps each row's first zeta keys and
 re-keys them to the parent row; a level whose budgets are all vacuous
 keeps every key and needs no sort.  It costs O(T log T) per level with no
-Python loop over the steps.
+Python loop over the steps.  The curve it returns holds V_0..V_T as the
+int64 array of the counts' running sum; the CSV writer renders that array,
+and only a caller of :attr:`BoundCurve.values` turns it into Python ints.
 
 :func:`naive_curve` evaluates vstar(S_t) afresh on every prefix S_t; it is
 quadratic in m and is the reference to compare a curve with.
@@ -26,8 +28,8 @@ quadratic in m and is the reference to compare a curve with.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -37,24 +39,51 @@ from .forest import ForestFamily
 from .zeta import _check_pvalues
 
 
-@dataclass(frozen=True)
 class BoundCurve:
-    """The sequence (V_0, V_1, ..., V_T) of bounds along a path prefix."""
+    """The sequence (V_0, V_1, ..., V_T) of bounds along a path prefix.
 
-    values: tuple[int, ...]
+    The values are kept as one read-only int64 array, which the CSV writer
+    and :func:`fdp_curve` read; :attr:`values` is the tuple of Python ints,
+    built on first access.  Indexing gives a Python int, and two curves are
+    equal when their values are.
+    """
+
+    def __init__(self, values: Sequence[int] | np.ndarray) -> None:
+        array = np.array(values)  # a copy: the caller's sequence stays theirs
+        if array.ndim != 1 or (array.size and array.dtype.kind not in "iu"):
+            raise TypeError("a curve is a flat sequence of integers")
+        self._array = array.astype(np.int64, copy=False)
+        self._array.flags.writeable = False
+
+    @cached_property
+    def values(self) -> tuple[int, ...]:
+        return tuple(self._array.tolist())
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self._array)
 
-    def __getitem__(self, t: int) -> int:
-        return self.values[t]
+    def __getitem__(self, t):
+        if isinstance(t, slice):
+            return self.values[t]
+        return int(self._array[t])
 
     def __iter__(self):
         return iter(self.values)
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, BoundCurve):
+            return NotImplemented
+        return np.array_equal(self._array, other._array)
+
+    def __hash__(self) -> int:
+        return hash(self._array.tobytes())
+
+    def __repr__(self) -> str:
+        return f"BoundCurve(values={self.values!r})"
+
     @property
     def final(self) -> int:
-        return self.values[-1]
+        return int(self._array[-1])
 
 
 def naive_curve(family: ForestFamily, path: Sequence[int]) -> BoundCurve:
@@ -80,7 +109,8 @@ def fast_curve(family: ForestFamily, path: Sequence[int]) -> BoundCurve:
     The family must be complete (:func:`forestbound.complete_family` makes
     it so).  ``path`` must be a prefix of a permutation of 1..m, as a
     sequence or an integer array, and is checked as one array; the returned
-    curve has one entry per prefix length, starting at V_0 = 0.  The
+    curve has one entry per prefix length, starting at V_0 = 0, held as an
+    int64 array (``values``, the tuple, is built on first access).  The
     rank-and-truncate engine of the module docstring passes every step
     through every ancestor of its atom, so a pruned family (same output,
     fewer rows) runs faster.  To check a curve, compare it with
@@ -132,8 +162,7 @@ def _curve_np(family: ForestFamily, steps: np.ndarray) -> BoundCurve:
         up = rekey[here >> shift]
         up += here
     values = np.bincount(up & ((1 << shift) - 1), minlength=n_steps + 1)
-    del seq, keys, here, up  # before the tuple of Python ints is built
-    return BoundCurve(tuple(values.cumsum(out=values).tolist()))
+    return BoundCurve(values.cumsum(out=values))
 
 
 def curve_from_pvalues(family: ForestFamily, pvalues: Sequence[float]) -> BoundCurve:
@@ -154,8 +183,7 @@ def _pvalue_path(m: int, pvalues: Sequence[float]) -> np.ndarray:
 
 
 def fdp_curve(curve: BoundCurve) -> list[Fraction]:
-    """Exact proportion bounds V_t / max(t, 1) for t = 1..T."""
+    """Exact proportion bounds V_t / t for t = 1..T."""
     return [
-        Fraction(v, max(t, 1))
-        for t, v in enumerate(curve.values[1:], start=1)
+        Fraction(v, t) for t, v in enumerate(curve._array[1:].tolist(), start=1)
     ]

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .curve import BoundCurve, _pvalue_path, fast_curve, naive_curve
 from .forest import DYADIC_MAX_M, ForestFamily, build_dyadic
@@ -135,6 +134,8 @@ class ScalingReport:
 
 def pvalue_from_stat(x) -> np.ndarray | float:
     """One-sided p-value of a Gaussian statistic: survival function at x."""
+    from scipy.special import ndtr  # here, so that importing the package skips scipy
+
     return ndtr(-np.asarray(x, dtype=float))
 
 
@@ -146,6 +147,8 @@ def gen_pvalues(cfg: ScenarioConfig) -> np.ndarray:
     the inverse normal CDF applied to the generator's uniforms, so a given
     seed yields the same stream on every platform.
     """
+    from scipy.special import ndtri
+
     rng = np.random.default_rng(cfg.seed)
     mu = np.zeros(cfg.m)
     size = cfg.atom_size

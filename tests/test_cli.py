@@ -1,11 +1,13 @@
 """End-to-end CLI flows over temp files."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
 import types
 
+import numpy as np
 import pytest
 
 import forestbound as fb
@@ -357,6 +359,36 @@ class TestCurve:
             ]
         )
         assert code == 2
+
+
+class TestCurveCsvDigest:
+    """``forestbound curve --pvalues`` on seeded DKWM dyadic families keeps
+    the bytes the per-row ``Decimal`` writer wrote; the digests were taken
+    from that writer's output."""
+
+    DIGESTS = {
+        10: ("41d9822f31e4f8747a32eda3cc9ee739aaffed2b0ce7a20976c4a877b3e56d25", 280715),
+        14: ("737763e93f8daae0297572ff4c12ce963a3d3576b3d59055fd229261cc2577ca", 5004844),
+    }
+
+    @pytest.mark.parametrize("height", [10, 14])  # m = 2**13 and 2**17
+    def test_digest(self, tmp_path, height):
+        atom_size = 16
+        family = fb.build_dyadic(height, atom_size)
+        # numpy only, so the p-values are the same bits everywhere: uniforms,
+        # a thousandfold smaller in every tenth atom.
+        pvalues = np.random.default_rng(2026).random(family.m)
+        signal = np.arange(family.n_atoms) % 10 == 0
+        pvalues[np.repeat(signal, atom_size)] *= 1e-3
+        family_file = tmp_path / "family.forest"
+        family_file.write_text(dump_forest(fb.zeta_dkwm(family, pvalues, 0.05)))
+        pfile = tmp_path / "p.csv"
+        pfile.write_text(dump_pvalues_csv(pvalues))
+        out = tmp_path / "curve.csv"
+        argv = ["curve", "--family", str(family_file), "--pvalues", str(pfile)]
+        assert main(argv + ["--out", str(out)]) == 0
+        data = out.read_bytes()
+        assert (hashlib.sha256(data).hexdigest(), len(data)) == self.DIGESTS[height]
 
 
 class TestRoundTripCommands:

@@ -353,3 +353,57 @@ class TestFdpCurve:
 
     def test_empty(self):
         assert fb.fdp_curve(fb.BoundCurve((0,))) == []
+
+
+class TestBoundCurve:
+    def test_values_are_one_read_only_int64_array(self, example_family):
+        curve = fb.fast_curve(example_family, EXAMPLE_PATH)
+        assert curve._array.dtype == np.int64
+        assert not curve._array.flags.writeable
+        with pytest.raises(ValueError):
+            curve._array[1] = 7
+
+    def test_values_tuple_built_once(self, example_family):
+        curve = fb.fast_curve(example_family, EXAMPLE_PATH)
+        assert "values" not in vars(curve)  # the engine builds no tuple
+        values = curve.values
+        assert type(values) is tuple and all(type(v) is int for v in values)
+        assert curve.values is values
+
+    def test_sequence_behaviour(self):
+        curve = fb.BoundCurve((0, 1, 1, 2))
+        assert len(curve) == 4
+        assert list(curve) == [0, 1, 1, 2]
+        assert all(type(v) is int for v in curve)
+        assert curve[3] == 2 and type(curve[3]) is int
+        assert curve[-1] == curve.final == 2 and type(curve.final) is int
+        assert curve[1:3] == (1, 1)
+        with pytest.raises(IndexError):
+            curve[4]
+        assert repr(curve) == "BoundCurve(values=(0, 1, 1, 2))"
+
+    def test_equality_and_hash(self):
+        curve = fb.BoundCurve((0, 1, 1, 2))
+        same = [
+            fb.BoundCurve([0, 1, 1, 2]),
+            fb.BoundCurve(np.array([0, 1, 1, 2], dtype=np.int32)),
+            fb.BoundCurve(np.array([0, 1, 1, 2], dtype=np.uint64)),
+        ]
+        for other in same:
+            assert curve == other and hash(curve) == hash(other)
+        assert curve != fb.BoundCurve((0, 1, 2, 2))
+        assert curve != fb.BoundCurve((0, 1, 1))
+        assert curve != (0, 1, 1, 2)
+        assert len({curve, *same}) == 1
+
+    def test_copies_its_input(self):
+        source = np.array([0, 1, 2])
+        curve = fb.BoundCurve(source)
+        source[2] = 1
+        assert curve.values == (0, 1, 2)
+        assert source.flags.writeable
+
+    @pytest.mark.parametrize("values", [(0, 0.5), (0, "1"), ((0, 1), (1, 2)), 3])
+    def test_refuses_what_is_not_a_flat_integer_sequence(self, values):
+        with pytest.raises(TypeError):
+            fb.BoundCurve(values)

@@ -1,11 +1,15 @@
 """File formats: forest JSON, path/p-value CSV, curve CSV, prune report."""
 
 import json
+import math
 import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import forestbound as fb
 from forestbound import FormatError
@@ -19,6 +23,7 @@ from forestbound.formats import (
     parse_path_csv,
     parse_pvalues_csv,
 )
+from forestbound.formats import _csv_rows
 
 from conftest import (
     EXAMPLE_ATOMS,
@@ -173,6 +178,56 @@ class TestPvaluesCsv:
             parse_pvalues_csv("0.5\n")
 
 
+class TestPvaluesCsvOddInputs:
+    """What parse_pvalues_csv gives today on odd inputs, line by line through
+    ``float``: a faster parser must give the same values or refusals."""
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("p_value\n\n0.5\n\n\n0.25\n", [0.5, 0.25]),  # blank lines skipped
+            ("p_value\n  0.5  \n\t0.25\n", [0.5, 0.25]),  # whitespace stripped
+            ("  p_value  \n0.5\n", [0.5]),  # the header too
+            ("p_value\r\n0.5\r\n", [0.5]),
+            ("p_value\n+0.5\n", [0.5]),
+            ("p_value\n.5\n1e-3\n-0.0\n", [0.5, 0.001, -0.0]),
+            ("p_value\n1_0\n0_5\n", [10.0, 5.0]),  # float() reads underscores
+            ("p_value\ninf\n-inf\n", [math.inf, -math.inf]),
+            ("p_value\n", []),  # header only
+        ],
+    )
+    def test_values(self, text, expected):
+        got = parse_pvalues_csv(text)
+        assert got == expected
+        assert [math.copysign(1, x) for x in got] == [
+            math.copysign(1, x) for x in expected
+        ]
+
+    def test_nan_is_read(self):
+        (got,) = parse_pvalues_csv("p_value\nnan\n")
+        assert math.isnan(got)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", "\n\n", "0.5\n", "P_VALUE\n0.5\n", "p_value,x\n0.5\n"],
+    )
+    def test_missing_header(self, text):
+        with pytest.raises(FormatError, match="must start with a 'p_value' header"):
+            parse_pvalues_csv(text)
+
+    @pytest.mark.parametrize("entry", ["0.5,0.1", "0x1p-2", "foo", "0.5 0.1"])
+    def test_bad_entry(self, entry):
+        with pytest.raises(FormatError, match="bad p-value entry"):
+            parse_pvalues_csv(f"p_value\n{entry}\n")
+
+    @pytest.mark.parametrize("entry", ["nan", "inf", "-inf", "1_0", "-0.5"])
+    def test_read_but_refused_by_the_curve(self, entry):
+        family = fb.zeta_trivial(fb.build_dyadic(1, 1))
+        pvalues = parse_pvalues_csv(f"p_value\n{entry}\n")
+        with pytest.raises(fb.InvalidProbabilityError):
+            fb.curve_from_pvalues(family, pvalues)
+
+
 class TestCurveCsv:
     def test_example_rows(self, example_family):
         curve = fb.fast_curve(example_family, EXAMPLE_PATH)
@@ -244,6 +299,164 @@ class TestCurveCsv:
             assert len(kept) == 17
             rounded_up = kept[16] != digits[16]
             assert rounded_up == (digits[16] % 2 == 1)
+
+
+def decimal_quotient(v, t):
+    """The reference rendering: str of the Decimal quotient at 17 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 17
+        return str(Decimal(v) / t)
+
+
+TOP_T = 2**59  # the renderer's domain is 1 <= t < 2**59
+
+
+@st.composite
+def quotient_pairs(draw):
+    """(V, t) with 0 <= V <= t < 2**59, leaning on the renderer's edges:
+    the int64 edge, V/t just above or below a power of ten (the zero count
+    and the carry of rounding up to it), tiny V/t (exponent form), 0 and 1,
+    and denominators 2**a * 5**b, whose quotients are exact."""
+    t = draw(
+        st.integers(1, TOP_T - 1)
+        | st.integers(TOP_T - 2**20, TOP_T - 1)
+        | st.integers(1, 2**20)
+        | st.builds(lambda a, b: 2**a * 5**b, st.integers(0, 58), st.integers(0, 24))
+        .filter(lambda t: t < TOP_T)
+    )
+    kind = draw(st.sampled_from(["any", "power", "small", "edge"]))
+    if kind == "any":
+        v = draw(st.integers(0, t))
+    elif kind == "power":
+        lead = draw(st.integers(0, 18))
+        v = -(-t // 10**lead) if draw(st.booleans()) else t // 10**lead
+        v += draw(st.integers(-2, 2))
+    elif kind == "small":
+        v = draw(st.integers(0, 1000))
+    else:
+        v = t - draw(st.integers(0, 2))
+    return min(max(v, 0), t), t
+
+
+@st.composite
+def half_even_ties(draw):
+    """(V, 2**a) whose exact quotient V * 5**a / 10**a has 18 significant
+    digits, the last a 5: a tie at 17 digits."""
+    a = draw(st.integers(18, 25))
+    lo = -(-(10**17) // 5**a)
+    hi = min(2**a - 1, (10**18 - 1) // 5**a)
+    v = draw(st.integers(lo, hi).filter(lambda v: v % 2 == 1))
+    return v, 2**a
+
+
+def rendered(pairs):
+    """The fdp_bound fields _csv_rows writes for the (V, t) pairs, in one block."""
+    v = np.array([p[0] for p in pairs], dtype=np.int64)
+    t = np.array([p[1] for p in pairs], dtype=np.int64)
+    return _csv_rows((), v, t).splitlines()
+
+
+class TestFdpRenderingMatchesDecimal:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(quotient_pairs(), min_size=1, max_size=40))
+    @example([(1, TOP_T - 1), (TOP_T - 2, TOP_T - 1), (0, 1), (1, 1)])
+    @example([(3 * 10**16, 3 * 10**17 + 1), (3 * 10**15, 3 * 10**17 + 1)])
+    def test_pairs(self, pairs):
+        assert rendered(pairs) == [decimal_quotient(v, t) for v, t in pairs]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(half_even_ties(), min_size=1, max_size=10))
+    def test_half_even_ties(self, pairs):
+        got = rendered(pairs)
+        assert got == [decimal_quotient(v, t) for v, t in pairs]
+        for field, (v, t) in zip(got, pairs):
+            exact = Decimal(v * 5 ** (t.bit_length() - 1)).as_tuple().digits
+            assert len(exact) == 18 and exact[-1] == 5
+            assert len(Decimal(field).as_tuple().digits) == 17
+
+    def test_carries_into_a_power_of_ten(self):
+        # Just below 10**-1 and 10**-2, by less than half a unit in the 17th
+        # digit: rounding up moves the first digit one place left.
+        t = 3 * 10**17 + 1
+        fields = ["0.10000000000000000", "0.010000000000000000"]
+        assert rendered([(3 * 10**16, t), (3 * 10**15, t)]) == fields
+        assert [decimal_quotient(3 * 10**16, t), decimal_quotient(3 * 10**15, t)] == fields
+
+    def test_carry_to_one(self):
+        # (t - 1) / t rounds up to 1 at 17 digits once t > 2 * 10**17; the
+        # result keeps its 17 digits because it is not exact.
+        t = 3 * 10**17
+        assert rendered([(t - 1, t)]) == ["1.0000000000000000"]
+        assert decimal_quotient(t - 1, t) == "1.0000000000000000"
+
+
+class TestCurveCsvRefusals:
+    CURVE = fb.BoundCurve((0, 1, 1))
+    HEADER = "t,hypothesis_index,V_t,fdp_bound\n"
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            [1.5, 2],
+            [1.0, 2],
+            np.array([1.5, 2.0]),
+            [True, 2],
+            [2, True],
+            [np.True_, 2],
+            np.array([True, True]),
+            [0, 2],
+            [-1, 2],
+            [1, 2**64],
+            [1, "2"],
+            [1, None],
+            [[1], [2]],
+        ],
+        ids=repr,
+    )
+    def test_path_entries(self, path):
+        with pytest.raises(FormatError):
+            dump_curve_csv(path, self.CURVE)
+        with pytest.raises(FormatError):
+            dump_path_csv(path)
+
+    def test_integer_paths_accepted(self):
+        text = dump_curve_csv([5, 4], self.CURVE)
+        assert text == self.HEADER + "1,5,1,1\n2,4,1,0.5\n"
+        for path in (
+            (5, 4),
+            np.array([5, 4], dtype=np.uint16),
+            np.array([5, 4], dtype=np.int32),
+            np.array([5, 4], dtype=np.uint64),
+            [np.int64(5), 4],
+        ):
+            assert dump_curve_csv(path, self.CURVE) == text
+            assert dump_path_csv(path) == "hypothesis_index\n5\n4\n"
+        assert dump_curve_csv(range(1, 3), self.CURVE).startswith(self.HEADER + "1,1,")
+
+    @pytest.mark.parametrize(
+        "values, t",
+        [((0, 2, 2), 1), ((0, 1, 3), 2), ((0, -1, 0), 1), ((1, 1, 1), 0)],
+    )
+    def test_values_outside_0_to_t(self, values, t):
+        with pytest.raises(FormatError, match=f"V_{t} = "):
+            dump_curve_csv([1, 2], fb.BoundCurve(values))
+
+    def test_values_outside_0_to_t_in_a_later_block(self):
+        n = 20000
+        values = np.arange(n + 1)
+        values[n] = n + 1
+        with pytest.raises(FormatError, match=f"V_{n} = {n + 1} outside 0..{n}"):
+            dump_curve_csv(range(1, n + 1), fb.BoundCurve(values))
+
+    def test_empty_path_writes_the_header(self):
+        empty = fb.BoundCurve((0,))
+        for path in ([], (), np.array([], dtype=np.int64), range(1, 1)):
+            assert dump_curve_csv(path, empty) == self.HEADER
+        assert dump_path_csv([]) == "hypothesis_index\n"
+
+    def test_length_check_stays(self):
+        with pytest.raises(FormatError, match="curve has 3 values for 1 path steps"):
+            dump_curve_csv([1], self.CURVE)
 
 
 class TestRemovedCsv:

@@ -1,6 +1,9 @@
 """Scenario generation and the timing harness."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -25,6 +28,21 @@ def tiny_config(**kw):
     )
     defaults.update(kw)
     return fb.ScenarioConfig(**defaults)
+
+
+def test_import_leaves_scipy_unloaded():
+    # Only the scenario p-values need scipy.special; importing the package,
+    # and so every CLI command but bench, skips its import time.
+    src = os.path.dirname(os.path.dirname(fb.__file__))
+    script = 'import forestbound; import sys; assert "scipy" not in sys.modules'
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 class TestPvalueTransform:
