@@ -143,7 +143,7 @@ def _curve_np(family: ForestFamily, steps: np.ndarray) -> BoundCurve:
     # keys[cut[h - 1]:cut[h]] are the steps in the atoms of depth h.
     cut = keys.searchsorted(bounds[family._levels]).tolist()
     # Only a level with a budget below its region's size can refuse a key.
-    binds = np.logical_or.reduceat(zeta < family._sizes(), levels[:-1]).tolist()
+    binds = family._binds()
     up = keys[:0]  # the keys the level below handed up
     for h in range(len(levels) - 1, 0, -1):
         here = keys[cut[h - 1] : cut[h]]
