@@ -109,23 +109,16 @@ def _sweep_py(family: ForestFamily, hits: list[int]) -> list[int]:
 
 
 def _sweep_np(family: ForestFamily, hits: list[int]) -> np.ndarray:
-    # _sweep_py's sweep and accumulator, one depth level at a time.  A row
-    # whose budget is its size has slack >= 0 and so saves min(slack, acc)
-    # = acc, which is 0 when no row below it has a smaller budget: the sweep
-    # starts at the deepest level with one (none: the bound is |S|).  hc[k]
+    # _sweep_py's sweep and accumulator, one depth level at a time.  hc[k]
     # counts the selected hypotheses in atoms below k, so row (i, j) holds
     # hc[j+1] - hc[i].
-    binds, levels = family._binds(), family._levels.tolist()
-    deepest = len(binds) - binds[::-1].index(True) if True in binds else 0
-    n = levels[deepest]
     hc = np.zeros(len(hits) + 1, dtype=np.int64)
     np.cumsum(np.fromiter(hits, dtype=np.int64, count=len(hits)), out=hc[1:])
-    slack = family._zeta[:n] - (hc[1:][family._right[:n]] - hc[family._left[:n]])
-    acc = np.zeros(len(family) + 1, dtype=np.int64)
+    slack = family._zeta - (hc[1:][family._right] - hc[family._left])
+    acc = np.zeros(len(slack) + 1, dtype=np.int64)
     acc[-1] = hc[-1]
-    parent = family._parent
-    for h in range(deepest, 0, -1):
-        a, b = levels[h - 1], levels[h]
+    parent, levels = family._parent, family._levels.tolist()
+    for a, b in zip(levels[-2::-1], levels[:0:-1]):  # deepest level first
         np.add.at(acc, parent[a:b], np.minimum(slack[a:b], acc[a:b]))
     return acc
 
@@ -175,8 +168,7 @@ def _path_array(m: int, path: Sequence[int]) -> np.ndarray:
     :func:`validate_path`, so a refusal raises the same error and message.
     """
     steps = None
-    # A list or tuple passes before the slower Sequence ABC check.
-    if isinstance(path, (list, tuple, np.ndarray, Sequence)):
+    if isinstance(path, (Sequence, np.ndarray)):
         try:
             steps = np.asarray(path)
         except (TypeError, ValueError, OverflowError):  # ragged or exotic

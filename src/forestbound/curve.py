@@ -29,7 +29,6 @@ quadratic in m and is the reference to compare a curve with.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -45,19 +44,35 @@ class BoundCurve:
     The values are kept as one read-only int64 array, which the CSV writer
     and :func:`fdp_curve` read; :attr:`values` is the tuple of Python ints,
     built on first access.  Indexing gives a Python int, and two curves are
-    equal when their values are.
+    equal when their values are.  A curve is immutable: setting or deleting
+    an attribute raises ``AttributeError``.
     """
+
+    __slots__ = ("_array", "_values")
 
     def __init__(self, values: Sequence[int] | np.ndarray) -> None:
         array = np.array(values)  # a copy: the caller's sequence stays theirs
         if array.ndim != 1 or (array.size and array.dtype.kind not in "iu"):
             raise TypeError("a curve is a flat sequence of integers")
-        self._array = array.astype(np.int64, copy=False)
-        self._array.flags.writeable = False
+        array = array.astype(np.int64, copy=False)
+        array.flags.writeable = False
+        object.__setattr__(self, "_array", array)
+        object.__setattr__(self, "_values", None)
 
-    @cached_property
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to BoundCurve.{name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete BoundCurve.{name}")
+
+    def __reduce__(self):
+        return BoundCurve, (self._array,)
+
+    @property
     def values(self) -> tuple[int, ...]:
-        return tuple(self._array.tolist())
+        if self._values is None:
+            object.__setattr__(self, "_values", tuple(self._array.tolist()))
+        return self._values
 
     def __len__(self) -> int:
         return len(self._array)
@@ -143,7 +158,7 @@ def _curve_np(family: ForestFamily, steps: np.ndarray) -> BoundCurve:
     # keys[cut[h - 1]:cut[h]] are the steps in the atoms of depth h.
     cut = keys.searchsorted(bounds[family._levels]).tolist()
     # Only a level with a budget below its region's size can refuse a key.
-    binds = family._binds()
+    binds = np.logical_or.reduceat(zeta < family._sizes(), levels[:-1]).tolist()
     up = keys[:0]  # the keys the level below handed up
     for h in range(len(levels) - 1, 0, -1):
         here = keys[cut[h - 1] : cut[h]]

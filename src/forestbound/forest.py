@@ -105,11 +105,10 @@ class ForestFamily:
     disjoint-or-nested law, and budget ranges) and computes region depths.
 
     The regions are one row table in (depth, i) order, so children follow
-    their parents: read-only int64 arrays ``_left``, ``_right``, ``_size``
-    (hypotheses in the region), ``_zeta``, ``_depth`` and ``_parent`` (the
-    row of the tightest strictly containing region, -1 for a root).
-    ``_offsets[n]`` counts the hypotheses in atoms 1..n, and rows
-    ``_levels[h-1]:_levels[h]`` have depth h.  The sweeps of
+    their parents: read-only int64 arrays ``_left``, ``_right``, ``_zeta``,
+    ``_depth`` and ``_parent`` (the row of the tightest strictly containing
+    region, -1 for a root).  ``_offsets[n]`` counts the hypotheses in atoms
+    1..n, and rows ``_levels[h-1]:_levels[h]`` have depth h.  The sweeps of
     :mod:`forestbound.bounds` and the curve engine of
     :mod:`forestbound.curve` read ancestry only from ``_parent``.
     """
@@ -179,7 +178,6 @@ class ForestFamily:
         self._offsets = _frozen(offsets)
         self._left = _frozen(left[rows])
         self._right = _frozen(right[rows])
-        self._size = _frozen(offsets[self._right] - offsets[self._left - 1])
         self._zeta = self._checked(zeta[rows])
         self._depth = _frozen(depth[rows])
         self._parent = _frozen(row_of[np.array(parent, dtype=np.int64)[rows]])
@@ -191,22 +189,19 @@ class ForestFamily:
         self._atom_of_cache: list[int] | None = None
         self._atom_rows_cache: np.ndarray | None = None
         self._rows_cache: dict[tuple[int, int], int] | None = None
-        self._binds_cache: list[bool] | None = None
         return self
 
     def _with_zetas(self, zeta) -> "ForestFamily":
         """A copy with the row-aligned budgets ``zeta``; the structure arrays
-        and lookup caches are shared with this family, and the levels that
-        bind are found anew."""
+        and lookup caches are shared with this family."""
         family = ForestFamily.__new__(ForestFamily)
         family.__dict__.update(self.__dict__)
         family._zeta = self._checked(np.array(zeta, dtype=np.int64))
-        family._binds_cache = None
         return family
 
     def _checked(self, zeta: np.ndarray) -> np.ndarray:
         # Budgets in 0..|R|, row by row, made read-only.
-        size = self._size
+        size = self._sizes()
         bad = np.flatnonzero((zeta < 0) | (zeta > size))
         if bad.size:
             r = bad[0]
@@ -290,6 +285,10 @@ class ForestFamily:
 
     # -- derived structures (lazy, cached) --------------------------------
 
+    def _sizes(self) -> np.ndarray:
+        """Number of hypotheses of every row."""
+        return self._offsets[self._right] - self._offsets[self._left - 1]
+
     def _rows(self) -> dict[tuple[int, int], int]:
         rows = self._rows_cache
         if rows is None:
@@ -327,16 +326,6 @@ class ForestFamily:
             atom_rows[1:] = np.repeat(atoms, np.diff(self._offsets))
             self._atom_rows_cache = atom_rows = _frozen(atom_rows)
         return atom_rows
-
-    def _binds(self) -> list[bool]:
-        """``binds[h - 1]`` tells whether some row of depth h has a budget
-        below its region's size: only such a row can cap a bound."""
-        binds = self._binds_cache
-        if binds is None:
-            depths = self._depth[self._zeta < self._size]
-            binds = np.bincount(depths, minlength=len(self._levels))[1:] > 0
-            self._binds_cache = binds = binds.tolist()
-        return binds
 
 
 def build_family(

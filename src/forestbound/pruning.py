@@ -48,7 +48,7 @@ def prune(family: ForestFamily) -> PruneResult:
     # its budget is at least the summed values of its children.
     acc = _sweep(family, [0, *family.atom_sizes])
     left, right, zeta = family._left, family._right, family._zeta
-    children = family._size + np.asarray(acc[:-1], dtype=np.int64)
+    children = family._sizes() + np.asarray(acc[:-1], dtype=np.int64)
     dominated = (left != right) & (zeta >= children)
     removed = frozenset(
         map(RegionKey, left[dominated].tolist(), right[dominated].tolist())

@@ -26,7 +26,7 @@ ZETA_METHODS = ("trivial", "dkwm")
 
 def zeta_trivial(family: ForestFamily) -> ForestFamily:
     """Set every region's budget to its size (no information)."""
-    return family._with_zetas(family._size)
+    return family._with_zetas(family._sizes())
 
 
 def _check_alpha(alpha: float) -> None:
@@ -166,7 +166,7 @@ def apply_zetas(
     An estimate that is a boolean or not a finite number raises
     ZetaRangeError.
     """
-    sizes = family._size.tolist()
+    sizes = family._sizes().tolist()
     zeta = family._zeta.copy()
     clamped_keys = []
     for key, z in estimates.items():

@@ -107,27 +107,6 @@ class TestVstar:
             py, np_ = both_engines(fam, random_selection(rng, fam.m))
             assert py == np_
 
-    def test_sweep_starts_at_the_deepest_binding_level(self):
-        # Budgets below their region's size at one depth only, or nowhere:
-        # the numpy sweep skips the levels below it, or every level.
-        rng = random.Random(29)
-        dyadic = fb.build_dyadic(9, 1)
-        assert dyadic.n_atoms >= NUMPY_MIN_ATOMS
-        # Sweep the vacuous source first: its copies must not reuse its levels.
-        assert fb.vstar(dyadic, {1, 2, 3}) == 3
-        levels = dyadic._levels
-        depth = np.repeat(np.arange(1, len(levels)), np.diff(levels))
-        for h in range(len(levels)):
-            zeta = dyadic._size.copy()
-            zeta[depth == h] //= 2  # no row has depth 0: every budget vacuous
-            fam = dyadic._with_zetas(zeta)
-            for _ in range(5):
-                sel = random_selection(rng, fam.m)
-                py, np_ = both_engines(fam, sel)
-                assert py == np_ == fb.vstar(fam, sel)
-                if h == 0:
-                    assert np_ == len(sel)
-
 
 def test_one_completeness_check(partial_family):
     # Every bound, curve and pruning entry refuses an incomplete family with

@@ -1,5 +1,7 @@
 """Incremental curve computation against the naive baseline."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -98,26 +100,6 @@ class TestEquivalence:
             fast = fb.fast_curve(fam, path)
             assert fast == fb.naive_curve(fam, path)
             assert fast == fb.fast_curve(fb.prune(fam).pruned_family, path)
-
-    def test_engine_with_budgets_binding_at_one_depth(self):
-        # Budgets below their region's size at one depth only, or nowhere:
-        # the engine truncates at that depth alone, or at none.
-        rng = random.Random(223)
-        dyadic = fb.build_dyadic(5, 2)
-        # Run the vacuous source first: its copies must not reuse its levels.
-        assert fb.fast_curve(dyadic, [3, 1]).values == (0, 1, 2)
-        levels = dyadic._levels
-        depth = np.repeat(np.arange(1, len(levels)), np.diff(levels))
-        sizes = dyadic._size
-        for h in range(len(levels)):
-            zeta = sizes.copy()
-            zeta[depth == h] //= 2  # no row has depth 0: every budget vacuous
-            fam = dyadic._with_zetas(zeta)
-            for _ in range(5):
-                path = random_path(rng, fam.m, partial=rng.random() < 0.3)
-                assert fb.fast_curve(fam, path) == fb.naive_curve(fam, path)
-        trivial = fb.fast_curve(dyadic._with_zetas(sizes), range(dyadic.m, 0, -1))
-        assert trivial.values == tuple(range(dyadic.m + 1))
 
     def test_audit_sees_walk_faults(self):
         # With the root's budget loosened from 1 to 2, the second step counts
@@ -290,7 +272,7 @@ class TestWalkWork:
         for height, atom_size in [(1, 5), (3, 2), (4, 3), (6, 1), (5, 4)]:
             fam = fb.build_dyadic(height, atom_size)
             p = [rng.random() ** 3 for _ in range(fam.m)]
-            budgets = [rng.randint(0, s) for s in fam._size.tolist()]
+            budgets = [rng.randint(0, s) for s in fam._sizes().tolist()]
             for est in (fam, fb.zeta_dkwm(fam, p, 0.1), fam._with_zetas(budgets)):
                 self.check(est, random_path(rng, fam.m))
                 self.check(est, random_path(rng, fam.m, partial=True))
@@ -385,7 +367,7 @@ class TestBoundCurve:
 
     def test_values_tuple_built_once(self, example_family):
         curve = fb.fast_curve(example_family, EXAMPLE_PATH)
-        assert "values" not in vars(curve)  # the engine builds no tuple
+        assert curve._values is None  # the engine builds no tuple
         values = curve.values
         assert type(values) is tuple and all(type(v) is int for v in values)
         assert curve.values is values
@@ -415,6 +397,22 @@ class TestBoundCurve:
         assert curve != fb.BoundCurve((0, 1, 1))
         assert curve != (0, 1, 1, 2)
         assert len({curve, *same}) == 1
+
+    def test_immutable(self):
+        curve = fb.BoundCurve((0, 1, 1, 2))
+        for name in ("values", "_array", "_values", "final", "other"):
+            with pytest.raises(AttributeError):
+                setattr(curve, name, (0, 1))
+            with pytest.raises(AttributeError):
+                delattr(curve, name)
+        assert curve.values == (0, 1, 1, 2) and curve[3] == 2
+
+    def test_copy_and_pickle(self):
+        curve = fb.BoundCurve((0, 1, 1, 2))
+        clones = copy.copy(curve), copy.deepcopy(curve), pickle.loads(pickle.dumps(curve))
+        for clone in clones:
+            assert clone == curve and clone.values == (0, 1, 1, 2)
+            assert not clone._array.flags.writeable
 
     def test_copies_its_input(self):
         source = np.array([0, 1, 2])

@@ -406,7 +406,7 @@ class TestBudgetsAreACopy:
 
     def test_budget_range_checked(self):
         fam = fb.build_dyadic(3, 2)
-        sizes = fam._size
+        sizes = fam._sizes()
         assert fam._with_zetas(sizes) == fam
         assert fam._with_zetas(np.zeros(len(fam), dtype=np.int64)).zeta((1, 4)) == 0
         with pytest.raises(ZetaRangeError):
