@@ -4,8 +4,11 @@
 discoveries in a selection set, as a bottom-up sweep over the forest levels:
 each region's value is its own capped budget ``zeta & |S ∩ R|``, further
 capped by the sum of its children's values, and the answer is the sum over
-the roots.  The sweep runs in O(|S| + N + |K|) per call over the family's
-row table.
+the roots.  The sweep reads the selection as prefix counts per atom and
+runs over the family's row table.  From NUMPY_MIN_ATOMS atoms up, the
+selection is sorted as one array and counted with ``searchsorted``, in
+O(|S| log |S| + N log |S| + |K|) per call; below, a Python loop counts it, in
+O(|S| + N + |K|).
 
 The three oracle functions recompute the same quantity straight from its
 defining optimization problems by exhaustive enumeration.  They exist only to
@@ -49,11 +52,12 @@ def atom_hit_counts(family: ForestFamily, selection: Collection[int]) -> list[in
     items = selection
     if not isinstance(selection, (set, frozenset)):
         items = tuple(selection)
-        if len(set(items)) != len(items):
-            raise IndexOutOfRangeError("selection contains duplicate indices")
     atom_of = family._atom_of()
     hits = [0] * (family.n_atoms + 1)
     try:
+        # An unhashable member, such as a list, raises TypeError here.
+        if items is not selection and len(set(items)) != len(items):
+            raise IndexOutOfRangeError("selection contains duplicate indices")
         for s in items:
             # True indexes like 1; only a member <= 1 needs the second look.
             if s <= 1 and (s < 1 or s is True):
@@ -75,28 +79,28 @@ def _require_complete(family: ForestFamily) -> None:
         )
 
 
-def _sweep(family: ForestFamily, hits: list[int]) -> list[int] | np.ndarray:
+def _sweep(family: ForestFamily, hc: Sequence[int]) -> list[int] | np.ndarray:
     """The bottom-up sweep's accumulator, from the engine the size suits."""
     if family.n_atoms >= NUMPY_MIN_ATOMS:
-        return _sweep_np(family, hits)
-    return _sweep_py(family, hits)
+        return _sweep_np(family, hc)
+    return _sweep_py(family, hc)
 
 
-def _sweep_py(family: ForestFamily, hits: list[int]) -> list[int]:
+def _sweep_py(family: ForestFamily, hc: Sequence[int]) -> list[int]:
     """The bottom-up sweep over plain lists; returns its accumulator.
 
-    A row's value is its budget capped by its selected count (an atom) or by
-    its children's summed values, which, as children tile their parent in a
-    complete family, is ``count + acc[r]``: ``acc[r]`` sums the children's
-    savings ``value - count``.  Children come after their parents, so one
-    reverse pass adds each saving to the parent's slot; the roots' go to
-    ``acc[-1]``, which starts at |S| and so ends as the bound.
+    ``hc`` holds the prefix counts: ``hc[n]`` selected hypotheses in atoms
+    1..n, for n = 0..N.  A row's value is its budget capped by its selected
+    count (an atom) or by its children's summed values, which, as children
+    tile their parent in a complete family, is ``count + acc[r]``:
+    ``acc[r]`` sums the children's savings ``value - count``.  Children come
+    after their parents, so one reverse pass adds each saving to the
+    parent's slot; the roots' go to ``acc[-1]``, which starts at |S| and so
+    ends as the bound.
     """
-    hc = list(accumulate(hits))
-    zeta = family._zeta.tolist()
-    left = family._left.tolist()
-    right = family._right.tolist()
-    parent = family._parent.tolist()
+    if isinstance(hc, np.ndarray):
+        hc = hc.tolist()
+    zeta, left, right, parent = family._row_lists()
     acc = [0] * (len(zeta) + 1)
     acc[-1] = hc[-1]
     for r in range(len(zeta) - 1, -1, -1):
@@ -108,31 +112,62 @@ def _sweep_py(family: ForestFamily, hits: list[int]) -> list[int]:
     return acc
 
 
-def _sweep_np(family: ForestFamily, hits: list[int]) -> np.ndarray:
-    # _sweep_py's sweep and accumulator, one depth level at a time.  hc[k]
-    # counts the selected hypotheses in atoms below k, so row (i, j) holds
-    # hc[j+1] - hc[i].
-    hc = np.zeros(len(hits) + 1, dtype=np.int64)
-    np.cumsum(np.fromiter(hits, dtype=np.int64, count=len(hits)), out=hc[1:])
-    slack = family._zeta - (hc[1:][family._right] - hc[family._left])
+def _sweep_np(family: ForestFamily, hc: Sequence[int]) -> np.ndarray:
+    # _sweep_py's sweep and accumulator, one depth level at a time.
+    hc = np.asarray(hc, dtype=np.int64)
+    slack = family._zeta - (hc[family._right] - hc[family._left - 1])
     acc = np.zeros(len(slack) + 1, dtype=np.int64)
     acc[-1] = hc[-1]
     parent, levels = family._parent, family._levels.tolist()
-    for a, b in zip(levels[-2::-1], levels[:0:-1]):  # deepest level first
+    for a, b in zip(levels[-2:0:-1], levels[:1:-1]):  # deepest level first
         np.add.at(acc, parent[a:b], np.minimum(slack[a:b], acc[a:b]))
+    # Every root's parent slot is the last one: a sum, not a scatter.
+    roots = levels[1]
+    acc[-1] += np.minimum(slack[:roots], acc[:roots]).sum()
     return acc
+
+
+def _prefix_counts(
+    family: ForestFamily, selection: Collection[int]
+) -> list[int] | np.ndarray:
+    """The sweep's prefix counts of ``selection``, which is checked as
+    :func:`atom_hit_counts` checks it.
+
+    From NUMPY_MIN_ATOMS atoms up, a selection that numpy reads as a 1-D
+    integer array is sorted once, and ``searchsorted`` against the atom
+    offsets counts the members up to each atom's end; nothing of size m is
+    built and no Python loop runs over the members.
+    """
+    if family.n_atoms < NUMPY_MIN_ATOMS:
+        return list(accumulate(atom_hit_counts(family, selection)))
+
+    def counts(members: np.ndarray) -> np.ndarray | None:
+        members = np.sort(members)
+        if (members[1:] == members[:-1]).any():
+            return None
+        return np.searchsorted(members, family._offsets, side="right")
+
+    if not isinstance(selection, (Sequence, np.ndarray)):
+        selection = list(selection)  # sets and one-shot iterables
+    return _index_array(
+        family.m,
+        selection,
+        counts,
+        lambda: np.cumsum(atom_hit_counts(family, selection)),
+    )
 
 
 def vstar(family: ForestFamily, selection: Collection[int]) -> int:
     """Upper bound on the number of false discoveries in ``selection``.
 
     The family must be complete (:func:`forestbound.complete_family` makes
-    it so).  The result is exact for the family's interpolated bound: the
-    minimum over partition-realizing region subsets of the summed capped
-    budgets.
+    it so).  ``selection`` holds distinct integers in 1..m, as a set, a
+    sequence or a 1-D integer array; booleans are refused.  The result is
+    exact for the family's interpolated bound: the minimum over
+    partition-realizing region subsets of the summed capped budgets.
     """
     _require_complete(family)
-    return int(_sweep(family, atom_hit_counts(family, selection))[-1])
+    return int(_sweep(family, _prefix_counts(family, selection))[-1])
 
 
 def validate_path(m: int, path: Sequence[int]) -> tuple[int, ...]:
@@ -159,32 +194,52 @@ def validate_path(m: int, path: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _path_array(m: int, path: Sequence[int]) -> np.ndarray:
-    """:func:`validate_path` as one array: the path as int64.
+def _index_array(m: int, values, finish, fallback):
+    """Check ``values`` as one array of indices in 1..m.
 
     A sequence or array that numpy reads as a 1-D integer array is checked
-    whole: range, repeats (``bincount``), and a boolean at the entry whose
-    value is 1.  Any other input, and every fault found, goes through
-    :func:`validate_path`, so a refusal raises the same error and message.
+    whole: range, a boolean at the entry whose value is 1, and repeats, which
+    ``finish(indices)`` checks on the int64 array before it returns the
+    caller's result (None on a repeat).  Any other input, and every fault
+    found, goes to ``fallback()``, the caller's Python validator, so a
+    refusal raises the same error and message.
     """
     steps = None
-    if isinstance(path, (Sequence, np.ndarray)):
+    if isinstance(values, (Sequence, np.ndarray)):
         try:
-            steps = np.asarray(path)
+            steps = np.asarray(values)
         except (TypeError, ValueError, OverflowError):  # ragged or exotic
             pass
-    if steps is not None and steps.ndim == 1 and steps.dtype.kind in "iu":
+    if steps is not None and steps.ndim == 1:
         if not steps.size:
-            return steps.astype(np.int64)
-        lo = steps.min()
-        if 1 <= lo and steps.max() <= m:
-            steps = steps.astype(np.int64, copy=False)
+            return finish(steps.astype(np.int64))
+        if steps.dtype.kind in "iu":
+            steps = steps.astype(np.int64, copy=False)  # uint64 past 2**63 wraps
+            lo = steps.min()
             # A list may hold True or np.True_, which numpy reads as 1.
-            if np.bincount(steps).max() == 1 and not (
-                lo == 1 and isinstance(path[int(steps.argmin())], (bool, np.bool_))
+            if (
+                1 <= lo
+                and steps.max() <= m
+                and not (
+                    lo == 1
+                    and isinstance(values[int(steps.argmin())], (bool, np.bool_))
+                )
             ):
-                return steps
-    return np.array(validate_path(m, path), dtype=np.int64)
+                out = finish(steps)
+                if out is not None:
+                    return out
+    return fallback()
+
+
+def _path_array(m: int, path: Sequence[int]) -> np.ndarray:
+    """:func:`validate_path` as one array: the path as int64, repeats found
+    by ``bincount``; see :func:`_index_array`."""
+    return _index_array(
+        m,
+        path,
+        lambda steps: steps if np.bincount(steps).max(initial=0) <= 1 else None,
+        lambda: np.array(validate_path(m, path), dtype=np.int64),
+    )
 
 
 # -- oracles -------------------------------------------------------------

@@ -188,15 +188,18 @@ class ForestFamily:
         self._complete = bool(np.count_nonzero(left == right) == n)
         self._atom_of_cache: list[int] | None = None
         self._atom_rows_cache: np.ndarray | None = None
+        self._row_lists_cache: tuple[list[int], ...] | None = None
         self._rows_cache: dict[tuple[int, int], int] | None = None
         return self
 
     def _with_zetas(self, zeta) -> "ForestFamily":
         """A copy with the row-aligned budgets ``zeta``; the structure arrays
-        and lookup caches are shared with this family."""
+        and the lookup caches that hold no budget are shared with this
+        family."""
         family = ForestFamily.__new__(ForestFamily)
         family.__dict__.update(self.__dict__)
         family._zeta = self._checked(np.array(zeta, dtype=np.int64))
+        family._row_lists_cache = None  # it holds the budgets' list
         return family
 
     def _checked(self, zeta: np.ndarray) -> np.ndarray:
@@ -303,6 +306,15 @@ class ForestFamily:
         if r is None:
             raise UnknownRegionError(f"region {key} not in family")
         return r
+
+    def _row_lists(self) -> tuple[list[int], ...]:
+        """The columns ``_zeta``, ``_left``, ``_right`` and ``_parent`` as
+        lists of Python ints, for the Python sweep."""
+        lists = self._row_lists_cache
+        if lists is None:
+            columns = (self._zeta, self._left, self._right, self._parent)
+            self._row_lists_cache = lists = tuple(c.tolist() for c in columns)
+        return lists
 
     def _atom_of(self) -> list[int]:
         """``atom_of[h]`` is the atom of hypothesis h; entry 0 is padding."""

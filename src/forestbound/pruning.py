@@ -43,10 +43,11 @@ def prune(family: ForestFamily) -> PruneResult:
     nothing.
     """
     _require_complete(family)
-    # On the full set a row's count is its size, and the sizes of a
-    # non-atom's children add up to its own: it is dominated exactly when
-    # its budget is at least the summed values of its children.
-    acc = _sweep(family, [0, *family.atom_sizes])
+    # On the full set the prefix counts are the atom offsets and a row's
+    # count is its size; the sizes of a non-atom's children add up to its
+    # own, so it is dominated exactly when its budget is at least the summed
+    # values of its children.
+    acc = _sweep(family, family._offsets)
     left, right, zeta = family._left, family._right, family._zeta
     children = family._sizes() + np.asarray(acc[:-1], dtype=np.int64)
     dominated = (left != right) & (zeta >= children)

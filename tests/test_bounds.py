@@ -1,9 +1,13 @@
 """Single-evaluation bound against its defining oracles."""
 
 import random
+import tracemalloc
+from itertools import accumulate
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import forestbound as fb
 from forestbound import (
@@ -15,20 +19,22 @@ from forestbound import (
 from forestbound.bounds import (
     NUMPY_MIN_ATOMS,
     ORACLE_MAX_ATOMS,
+    ORACLE_MAX_M,
     _sweep_np,
     _sweep_py,
     atom_hit_counts,
     validate_path,
 )
 
+import test_curve
 from conftest import EXAMPLE_CURVE, EXAMPLE_PATH, random_family, random_selection
 
 
 def both_engines(family, selection):
     """The bound from each sweep engine, whatever the family's size, after
     checking that the two accumulators agree row by row."""
-    hits = atom_hit_counts(family, selection)
-    py, vec = _sweep_py(family, hits), _sweep_np(family, hits)
+    hc = list(accumulate(atom_hit_counts(family, selection)))
+    py, vec = _sweep_py(family, hc), _sweep_np(family, hc)
     assert py == vec.tolist()
     return py[-1], int(vec[-1])
 
@@ -106,6 +112,96 @@ class TestVstar:
             assert both_engines(fam, sel) == (expected, expected)
             py, np_ = both_engines(fam, random_selection(rng, fam.m))
             assert py == np_
+
+
+class TestLargeSideSelections:
+    # From NUMPY_MIN_ATOMS atoms up, vstar reads the selection as one sorted
+    # array and hands every fault to atom_hit_counts.
+    FORMS = [
+        list,
+        tuple,
+        set,
+        frozenset,
+        lambda s: np.array(s, dtype=np.int32),
+        lambda s: np.array(s, dtype=np.uint64),
+        lambda s: np.array(s, dtype=np.int64),
+    ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32), st.data())
+    def test_matches_python_counts_and_oracle(self, seed, data):
+        rng = random.Random(seed)
+        fam = fb.complete_family(
+            random_family(
+                rng, min_atoms=NUMPY_MIN_ATOMS, max_atoms=NUMPY_MIN_ATOMS + 32
+            )
+        )
+        size = data.draw(
+            st.one_of(st.integers(0, ORACLE_MAX_M), st.integers(0, fam.m))
+        )
+        members = rng.sample(range(1, fam.m + 1), size)
+        hc = list(accumulate(atom_hit_counts(fam, members)))
+        expected = _sweep_py(fam, hc)[-1]
+        if size <= ORACLE_MAX_M:
+            assert expected == fb.oracle_vstar_sets(fam, members)
+        for form in self.FORMS:
+            assert fb.vstar(fam, form(members)) == expected
+
+    @pytest.fixture
+    def large_family(self):
+        m = 2 * NUMPY_MIN_ATOMS
+        atoms = [(a, a, 1) for a in range(1, m + 1)]
+        return fb.build_family(m, (1,) * m, [(1, m, 9), *atoms])
+
+    BAD = test_curve.TestLargeSidePathCheck.BAD + [
+        lambda m: {True},
+        lambda m: {True, 2},
+        lambda m: frozenset({np.True_, 3}),
+        lambda m: {np.True_},
+        lambda m: {False, 4},
+        lambda m: np.array([True]),
+    ]
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_refusals_match_hit_counts(self, large_family, example_family, bad):
+        messages = []
+        for family in (large_family, example_family):
+            with pytest.raises(IndexOutOfRangeError) as want:
+                atom_hit_counts(family, bad(family.m))
+            with pytest.raises(IndexOutOfRangeError) as got:
+                fb.vstar(family, bad(family.m))
+            assert type(got.value) is type(want.value)
+            assert str(got.value) == str(want.value)
+            messages.append(str(got.value).replace(f"1..{family.m}", "1..m"))
+        assert messages[0] == messages[1]
+
+    def test_no_table_of_size_m(self, large_family):
+        fam = fb.build_dyadic(8, 2**15)  # 128 atoms, m = 2**22
+        assert fam.n_atoms == NUMPY_MIN_ATOMS
+        for family in (large_family, fam):
+            fb.vstar(family, [2, 1, family.m])
+            fb.vstar(family, {3, family.m - 1})
+            assert family._atom_of_cache is None
+        fam = fb.build_dyadic(8, 2**15)
+        tracemalloc.start()
+        try:
+            assert fb.vstar(fam, [1, fam.m]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+
+@pytest.mark.parametrize("atoms", [16, NUMPY_MIN_ATOMS])
+def test_copy_with_new_budgets_sweeps_them(atoms):
+    # _with_zetas shares the family's lookup caches; the Python sweep's
+    # cached row lists hold the budgets, so the copy must not reuse them.
+    est = fb.build_dyadic(int(np.log2(atoms)) + 1, 2)
+    selection = list(range(1, est.m + 1, 3))
+    assert fb.vstar(est, selection) == len(selection)
+    tight = est._with_zetas(np.zeros(len(est), dtype=np.int64))
+    assert fb.vstar(tight, selection) == 0
+    assert fb.vstar(est, selection) == len(selection)
 
 
 def test_one_completeness_check(partial_family):
