@@ -113,17 +113,24 @@ def _sweep_py(family: ForestFamily, hc: Sequence[int]) -> list[int]:
 
 
 def _sweep_np(family: ForestFamily, hc: Sequence[int]) -> np.ndarray:
-    # _sweep_py's sweep and accumulator, one depth level at a time.
+    # _sweep_py's sweep and accumulator, one depth level at a time.  A row
+    # whose selected count is within its budget, with only such rows below
+    # it, saves nothing, so the sweep starts at the deepest level that has a
+    # row over its budget, and skips every level when none has one.
     hc = np.asarray(hc, dtype=np.int64)
     slack = family._zeta - (hc[family._right] - hc[family._left - 1])
     acc = np.zeros(len(slack) + 1, dtype=np.int64)
     acc[-1] = hc[-1]
-    parent, levels = family._parent, family._levels.tolist()
-    for a, b in zip(levels[-2:0:-1], levels[:1:-1]):  # deepest level first
-        np.add.at(acc, parent[a:b], np.minimum(slack[a:b], acc[a:b]))
-    # Every root's parent slot is the last one: a sum, not a scatter.
-    roots = levels[1]
-    acc[-1] += np.minimum(slack[:roots], acc[:roots]).sum()
+    levels = family._levels.tolist()
+    over = np.flatnonzero(np.minimum.reduceat(slack, levels[:-1]) < 0)
+    if over.size:
+        deepest = int(over[-1]) + 1
+        parent = family._parent
+        for a, b in zip(levels[deepest - 1 : 0 : -1], levels[deepest:1:-1]):
+            np.add.at(acc, parent[a:b], np.minimum(slack[a:b], acc[a:b]))
+        # Every root's parent slot is the last one: a sum, not a scatter.
+        roots = levels[1]
+        acc[-1] += np.minimum(slack[:roots], acc[:roots]).sum()
     return acc
 
 
