@@ -182,7 +182,7 @@ class TestLargeSideSelections:
             fb.vstar(family, [2, 1, family.m])
             fb.vstar(family, {3, family.m - 1})
             assert family._atom_of_cache is None
-        fam = fb.build_dyadic(8, 2**15)
+        fam = fb.build_dyadic(8, 2**15)  # its first vstar is measured
         tracemalloc.start()
         try:
             assert fb.vstar(fam, [1, fam.m]) == 2
