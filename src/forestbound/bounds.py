@@ -49,14 +49,13 @@ def atom_hit_counts(family: ForestFamily, selection: Collection[int]) -> list[in
     Rejects duplicate, non-integer (boolean included), and out-of-range
     members.
     """
-    items = selection
-    if not isinstance(selection, (set, frozenset)):
-        items = tuple(selection)
+    distinct = isinstance(selection, (set, frozenset))
+    items = selection if distinct else tuple(selection)
     atom_of = family._atom_of()
     hits = [0] * (family.n_atoms + 1)
     try:
         # An unhashable member, such as a list, raises TypeError here.
-        if items is not selection and len(set(items)) != len(items):
+        if not distinct and len(set(items)) != len(items):
             raise IndexOutOfRangeError("selection contains duplicate indices")
         for s in items:
             # True indexes like 1; only a member <= 1 needs the second look.
@@ -116,7 +115,8 @@ def _sweep_np(family: ForestFamily, hc: Sequence[int]) -> np.ndarray:
     # _sweep_py's sweep and accumulator, one depth level at a time.  A row
     # whose selected count is within its budget, with only such rows below
     # it, saves nothing, so the sweep starts at the deepest level that has a
-    # row over its budget, and skips every level when none has one.
+    # row over its budget, and skips every level when none has one.  That
+    # pays only where deep budgets are vacuous, as with zeta_trivial.
     hc = np.asarray(hc, dtype=np.int64)
     slack = family._zeta - (hc[family._right] - hc[family._left - 1])
     acc = np.zeros(len(slack) + 1, dtype=np.int64)

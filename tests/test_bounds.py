@@ -160,6 +160,8 @@ class TestLargeSideSelections:
         lambda m: {np.True_},
         lambda m: {False, 4},
         lambda m: np.array([True]),
+        lambda m: (3, 3),
+        lambda m: (5, 2, 5),
     ]
 
     @pytest.mark.parametrize("bad", BAD)
@@ -224,7 +226,9 @@ def test_one_completeness_check(partial_family):
     assert "complete_family()" in message and "forestbound complete" in message
 
 
-@pytest.mark.parametrize("bad", [[True], [True, 2], [3, 3], [0], [26], [1.5]])
+@pytest.mark.parametrize(
+    "bad", [[True], [True, 2], [3, 3], (3, 3), (5, 2, 5), [0], [26], [1.5]]
+)
 def test_oracles_share_selection_rules(example_family, bad):
     for bound in (
         fb.vstar,
