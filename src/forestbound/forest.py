@@ -15,6 +15,12 @@ and curve computations in :mod:`forestbound.bounds` and
 the missing atoms with their cardinality as budget, which leaves the bound
 unchanged.
 
+Construction is array work, with no Python loop over the regions: the
+integer checks take whole columns, and one pass over the regions sorted by
+(i, -j) finds depths, parents and any partial overlap with sorts and binary
+searches (see :class:`ForestFamily`).  A refused input names the same first
+fault as a check of one value at a time would.
+
 ForestFamily instances are immutable after construction and safe to share
 across threads.  Derived lookup structures are built lazily and cached; the
 cache build is idempotent, so a race at worst duplicates work.
@@ -64,31 +70,53 @@ def _as_count(value, what: str, error: type[Exception] = SizeMismatchError) -> i
     raise error(f"{what} must be an integer, got {value!r}")
 
 
-def _int64(values: list[int], what: str, error: type[Exception]) -> np.ndarray:
+def _all_ints(values) -> bool:
+    # Exact ints only: a bool, a float or a numpy scalar fails the test.
+    return set(map(type, values)) <= {int}
+
+
+def _checked_sizes(m, atom_sizes) -> tuple[int, tuple[int, ...]]:
+    m = _as_count(m, "m")
+    if not 1 <= m < 2**63:  # every count must fit the int64 row table
+        raise SizeMismatchError(f"m must be in 1..2**63 - 1, got {m}")
+    sizes = tuple(atom_sizes)
+    if not _all_ints(sizes):
+        sizes = tuple(_as_count(s, "atom size") for s in sizes)
+    if not sizes or min(sizes) < 1:
+        raise SizeMismatchError(f"atom sizes must be positive, got {sizes}")
+    if sum(sizes) != m:
+        raise SizeMismatchError(f"atom sizes sum to {sum(sizes)}, expected m={m}")
+    return m, sizes
+
+
+_COLUMNS = (
+    ("region start", IndexOutOfRangeError),
+    ("region end", IndexOutOfRangeError),
+    ("zeta", ZetaRangeError),
+)
+
+
+def _region_columns(columns, rows) -> list[np.ndarray]:
+    """The region columns i, j and zeta as int64 arrays.
+
+    Three columns of ints are converted whole.  Otherwise ``rows``, the same
+    triples in input order, are checked value by value, so the fault raised
+    is the first one met row by row: i, then j, then zeta.
+    """
+    if len(columns) != 3 or not all(map(_all_ints, columns)):
+        columns = [], [], []
+        for i, j, z in rows:
+            columns[0].append(_as_count(i, "region start"))
+            columns[1].append(_as_count(j, "region end"))
+            columns[2].append(_as_count(z, "zeta", ZetaRangeError))
+    return [_int64(c, what, error) for c, (what, error) in zip(columns, _COLUMNS)]
+
+
+def _int64(values, what: str, error: type[Exception]) -> np.ndarray:
     try:
         return np.array(values, dtype=np.int64)
     except OverflowError:
         raise error(f"a {what} is outside the 64-bit integer range") from None
-
-
-def _nest(left: list[int], right: list[int]) -> tuple[list[int], list[int]]:
-    # Depth and parent of intervals sorted by (i, -j), in one pass: the stack
-    # holds exactly the strict containers of the current interval, so its
-    # size gives the depth and its top the parent, and any partial overlap
-    # surfaces as a failed nesting test.
-    depth, parent, stack = [], [], []
-    for r, (i, j) in enumerate(zip(left, right)):
-        while stack and right[stack[-1]] < i:
-            stack.pop()
-        if stack and j > right[stack[-1]]:
-            top = RegionKey(left[stack[-1]], right[stack[-1]])
-            raise OverlapError(
-                f"regions {top} and {RegionKey(i, j)} overlap without nesting"
-            )
-        depth.append(len(stack) + 1)
-        parent.append(stack[-1] if stack else -1)
-        stack.append(r)
-    return depth, parent
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -111,6 +139,18 @@ class ForestFamily:
     1..n, and rows ``_levels[h-1]:_levels[h]`` have depth h.  The sweeps of
     :mod:`forestbound.bounds` and the curve engine of
     :mod:`forestbound.curve` read ancestry only from ``_parent``.
+
+    Construction checks m, the atom sizes and the columns i, j and zeta
+    whole: columns of exact ints become int64 arrays, and only when a column
+    holds anything else are the triples checked value by value, in input
+    order.  The
+    structural pass sorts the rows by (i, -j).  Row r's depth is then r + 1
+    less the rows that end before it starts (one ``searchsorted`` on the
+    sorted ends); a stable sort on depth gives the (depth, i) order; and a
+    row's parent is the last earlier row one level up (one ``searchsorted``
+    on depth-major keys).  A partial overlap shows as a row that ends past
+    its parent; the first such row in (i, -j) order and its parent are the
+    two regions named.  Costs are O(K log K) for K regions.
     """
 
     def __init__(
@@ -119,27 +159,21 @@ class ForestFamily:
         atom_sizes: Sequence[int],
         regions: Iterable[tuple[int, int, int]],
     ) -> None:
-        m = _as_count(m, "m")
-        if not 1 <= m < 2**63:  # every count must fit the int64 row table
-            raise SizeMismatchError(f"m must be in 1..2**63 - 1, got {m}")
-        sizes = tuple(_as_count(s, "atom size") for s in atom_sizes)
-        if not sizes or any(s < 1 for s in sizes):
-            raise SizeMismatchError(f"atom sizes must be positive, got {sizes}")
-        if sum(sizes) != m:
-            raise SizeMismatchError(
-                f"atom sizes sum to {sum(sizes)}, expected m={m}"
-            )
-        left, right, zeta = [], [], []
-        for i, j, z in regions:
-            left.append(_as_count(i, "region start"))
-            right.append(_as_count(j, "region end"))
-            zeta.append(_as_count(z, "zeta", ZetaRangeError))
-        self._build(
-            m,
-            sizes,
-            _int64(left, "region start", IndexOutOfRangeError),
-            _int64(right, "region end", IndexOutOfRangeError),
-            _int64(zeta, "zeta", ZetaRangeError),
+        m, sizes = _checked_sizes(m, atom_sizes)
+        rows = list(regions)
+        try:
+            columns = tuple(zip(*rows, strict=True)) if rows else ((), (), ())
+        except (TypeError, ValueError):  # a row that is no triple
+            columns = ()
+        self._build(m, sizes, *_region_columns(columns, rows))
+
+    @classmethod
+    def _from_columns(cls, m, atom_sizes, left, right, zeta) -> "ForestFamily":
+        # For readers that hold the regions as three sequences, i, j and zeta.
+        m, sizes = _checked_sizes(m, atom_sizes)
+        columns = (left, right, zeta)
+        return cls.__new__(cls)._build(
+            m, sizes, *_region_columns(columns, zip(*columns))
         )
 
     @classmethod
@@ -166,21 +200,38 @@ class ForestFamily:
             r = twice[0]
             key = RegionKey(int(left[r]), int(right[r]))
             raise DuplicateRegionError(f"region {key} given twice")
-        depth, parent = _nest(left.tolist(), right.tolist())
-        depth = np.array(depth, dtype=np.int64)
-        rows = np.lexsort((left, depth))
-        # row_of[r] is the new row of sorted row r; its last entry maps the
-        # roots' parent -1 to itself.
-        row_of = np.full(len(rows) + 1, -1, dtype=np.int64)
-        row_of[rows] = np.arange(len(rows))
+        # In (i, -j) order every row that ends before row r starts comes
+        # before r, and every other row before r contains it (or overlaps it,
+        # which the check below refuses); so r's depth is r + 1 minus the
+        # rows that end before it starts.
+        k = len(left)
+        depth = np.arange(1, k + 1) - np.searchsorted(np.sort(right), left)
+        # A stable sort on depth gives the (depth, i) order, as regions of
+        # one depth are disjoint.  On the depth-major keys a row's parent is
+        # the last row before it one level up: the last key below its own
+        # key less k.
+        rows = np.argsort(depth, kind="stable")
+        key = depth[rows] * k + rows
+        parent = np.searchsorted(key, key - k) - 1
+        left, right, zeta = left[rows], right[rows], zeta[rows]
+        # The rows before the first one that ends past its parent nest, so
+        # their depths and parents are exact; that row, in (i, -j) order, is
+        # the first that nests in no earlier row, and its parent is the
+        # innermost earlier row it meets.
+        over = np.flatnonzero((parent >= 0) & (right > right[parent]))
+        if over.size:
+            r = over[rows[over].argmin()]
+            top = RegionKey(int(left[parent[r]]), int(right[parent[r]]))
+            key = RegionKey(int(left[r]), int(right[r]))
+            raise OverlapError(f"regions {top} and {key} overlap without nesting")
         self.m = m
         self.atom_sizes = sizes
         self._offsets = _frozen(offsets)
-        self._left = _frozen(left[rows])
-        self._right = _frozen(right[rows])
-        self._zeta = self._checked(zeta[rows])
+        self._left = _frozen(left)
+        self._right = _frozen(right)
+        self._zeta = self._checked(zeta)
         self._depth = _frozen(depth[rows])
-        self._parent = _frozen(row_of[np.array(parent, dtype=np.int64)[rows]])
+        self._parent = _frozen(parent)
         height = int(depth.max(initial=0))
         self._levels = _frozen(
             np.searchsorted(self._depth, np.arange(height + 1), side="right")

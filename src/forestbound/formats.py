@@ -13,13 +13,14 @@ All numeric rendering is locale-independent.
 from __future__ import annotations
 
 import json
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
 
 from .curve import BoundCurve
 from .errors import FormatError
-from .forest import ForestFamily, RegionKey, build_family
+from .forest import ForestFamily, RegionKey
 
 
 def dump_forest(family: ForestFamily) -> str:
@@ -58,10 +59,23 @@ def parse_forest(text: str) -> ForestFamily:
     try:
         m = doc["m"]
         atom_sizes = doc["atom_sizes"]
-        regions = [(r["i"], r["j"], r["zeta"]) for r in doc["regions"]]
+        columns = _region_fields(doc["regions"])
     except (KeyError, TypeError) as exc:
         raise FormatError(f"forest file missing or malformed field: {exc}") from None
-    return build_family(m, atom_sizes, regions)
+    return ForestFamily._from_columns(m, atom_sizes, *columns)
+
+
+_FIELDS = ("i", "j", "zeta")
+
+
+def _region_fields(regions) -> list[list]:
+    """The fields i, j and zeta of every region, one list per field."""
+    try:
+        return [list(map(itemgetter(field), regions)) for field in _FIELDS]
+    except (KeyError, TypeError):
+        # Raise the fault met first when reading region by region.
+        list(map(itemgetter(*_FIELDS), regions))
+        raise
 
 
 def dump_path_csv(path_indices: Sequence[int]) -> str:
@@ -81,11 +95,22 @@ def parse_path_csv(text: str) -> list[int]:
 
 
 def parse_pvalues_csv(text: str) -> list[float]:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "p_value":
+    """The p-values of a single-column CSV, read as ``float`` reads each line.
+
+    Blank lines and the whitespace around an entry are skipped; the first
+    line left must be the header ``p_value``.
+    """
+    lines = list(filter(str.strip, text.splitlines()))
+    if not lines or lines[0].strip() != "p_value":
         raise FormatError("p-value CSV must start with a 'p_value' header")
+    del lines[0]
     try:
-        return [float(ln) for ln in lines[1:]]
+        # numpy converts each string with float, surrounding whitespace and all.
+        return np.array(lines, dtype=np.float64).tolist()
+    except ValueError:
+        pass
+    try:  # line by line, to name the first bad entry without its whitespace
+        return [float(ln.strip()) for ln in lines]
     except ValueError as exc:
         raise FormatError(f"bad p-value entry: {exc}") from None
 

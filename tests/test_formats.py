@@ -149,6 +149,41 @@ class TestForestRoundTrip:
         with pytest.raises(fb.SizeMismatchError):
             parse_forest(doc(region=(True, True)))
 
+    @pytest.mark.parametrize(
+        "regions, error, message",
+        [
+            # Each region is read whole before the next: the missing zeta of
+            # the first region is named, not the missing j of the second.
+            (
+                [{"i": 1, "j": 1}, {"i": 2}],
+                FormatError,
+                "forest file missing or malformed field: 'zeta'",
+            ),
+            (
+                [{"i": 1, "j": 1, "zeta": 0}, [1, 2, 0]],
+                FormatError,
+                "forest file missing or malformed field: "
+                "list indices must be integers or slices, not str",
+            ),
+            (
+                5,
+                FormatError,
+                "forest file missing or malformed field: 'int' object is not iterable",
+            ),
+            (
+                [{"i": 1, "j": 1, "zeta": 0.5}, {"i": 1.0, "j": 2, "zeta": 1}],
+                fb.ZetaRangeError,
+                "zeta must be an integer, got 0.5",
+            ),
+        ],
+    )
+    def test_parse_names_the_first_fault(self, regions, error, message):
+        doc = {"m": 2, "atom_sizes": [1, 1], "regions": regions}
+        with pytest.raises(error) as info:
+            parse_forest(json.dumps(doc))
+        assert type(info.value) is error
+        assert str(info.value) == message
+
 
 class TestPathCsv:
     def test_round_trip(self):
@@ -226,6 +261,36 @@ class TestPvaluesCsvOddInputs:
         pvalues = parse_pvalues_csv(f"p_value\n{entry}\n")
         with pytest.raises(fb.InvalidProbabilityError):
             fb.curve_from_pvalues(family, pvalues)
+
+
+class TestPvaluesCsvEntries:
+    """The whole column is converted at once; a refused entry is still named
+    as ``float`` names the first bad line once its whitespace is stripped."""
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ("p_value\n0.5\n  foo  \n0.25\n", "'foo'"),
+            ("p_value\n0.5 0.6\n", "'0.5 0.6'"),
+            ("p_value\n\t0.5  0.6\t\n", "'0.5  0.6'"),
+            ("p_value\n0.1\n0x1p-2\nbar\n", "'0x1p-2'"),
+        ],
+    )
+    def test_first_bad_entry_named(self, text, named):
+        message = f"bad p-value entry: could not convert string to float: {named}"
+        with pytest.raises(FormatError) as info:
+            parse_pvalues_csv(text)
+        assert str(info.value) == message
+
+    def test_values_are_python_floats(self):
+        got = parse_pvalues_csv("p_value\n0.5\n1\n")
+        assert got == [0.5, 1.0] and all(type(x) is float for x in got)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False), max_size=20))
+    def test_reads_what_float_reads(self, values):
+        text = "p_value\n" + "".join(f"  {x!r} \n\n" for x in values)
+        assert parse_pvalues_csv(text) == [float(repr(x)) for x in values]
 
 
 class TestCurveCsv:

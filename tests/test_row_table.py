@@ -11,11 +11,12 @@ equality.
 
 import json
 import operator
+import random
 from itertools import accumulate
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import forestbound as fb
@@ -37,6 +38,7 @@ from conftest import (
     EXAMPLE_CURVE,
     EXAMPLE_PATH,
     check_parent_column,
+    random_family,
     reference_walk,
 )
 
@@ -103,11 +105,24 @@ def reference_dump(m, sizes, table, depths):
     return json.dumps(doc, indent=2) + "\n"
 
 
-def error_class(build, args):
+def reference_nest(keys):
+    """{key: (depth, parent key or None)} by the stack pass over the keys in
+    (i, -j) order, as the family was nested before its array pass."""
+    nest, stack = {}, []
+    for key in sorted(keys, key=lambda k: (k[0], -k[1])):
+        while stack and stack[-1][1] < key[0]:
+            stack.pop()
+        assert not stack or key[1] <= stack[-1][1], "not laminar"
+        nest[key] = (len(stack) + 1, stack[-1] if stack else None)
+        stack.append(key)
+    return nest
+
+
+def raised(build, args):
     try:
         build(*args)
     except ForestError as exc:
-        return type(exc)
+        return exc
     return None
 
 
@@ -263,9 +278,12 @@ class TestAgainstReference:
     @given(corrupted_inputs())
     def test_corrupted_inputs(self, corrupted):
         kind, args = corrupted
-        expected = error_class(reference_build, args)
+        expected = raised(reference_build, args)
         assert expected is not None, kind  # the corruption is a fault
-        assert error_class(fb.build_family, args) is expected, kind
+        got = raised(fb.build_family, args)
+        assert type(got) is type(expected), kind
+        if kind == "overlap":  # the same two regions are named
+            assert str(got) == str(expected)
 
     @settings(max_examples=300, deadline=None)
     @given(laminar_inputs(), st.data())
@@ -286,6 +304,128 @@ class TestAgainstReference:
             other = data.draw(laminar_inputs())
         same = reference_build(*args)[:3] == reference_build(*other)[:3]
         assert (fb.build_family(*args) == fb.build_family(*other)) == same
+
+
+def check_nesting(fam):
+    """``_depth`` and ``_parent`` are what the stack pass gives."""
+    keys = list(map(RegionKey, fam._left.tolist(), fam._right.tolist()))
+    nest = reference_nest(keys)
+    for key, depth, parent in zip(keys, fam._depth.tolist(), fam._parent.tolist()):
+        assert (depth, keys[parent] if parent >= 0 else None) == nest[key], key
+
+
+class TestNestingAgainstStackPass:
+    # ``laminar_inputs`` stops at 8 atoms; these families have 100 to 400
+    # regions and dyadic ones up to 4095, so the sorted ends are long.
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_random_families(self, seed, complete):
+        rng = random.Random(seed)
+        fam = random_family(rng, max_atoms=300, min_atoms=100, complete=complete)
+        assume(100 <= len(fam) <= 400)
+        check_nesting(fam)
+        check_nesting(fb.complete_family(fam))
+        if fam.is_complete:
+            check_nesting(fb.prune(fam).pruned_family)
+
+    @pytest.mark.parametrize("height", range(1, 13))
+    def test_dyadic(self, height):
+        fam = fb.build_dyadic(height, 2)
+        check_nesting(fam)
+        assert fam._depth.tolist() == np.repeat(
+            np.arange(1, height + 1), 2 ** np.arange(height)
+        ).tolist()
+
+
+class TestFirstFault:
+    """With several faults, the one raised is the first the per-value checks
+    meet: m, the atom sizes, then each triple's i, j and zeta in input
+    order; then 64-bit range by column, key range, duplicates in (i, -j)
+    order, nesting, and budgets in (depth, i) order."""
+
+    @pytest.mark.parametrize(
+        "m, sizes, regions, error, message",
+        [
+            (
+                2, (1, 1), [(1, 1, 0.5), (1.0, 2, 1)],
+                ZetaRangeError, "zeta must be an integer, got 0.5",
+            ),
+            (
+                2, (1.0, True), [(1, 1, 0)],
+                SizeMismatchError, "atom size must be an integer, got 1.0",
+            ),
+            (
+                2, (True, 1.0), [(1, 1, 0)],
+                SizeMismatchError, "atom size must be an integer, got True",
+            ),
+            (
+                1.0, (1, 1), [(0, 1, 0.5)],
+                SizeMismatchError, "m must be an integer, got 1.0",
+            ),
+            (
+                2, (1, 1), [(1, 1, True), (1, 2, 2.0)],
+                ZetaRangeError, "zeta must be an integer, got True",
+            ),
+            (
+                2, (1, 1), [(1.5, 1, 0), (1, 2)],
+                SizeMismatchError, "region start must be an integer, got 1.5",
+            ),
+            (
+                2, (1, 1), [(2**70, 1, 0), (1, 1, 0.5)],
+                ZetaRangeError, "zeta must be an integer, got 0.5",
+            ),
+            (
+                2, (1, 1), [(1, 2**70, 0), (2**70, 1, 0)],
+                IndexOutOfRangeError,
+                "a region start is outside the 64-bit integer range",
+            ),
+            (  # a range fault after a duplicate
+                2, (1, 1), [(1, 1, 0), (1, 1, 0), (3, 3, 0)],
+                IndexOutOfRangeError, "region (3, 3) outside atom range 1..2",
+            ),
+            (  # a duplicate after an overlap
+                3, (1, 1, 1), [(1, 2, 0), (2, 3, 0), (2, 3, 0)],
+                DuplicateRegionError, "region RegionKey(i=2, j=3) given twice",
+            ),
+            (  # a budget fault before an overlap
+                3, (1, 1, 1), [(1, 2, 99), (2, 3, 0)],
+                OverlapError,
+                "regions RegionKey(i=1, j=2) and RegionKey(i=2, j=3) "
+                "overlap without nesting",
+            ),
+            (  # two overlaps: the first in (i, -j) order
+                5, (1,) * 5, [(3, 5, 0), (1, 3, 0), (2, 4, 0)],
+                OverlapError,
+                "regions RegionKey(i=1, j=3) and RegionKey(i=2, j=4) "
+                "overlap without nesting",
+            ),
+            (  # the first in (i, -j) order, though a later one is shallower
+                14, (1,) * 14, [(12, 14, 0), (11, 13, 0), (1, 10, 0), (2, 4, 0), (3, 6, 0)],
+                OverlapError,
+                "regions RegionKey(i=2, j=4) and RegionKey(i=3, j=6) "
+                "overlap without nesting",
+            ),
+            (  # the innermost earlier region met is named
+                6, (1,) * 6, [(1, 6, 0), (1, 3, 0), (2, 2, 0), (2, 5, 0)],
+                OverlapError,
+                "regions RegionKey(i=1, j=3) and RegionKey(i=2, j=5) "
+                "overlap without nesting",
+            ),
+            (  # budgets are checked in (depth, i) order
+                2, (1, 1), [(1, 1, -1), (1, 2, 3)],
+                ZetaRangeError, "zeta=3 for region RegionKey(i=1, j=2) outside 0..2",
+            ),
+        ],
+    )
+    def test_class_and_message(self, m, sizes, regions, error, message):
+        with pytest.raises(ForestError) as info:
+            fb.build_family(m, sizes, regions)
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+    def test_row_that_is_no_triple(self):
+        with pytest.raises(ValueError, match="not enough values to unpack"):
+            fb.build_family(2, (1, 1), [(1, 1, 0), (1, 2)])
 
 
 class TestCurvesOnDrawnFamilies:
