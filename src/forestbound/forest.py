@@ -209,7 +209,8 @@ class ForestFamily:
         # A stable sort on depth gives the (depth, i) order, as regions of
         # one depth are disjoint.  On the depth-major keys a row's parent is
         # the last row before it one level up: the last key below its own
-        # key less k.
+        # key less k.  Keys are below k * (k + 1), within int64 for any k
+        # that fits in memory.
         rows = np.argsort(depth, kind="stable")
         key = depth[rows] * k + rows
         parent = np.searchsorted(key, key - k) - 1
