@@ -2,11 +2,12 @@
 
 ``reference_build`` is how a family was built before its regions became one
 row table: per-triple checks into a dict, then one stack sweep over the keys
-for the depths.  Hypothesis draws laminar families (complete, incomplete,
-with gaps, with zero budgets) and single-fault corruptions of them.  The
-family must accept and reject exactly what the reference does, with the same
-error class, and agree with it on regions, depths, the forest file and
-equality.
+for the depths (``reference_nest``, which also gives the parents).
+Hypothesis draws laminar families (complete, incomplete, with gaps, with zero
+budgets) and single-fault corruptions of them.  The family must accept and
+reject exactly what the reference does, with the same error class (and, for
+an overlap, the same message), and agree with it on regions, depths, parents,
+the forest file and equality.
 """
 
 import json
@@ -83,16 +84,22 @@ def reference_build(m, atom_sizes, regions):
         if not (0 <= zeta <= size):
             raise ZetaRangeError(f"zeta={zeta} for region {key} outside 0..{size}")
         table[key] = zeta
-    depths = {}
-    stack = []
-    for key in sorted(table, key=lambda k: (k[0], -k[1])):
+    depths = {key: depth for key, (depth, _) in reference_nest(table).items()}
+    return m, sizes, table, depths
+
+
+def reference_nest(keys):
+    """{key: (depth, parent key or None)} by one stack pass over the keys in
+    (i, -j) order, as the family was nested before its array pass."""
+    nest, stack = {}, []
+    for key in sorted(keys, key=lambda k: (k[0], -k[1])):
         while stack and stack[-1][1] < key[0]:
             stack.pop()
         if stack and key[1] > stack[-1][1]:
             raise OverlapError(f"regions {stack[-1]} and {key} overlap without nesting")
-        depths[key] = len(stack) + 1
+        nest[key] = (len(stack) + 1, stack[-1] if stack else None)
         stack.append(key)
-    return m, sizes, table, depths
+    return nest
 
 
 def reference_dump(m, sizes, table, depths):
@@ -103,19 +110,6 @@ def reference_dump(m, sizes, table, depths):
         "regions": [{"i": k.i, "j": k.j, "zeta": table[k]} for k in keys],
     }
     return json.dumps(doc, indent=2) + "\n"
-
-
-def reference_nest(keys):
-    """{key: (depth, parent key or None)} by the stack pass over the keys in
-    (i, -j) order, as the family was nested before its array pass."""
-    nest, stack = {}, []
-    for key in sorted(keys, key=lambda k: (k[0], -k[1])):
-        while stack and stack[-1][1] < key[0]:
-            stack.pop()
-        assert not stack or key[1] <= stack[-1][1], "not laminar"
-        nest[key] = (len(stack) + 1, stack[-1] if stack else None)
-        stack.append(key)
-    return nest
 
 
 def raised(build, args):
