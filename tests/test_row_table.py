@@ -317,10 +317,9 @@ class TestNestingAgainstStackPass:
         rng = random.Random(seed)
         fam = random_family(rng, max_atoms=300, min_atoms=100, complete=complete)
         assume(100 <= len(fam) <= 400)
-        check_nesting(fam)
-        check_nesting(fb.complete_family(fam))
-        if fam.is_complete:
-            check_nesting(fb.prune(fam).pruned_family)
+        full = fb.complete_family(fam)
+        for family in (fam, full, fb.prune(full).pruned_family):
+            check_nesting(family)
 
     @pytest.mark.parametrize("height", range(1, 13))
     def test_dyadic(self, height):
