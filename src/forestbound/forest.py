@@ -160,10 +160,14 @@ class ForestFamily:
     ) -> None:
         m, sizes = _checked_sizes(m, atom_sizes)
         rows = list(regions)
-        try:
-            columns = tuple(zip(*rows, strict=True)) if rows else ((), (), ())
-        except (TypeError, ValueError):  # a row that is no triple
-            columns = ()
+        columns = ()
+        # Only tuple rows are transposed: the fallback reads the rows again,
+        # and a row that is an iterator could be read once only.
+        if set(map(type, rows)) <= {tuple}:
+            try:
+                columns = tuple(zip(*rows, strict=True))
+            except ValueError:  # rows of unequal lengths
+                pass
         self._build(m, sizes, *_region_columns(columns, rows))
 
     @classmethod

@@ -95,22 +95,11 @@ def parse_path_csv(text: str) -> list[int]:
 
 
 def parse_pvalues_csv(text: str) -> list[float]:
-    """The p-values of a single-column CSV, read as ``float`` reads each line.
-
-    Blank lines and the whitespace around an entry are skipped; the first
-    line left must be the header ``p_value``.
-    """
-    lines = list(filter(str.strip, text.splitlines()))
-    if not lines or lines[0].strip() != "p_value":
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if not lines or lines[0] != "p_value":
         raise FormatError("p-value CSV must start with a 'p_value' header")
-    del lines[0]
     try:
-        # numpy converts each string with float, surrounding whitespace and all.
-        return np.array(lines, dtype=np.float64).tolist()
-    except ValueError:
-        pass
-    try:  # line by line, to name the first bad entry without its whitespace
-        return [float(ln.strip()) for ln in lines]
+        return [float(ln) for ln in lines[1:]]
     except ValueError as exc:
         raise FormatError(f"bad p-value entry: {exc}") from None
 

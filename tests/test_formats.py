@@ -264,8 +264,8 @@ class TestPvaluesCsvOddInputs:
 
 
 class TestPvaluesCsvEntries:
-    """The whole column is converted at once; a refused entry is still named
-    as ``float`` names the first bad line once its whitespace is stripped."""
+    """Each entry is read as ``float`` reads the line stripped of its
+    whitespace; the first bad one is named."""
 
     @pytest.mark.parametrize(
         "text, named",
@@ -274,6 +274,8 @@ class TestPvaluesCsvEntries:
             ("p_value\n0.5 0.6\n", "'0.5 0.6'"),
             ("p_value\n\t0.5  0.6\t\n", "'0.5  0.6'"),
             ("p_value\n0.1\n0x1p-2\nbar\n", "'0x1p-2'"),
+            ("p_value\n0.25\x00\n", "'0.25\\x00'"),
+            ("p_value\n0.5\n0.25\x00\x00\n", "'0.25\\x00\\x00'"),
         ],
     )
     def test_first_bad_entry_named(self, text, named):

@@ -420,6 +420,31 @@ class TestFirstFault:
         with pytest.raises(ValueError, match="not enough values to unpack"):
             fb.build_family(2, (1, 1), [(1, 1, 0), (1, 2)])
 
+    @pytest.mark.parametrize(
+        "regions, error, message",
+        [
+            ([iter((1, 1, 0.5))], ZetaRangeError, "zeta must be an integer, got 0.5"),
+            (
+                [iter((1, 1, 0)), iter((1.0, 2, 1))],
+                SizeMismatchError, "region start must be an integer, got 1.0",
+            ),
+            ([iter((1, 1, 0.5)), 5], ZetaRangeError, "zeta must be an integer, got 0.5"),
+            ([iter((1, 1, 0)), 5], TypeError, "cannot unpack non-iterable int object"),
+            ([[1, 1, 0.5], (1.0, 2, 1)], ZetaRangeError, "zeta must be an integer, got 0.5"),
+        ],
+    )
+    def test_rows_that_are_no_tuples(self, regions, error, message):
+        # Rows are read as the per-value checks read them, once each.
+        with pytest.raises(error) as info:
+            fb.build_family(2, (1, 1), regions)
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+    def test_rows_read_once_build_the_same_family(self):
+        rows = [(1, 2, 2), (1, 1, 1), (2, 2, 0)]
+        once = fb.build_family(2, (1, 1), (iter(row) for row in rows))
+        assert once == fb.build_family(2, (1, 1), rows)
+
 
 class TestCurvesOnDrawnFamilies:
     @settings(max_examples=200, deadline=None)
