@@ -142,14 +142,15 @@ class ForestFamily:
 
     Construction checks m, the atom sizes and the columns i, j and zeta
     whole: columns of exact ints become int64 arrays, and only when a column
-    holds anything else are the triples checked value by value, in input
-    order.  The structural pass sorts the rows by (i, -j).  Row r's depth is
-    then r + 1 less the rows that end before it starts (one ``searchsorted``
-    on the sorted ends); a stable sort on depth gives the (depth, i) order;
-    and a row's parent is the last earlier row one level up (one
-    ``searchsorted`` on depth-major keys).  A partial overlap shows as a row
-    that ends past its parent; the first such row in (i, -j) order and its
-    parent are the two regions named.  Costs are O(K log K) for K regions.
+    holds anything else, or a row is no tuple, are the triples checked value
+    by value, in input order.  The structural pass sorts the rows by
+    (i, -j).  Row r's depth is then r + 1 less the rows that end before it
+    starts (one ``searchsorted`` on the sorted ends); a stable sort on depth
+    gives the (depth, i) order; and a row's parent is the last earlier row
+    one level up (one ``searchsorted`` on depth-major keys).  A partial
+    overlap shows as a row that ends past its parent; the first such row in
+    (i, -j) order and its parent are the two regions named.  Costs are
+    O(K log K) for K regions.
     """
 
     def __init__(
