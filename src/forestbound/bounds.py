@@ -10,6 +10,13 @@ selection is sorted as one array and counted with ``searchsorted``, in
 O(|S| log |S| + N log |S| + |K|) per call; below, a Python loop counts it, in
 O(|S| + N + |K|).
 
+Hypothesis indices from callers have one array reader, ``_index_array``: it
+reads vstar's selection from NUMPY_MIN_ATOMS up, the path of both curve
+functions and the path column of the CSV writers.  Whatever it does not
+read, each caller hands to its own Python validator, which raises the
+refusal: :func:`atom_hit_counts` for vstar, :func:`validate_path` for the
+curves, and a per-entry scan for the writers.
+
 The three oracle functions recompute the same quantity straight from its
 defining optimization problems by exhaustive enumeration.  They exist only to
 cross-check ``vstar`` on small instances and refuse anything large.
@@ -140,28 +147,22 @@ def _prefix_counts(
     """The sweep's prefix counts of ``selection``, which is checked as
     :func:`atom_hit_counts` checks it.
 
-    From NUMPY_MIN_ATOMS atoms up, a selection that numpy reads as a 1-D
-    integer array is sorted once, and ``searchsorted`` against the atom
-    offsets counts the members up to each atom's end; nothing of size m is
-    built and no Python loop runs over the members.
+    From NUMPY_MIN_ATOMS atoms up, a selection that :func:`_index_array`
+    reads is sorted once, and ``searchsorted`` against the atom offsets
+    counts the members up to each atom's end; nothing of size m is built and
+    no Python loop runs over the members.  Any other selection, and one with
+    a repeat, goes to :func:`atom_hit_counts`.
     """
     if family.n_atoms < NUMPY_MIN_ATOMS:
         return list(accumulate(atom_hit_counts(family, selection)))
-
-    def counts(members: np.ndarray) -> np.ndarray | None:
-        members = np.sort(members)
-        if (members[1:] == members[:-1]).any():
-            return None
-        return np.searchsorted(members, family._offsets, side="right")
-
     if not isinstance(selection, (Sequence, np.ndarray)):
         selection = list(selection)  # sets and one-shot iterables
-    return _index_array(
-        family.m,
-        selection,
-        counts,
-        lambda: np.cumsum(atom_hit_counts(family, selection)),
-    )
+    members = _index_array(family.m, selection)
+    if members is not None:
+        members = np.sort(members)
+        if not (members[1:] == members[:-1]).any():
+            return np.searchsorted(members, family._offsets, side="right")
+    return np.cumsum(atom_hit_counts(family, selection))
 
 
 def vstar(family: ForestFamily, selection: Collection[int]) -> int:
@@ -201,52 +202,41 @@ def validate_path(m: int, path: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _index_array(m: int, values, finish, fallback):
-    """Check ``values`` as one array of indices in 1..m.
-
-    A sequence or array that numpy reads as a 1-D integer array is checked
-    whole: range, a boolean at the entry whose value is 1, and repeats, which
-    ``finish(indices)`` checks on the int64 array before it returns the
-    caller's result (None on a repeat).  Any other input, and every fault
-    found, goes to ``fallback()``, the caller's Python validator, so a
-    refusal raises the same error and message.
-    """
-    steps = None
-    if isinstance(values, (Sequence, np.ndarray)):
-        try:
-            steps = np.asarray(values)
-        except (TypeError, ValueError, OverflowError):  # ragged or exotic
-            pass
-    if steps is not None and steps.ndim == 1:
-        if not steps.size:
-            return finish(steps.astype(np.int64))
-        if steps.dtype.kind in "iu":
-            steps = steps.astype(np.int64, copy=False)  # uint64 past 2**63 wraps
-            lo = steps.min()
-            # A list may hold True or np.True_, which numpy reads as 1.
-            if (
-                1 <= lo
-                and steps.max() <= m
-                and not (
-                    lo == 1
-                    and isinstance(values[int(steps.argmin())], (bool, np.bool_))
-                )
-            ):
-                out = finish(steps)
-                if out is not None:
-                    return out
-    return fallback()
+def _index_array(bound: int, values) -> np.ndarray | None:
+    """The one array check of caller-supplied hypothesis indices: ``values``
+    as int64 when numpy reads it as a 1-D integer array of entries in
+    1..bound, with no boolean among those equal to 1 (numpy reads True as 1);
+    otherwise None, and the caller's Python validator raises the refusal.
+    Repeats are the caller's to find."""
+    if not isinstance(values, (Sequence, np.ndarray)):
+        return None
+    try:
+        array = np.asarray(values)
+    except (TypeError, ValueError, OverflowError):  # ragged or exotic
+        return None
+    if array.ndim != 1:
+        return None
+    if not array.size:
+        return array.astype(np.int64)
+    if array.dtype.kind not in "iu":
+        return None
+    lo = array.min()
+    if lo < 1 or array.max() > bound:
+        return None
+    if lo == 1 and not isinstance(values, np.ndarray):
+        ones = np.flatnonzero(array == 1).tolist()
+        if any(isinstance(values[i], (bool, np.bool_)) for i in ones):
+            return None
+    return array.astype(np.int64, copy=False)
 
 
 def _path_array(m: int, path: Sequence[int]) -> np.ndarray:
     """:func:`validate_path` as one array: the path as int64, repeats found
-    by ``bincount``; see :func:`_index_array`."""
-    return _index_array(
-        m,
-        path,
-        lambda steps: steps if np.bincount(steps).max(initial=0) <= 1 else None,
-        lambda: np.array(validate_path(m, path), dtype=np.int64),
-    )
+    by ``bincount``; a path refused or repeating goes to validate_path."""
+    steps = _index_array(m, path)
+    if steps is None or np.bincount(steps).max(initial=0) > 1:
+        return np.array(validate_path(m, path), dtype=np.int64)
+    return steps
 
 
 # -- oracles -------------------------------------------------------------

@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import _path_array, _require_complete, validate_path, vstar
+from .bounds import _path_array, _require_complete, vstar
 from .forest import ForestFamily
 from .zeta import _check_pvalues
 
@@ -109,7 +109,7 @@ def naive_curve(family: ForestFamily, path: Sequence[int]) -> BoundCurve:
     returns one value per prefix length, starting at V_0 = 0.
     """
     _require_complete(family)
-    steps = validate_path(family.m, path)
+    steps = _path_array(family.m, path).tolist()
     values = [0]
     selected: set[int] = set()
     for idx in steps:

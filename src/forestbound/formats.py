@@ -18,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .bounds import _index_array
 from .curve import BoundCurve
 from .errors import FormatError
 from .forest import ForestFamily, RegionKey
@@ -70,6 +71,8 @@ _FIELDS = ("i", "j", "zeta")
 
 def _region_fields(regions) -> list[list]:
     """The fields i, j and zeta of every region, one list per field."""
+    if isinstance(regions, (dict, str)):  # iterable, but no JSON array
+        raise TypeError("'regions' must be a JSON array")
     try:
         return [list(map(itemgetter(field), regions)) for field in _FIELDS]
     except (KeyError, TypeError):
@@ -156,19 +159,11 @@ _BLOCK_ROWS = 1 << 13  # rows rendered at once, which bounds the temporaries
 
 
 def _index_column(path: Sequence[int]) -> np.ndarray:
-    """The path as an int64 array of hypothesis indices (integers >= 1)."""
-    try:
-        idx = np.asarray(path)
-    except (TypeError, ValueError, OverflowError):  # ragged or exotic
-        idx = None
-    if idx is not None and idx.ndim == 1:
-        if not idx.size:
-            return np.zeros(0, np.int64)
-        if idx.dtype.kind in "iu" and 1 <= idx.min() and idx.max() <= _INT64_MAX:
-            # A list may hold True or np.True_, which numpy reads as 1.
-            ones = [] if isinstance(path, np.ndarray) else np.flatnonzero(idx == 1)
-            if not any(isinstance(path[i], (bool, np.bool_)) for i in ones):
-                return idx.astype(np.int64, copy=False)
+    """The path as an int64 array of hypothesis indices (integers >= 1),
+    repeats allowed."""
+    idx = _index_array(_INT64_MAX, path)
+    if idx is not None:
+        return idx
     for x in path:
         if (
             isinstance(x, (bool, np.bool_))

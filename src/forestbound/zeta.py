@@ -11,6 +11,7 @@ Third-party estimates plug in through :func:`apply_zetas`.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -31,14 +32,22 @@ def zeta_trivial(family: ForestFamily) -> ForestFamily:
 
 def _check_alpha(alpha: float) -> None:
     # The one check of a confidence level, for every entry point taking one.
-    if not 0.0 < alpha < 1.0:
+    # A bool is a Real, and a string or None fails the comparison.
+    if (
+        isinstance(alpha, bool)
+        or not isinstance(alpha, numbers.Real)
+        or not 0.0 < alpha < 1.0
+    ):
         raise InvalidProbabilityError(f"alpha must be in (0, 1), got {alpha}")
 
 
 def _check_pvalues(m: int, pvalues: Sequence[float]) -> np.ndarray:
     # The one check of a p-value vector, for every entry point taking one.
+    # Booleans, complex numbers, bytes and strings are no p-values, though
+    # a float conversion reads the first and the last two.
     try:
-        arr = np.asarray(pvalues, dtype=float)
+        arr = np.asarray(pvalues)
+        arr = None if arr.dtype.kind in "bcSU" else arr.astype(float, copy=False)
     except (TypeError, ValueError):  # non-numeric or ragged input
         arr = None
     if arr is None or arr.shape != (m,) or not (

@@ -178,8 +178,8 @@ class TestValidation:
 
 
 class TestLargeSidePathCheck:
-    # fast_curve checks the path as one array and hands every fault to
-    # validate_path, so both refuse alike, on the golden family as on a
+    # fast_curve and naive_curve check the path as one array and hand every
+    # fault to validate_path, so all refuse alike, on the golden family as on a
     # family of 2 * NUMPY_MIN_ATOMS atoms.
     M = 2 * NUMPY_MIN_ATOMS
 
@@ -221,6 +221,7 @@ class TestLargeSidePathCheck:
             for check in (
                 lambda: fb.fast_curve(family, bad(m)),
                 lambda: _path_array(m, bad(m)),
+                lambda: fb.naive_curve(family, bad(m)),
             ):
                 with pytest.raises(NotAPermutationError) as got:
                     check()

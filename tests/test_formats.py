@@ -175,6 +175,18 @@ class TestForestRoundTrip:
                 fb.ZetaRangeError,
                 "zeta must be an integer, got 0.5",
             ),
+            (
+                {},
+                FormatError,
+                "forest file missing or malformed field: "
+                "'regions' must be a JSON array",
+            ),
+            (
+                "",
+                FormatError,
+                "forest file missing or malformed field: "
+                "'regions' must be a JSON array",
+            ),
         ],
     )
     def test_parse_names_the_first_fault(self, regions, error, message):
@@ -477,6 +489,8 @@ class TestCurveCsvRefusals:
             [1, "2"],
             [1, None],
             [[1], [2]],
+            [1, True],
+            [3, 1, np.True_],
         ],
         ids=repr,
     )

@@ -241,6 +241,9 @@ class TestZetaEstimator:
         ["a"] * 25,
         [[0.5]] * 12 + [[0.5, 0.5]] * 13,
         [{}] * 25,
+        [True] * 25,
+        np.ones(25, bool),
+        ["0.5"] * 25,
     ],
 )
 def test_one_pvalue_check(example_family, bad):
@@ -253,7 +256,7 @@ def test_one_pvalue_check(example_family, bad):
     assert str(dkwm.value) == "expected 25 finite p-values within [0, 1]"
 
 
-@pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, 1.5, float("nan")])
+@pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, 1.5, float("nan"), "0.1", None, True])
 def test_one_alpha_check(example_family, alpha):
     # zeta_dkwm, ZetaEstimator and ScenarioConfig share one check and message.
     message = r"^alpha must be in \(0, 1\), got "
