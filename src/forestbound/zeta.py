@@ -43,8 +43,8 @@ def _check_alpha(alpha: float) -> None:
 
 def _check_pvalues(m: int, pvalues: Sequence[float]) -> np.ndarray:
     # The one check of a p-value vector, for every entry point taking one.
-    # Booleans, complex numbers, bytes and strings are no p-values, though
-    # a float conversion reads the first and the last two.
+    # Booleans, complex numbers, bytes and strings are no p-values, though a
+    # float cast reads each of them as a number.
     try:
         arr = np.asarray(pvalues)
         arr = None if arr.dtype.kind in "bcSU" else arr.astype(float, copy=False)

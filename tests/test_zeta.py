@@ -256,7 +256,9 @@ def test_one_pvalue_check(example_family, bad):
     assert str(dkwm.value) == "expected 25 finite p-values within [0, 1]"
 
 
-@pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, 1.5, float("nan"), "0.1", None, True])
+@pytest.mark.parametrize(
+    "alpha", [0.0, 1.0, -0.5, 1.5, float("nan"), "0.1", None, True]
+)
 def test_one_alpha_check(example_family, alpha):
     # zeta_dkwm, ZetaEstimator and ScenarioConfig share one check and message.
     message = r"^alpha must be in \(0, 1\), got "
