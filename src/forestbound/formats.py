@@ -171,7 +171,9 @@ def _index_column(path: Sequence[int]) -> np.ndarray:
             or not 1 <= x <= _INT64_MAX
         ):
             raise FormatError(f"path entry {x!r} is not a hypothesis index")
-    raise FormatError("path must be a flat sequence of hypothesis indices")
+    if not isinstance(path, (Sequence, np.ndarray)):  # the scan consumed it
+        raise FormatError("path must be a flat sequence of hypothesis indices")
+    return np.array(path, dtype=np.int64)  # e.g. an object array of ints
 
 
 def _ndigits(x: np.ndarray) -> np.ndarray:

@@ -35,6 +35,8 @@ VARIANTS = (
 )
 
 WARMUP_RUNS = 2
+# scaling_check alternates its two scenarios over this many rounds.
+SCALING_ROUNDS = 3
 
 
 @dataclass(frozen=True)
@@ -244,7 +246,6 @@ def scaling_check(
     cfg_small: ScenarioConfig,
     cfg_large: ScenarioConfig,
     variants: Sequence[str] | None = None,
-    rounds: int = 3,
 ) -> ScalingReport:
     """Median-time ratios between two scenarios with a 10x hypothesis gap.
 
@@ -258,15 +259,13 @@ def scaling_check(
         raise ValueError("cfg_large.m must be exactly 10 * cfg_small.m")
     if cfg_large.tree_height != cfg_small.tree_height:
         raise ValueError("scenarios must share the tree height")
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
     small = _PreparedScenario(cfg_small, variants)
     large = _PreparedScenario(cfg_large, variants)
     times_small: dict[str, list[float]] = {}
     times_large: dict[str, list[float]] = {}
-    per_round_small = -(-cfg_small.n_repl // rounds)
-    per_round_large = -(-cfg_large.n_repl // rounds)
-    for _ in range(rounds):
+    per_round_small = -(-cfg_small.n_repl // SCALING_ROUNDS)
+    per_round_large = -(-cfg_large.n_repl // SCALING_ROUNDS)
+    for _ in range(SCALING_ROUNDS):
         small.collect(per_round_small, times_small)
         large.collect(per_round_large, times_large)
     report_small = small.report(times_small)

@@ -32,19 +32,21 @@ def zeta_trivial(family: ForestFamily) -> ForestFamily:
 
 def _check_alpha(alpha: float) -> None:
     # The one check of a confidence level, for every entry point taking one.
-    # A bool is a Real, and a string or None fails the comparison.
-    if (
-        isinstance(alpha, bool)
-        or not isinstance(alpha, numbers.Real)
-        or not 0.0 < alpha < 1.0
-    ):
-        raise InvalidProbabilityError(f"alpha must be in (0, 1), got {alpha}")
+    # A bool is a Real.  A value that is no real number is shown by repr, so
+    # a refused "0.1" does not read like an accepted 0.1.
+    real = isinstance(alpha, numbers.Real) and not isinstance(alpha, bool)
+    if not (real and 0.0 < alpha < 1.0):
+        shown = alpha if real else repr(alpha)
+        raise InvalidProbabilityError(f"alpha must be in (0, 1), got {shown}")
 
 
 def _check_pvalues(m: int, pvalues: Sequence[float]) -> np.ndarray:
     # The one check of a p-value vector, for every entry point taking one.
     # Booleans, complex numbers, bytes and strings are no p-values, though a
-    # float cast reads each of them as a number.
+    # float cast reads each of them as a number.  Among other numbers, or in
+    # an object array, numpy reads True as 1.0 and False as 0.0, so only the
+    # entries equal to 0 or 1 of such input are probed for a bool.
+    message = f"expected {m} finite p-values within [0, 1]"
     try:
         arr = np.asarray(pvalues)
         arr = None if arr.dtype.kind in "bcSU" else arr.astype(float, copy=False)
@@ -53,7 +55,11 @@ def _check_pvalues(m: int, pvalues: Sequence[float]) -> np.ndarray:
     if arr is None or arr.shape != (m,) or not (
         np.all(np.isfinite(arr)) and arr.min() >= 0.0 and arr.max() <= 1.0
     ):
-        raise InvalidProbabilityError(f"expected {m} finite p-values within [0, 1]")
+        raise InvalidProbabilityError(message)
+    if not isinstance(pvalues, np.ndarray) or pvalues.dtype == object:
+        ends = np.flatnonzero((arr == 0.0) | (arr == 1.0)).tolist()
+        if any(isinstance(pvalues[i], (bool, np.bool_)) for i in ends):
+            raise InvalidProbabilityError(message)
     return arr
 
 

@@ -46,7 +46,6 @@ def scaling_reports():
         cfg_small,
         cfg_large,
         variants=("naive.not.pruned", "fast.not.pruned"),
-        rounds=3,
     )
 
 

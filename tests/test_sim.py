@@ -209,14 +209,12 @@ class TestScalingCheck:
             )
 
     def test_produces_ratios(self):
-        small = tiny_config(n_repl=2)
-        large = tiny_config(m=160, n_repl=2)
-        result = fb.scaling_check(
-            small, large, variants=("fast.not.pruned",), rounds=2
-        )
+        small = tiny_config(n_repl=3)
+        large = tiny_config(m=160, n_repl=3)
+        result = fb.scaling_check(small, large, variants=("fast.not.pruned",))
         assert set(result.ratios) == {"fast.not.pruned"}
         assert result.ratios["fast.not.pruned"] > 0
-        assert result.small.summaries["fast.not.pruned"].neval == 2
+        assert result.small.summaries["fast.not.pruned"].neval == 3
 
 
 class TestReportFormats:

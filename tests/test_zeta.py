@@ -244,6 +244,8 @@ class TestZetaEstimator:
         [True] * 25,
         np.ones(25, bool),
         ["0.5"] * 25,
+        [0.5] * 24 + [True],
+        np.array([0.5] * 24 + [True], dtype=object),
     ],
 )
 def test_one_pvalue_check(example_family, bad):
@@ -268,3 +270,6 @@ def test_one_alpha_check(example_family, alpha):
         fb.ZetaEstimator("dkwm", alpha)
     with pytest.raises(InvalidProbabilityError, match=message):
         fb.ScenarioConfig(m=16, tree_height=3, signal_leaves=frozenset(), alpha=alpha)
+    if alpha == "0.1":  # a value that is no real number is shown by repr
+        with pytest.raises(InvalidProbabilityError, match=r"got '0\.1'$"):
+            fb.zeta_dkwm(example_family, [0.5] * 25, alpha)
