@@ -58,7 +58,10 @@ def _check_pvalues(m: int, pvalues: Sequence[float]) -> np.ndarray:
         raise InvalidProbabilityError(message)
     if not isinstance(pvalues, np.ndarray) or pvalues.dtype == object:
         ends = np.flatnonzero((arr == 0.0) | (arr == 1.0)).tolist()
-        if any(isinstance(pvalues[i], (bool, np.bool_)) for i in ends):
+        # The entries' distinct types, gathered first, cost several times
+        # less than an isinstance call per entry.
+        kinds = {type(pvalues[i]) for i in ends}
+        if any(issubclass(kind, (bool, np.bool_)) for kind in kinds):
             raise InvalidProbabilityError(message)
     return arr
 
