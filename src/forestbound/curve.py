@@ -16,7 +16,8 @@ min(zeta, sum over its children) times, which is its value in the
 bottom-up sweep of vstar(S_t), so V_t counts the roots' increment times up
 to t.  The engine sorts the steps once, keyed by their atom's row, then
 per depth level, deepest first, keeps each row's first zeta keys and
-re-keys them to the parent row.  It costs O(T log T) per level with no
+re-keys them to the parent row; a level whose budgets are all vacuous
+keeps every key and needs no sort.  It costs O(T log T) per level with no
 Python loop over the steps.  The curve it returns holds V_0..V_T as the
 int64 array of the counts' running sum; the CSV writer renders that array,
 and only a caller of :attr:`BoundCurve.values` turns it into Python ints.
@@ -156,15 +157,19 @@ def _curve_np(family: ForestFamily, steps: np.ndarray) -> BoundCurve:
     zeta, levels = family._zeta, family._levels.tolist()
     # keys[cut[h - 1]:cut[h]] are the steps in the atoms of depth h.
     cut = keys.searchsorted(bounds[family._levels]).tolist()
+    # Only a level with a budget below its region's size can refuse a key;
+    # the budgets of zeta_trivial, the default of forestbound bench, never do.
+    binds = np.logical_or.reduceat(zeta < family._sizes(), levels[:-1]).tolist()
     up = keys[:0]  # the keys the level below handed up
     for h in range(len(levels) - 1, 0, -1):
         here = np.concatenate((up, keys[cut[h - 1] : cut[h]]))
-        here.sort()
-        a, b = levels[h - 1], levels[h]
-        # A key stays when fewer than zeta keys of its row come before it.
-        first = here.searchsorted(bounds[a : b + 1])
-        limit = (first[:-1] + zeta[a:b]).repeat(first[1:] - first[:-1])
-        here = here[seq[: here.size] < limit]
+        if binds[h - 1]:
+            here.sort()
+            a, b = levels[h - 1], levels[h]
+            # A key stays when fewer than zeta keys of its row come before it.
+            first = here.searchsorted(bounds[a : b + 1])
+            limit = (first[:-1] + zeta[a:b]).repeat(first[1:] - first[:-1])
+            here = here[seq[: here.size] < limit]
         up = rekey[here >> shift]
         up += here
     values = np.bincount(up & ((1 << shift) - 1), minlength=n_steps + 1)

@@ -173,7 +173,9 @@ def _index_column(path: Sequence[int]) -> np.ndarray:
             raise FormatError(f"path entry {x!r} is not a hypothesis index")
     if not isinstance(path, (Sequence, np.ndarray)):  # the scan consumed it
         raise FormatError("path must be a flat sequence of hypothesis indices")
-    return np.array(path, dtype=np.int64)  # e.g. an object array of ints
+    # The entries just checked, e.g. of an object array or of bytes, which
+    # np.array would read as one value.
+    return np.fromiter(path, np.int64, len(path))
 
 
 def _ndigits(x: np.ndarray) -> np.ndarray:

@@ -510,6 +510,7 @@ class TestCurveCsvRefusals:
             np.array([5, 4], dtype=np.uint64),
             [np.int64(5), 4],
             np.array([5, 4], dtype=object),
+            b"\x05\x04",
         ):
             assert dump_curve_csv(path, self.CURVE) == text
             assert dump_path_csv(path) == "hypothesis_index\n5\n4\n"
