@@ -6,9 +6,10 @@ each region's value is its own capped budget ``zeta & |S ∩ R|``, further
 capped by the sum of its children's values, and the answer is the sum over
 the roots.  The sweep reads the selection as prefix counts per atom and
 runs over the family's row table.  From NUMPY_MIN_ATOMS atoms up, the
-selection is sorted as one array and counted with ``searchsorted``, in
-O(|S| log |S| + N log |S| + |K|) per call; below, a Python loop counts it, in
-O(|S| + N + |K|).
+selection is sorted as one array and counted with ``searchsorted`` from the
+smaller side, each member finding its atom or each atom end finding its
+place among the members, in O(|S| log |S| + min(|S| log N, N log |S|) + |K|)
+per call; below, a Python loop counts it, in O(|S| + N + |K|).
 
 Hypothesis indices from callers have one array reader, ``_index_array``: it
 reads vstar's selection from NUMPY_MIN_ATOMS up, the path of both curve
@@ -57,11 +58,12 @@ def atom_hit_counts(family: ForestFamily, selection: Collection[int]) -> list[in
     members.
     """
     distinct = isinstance(selection, (set, frozenset))
-    items = selection if distinct else tuple(selection)
     atom_of = family._atom_of()
     hits = [0] * (family.n_atoms + 1)
     try:
-        # An unhashable member, such as a list, raises TypeError here.
+        # A selection that is no collection, such as a 0-d array, and an
+        # unhashable member, such as a list, raise TypeError here.
+        items = selection if distinct else tuple(selection)
         if not distinct and len(set(items)) != len(items):
             raise IndexOutOfRangeError("selection contains duplicate indices")
         for s in items:
@@ -148,10 +150,12 @@ def _prefix_counts(
     :func:`atom_hit_counts` checks it.
 
     From NUMPY_MIN_ATOMS atoms up, a selection that :func:`_index_array`
-    reads is sorted once, and ``searchsorted`` against the atom offsets
-    counts the members up to each atom's end; nothing of size m is built and
-    no Python loop runs over the members.  Any other selection, and one with
-    a repeat, goes to :func:`atom_hit_counts`.
+    reads is sorted once and counted up to each atom's end: a selection
+    smaller than the offsets looks up each member's atom among them and
+    counts the atoms with ``bincount``, a larger one looks up each atom's end
+    among the members; nothing of size m is built and no Python loop runs
+    over the members.  Any other selection, and one with a repeat, goes to
+    :func:`atom_hit_counts`.
     """
     if family.n_atoms < NUMPY_MIN_ATOMS:
         return list(accumulate(atom_hit_counts(family, selection)))
@@ -161,7 +165,12 @@ def _prefix_counts(
     if members is not None:
         members = np.sort(members)
         if not (members[1:] == members[:-1]).any():
-            return np.searchsorted(members, family._offsets, side="right")
+            offsets = family._offsets
+            if members.size < offsets.size:  # each member finds its atom
+                hits = offsets.searchsorted(members)
+                hits = np.bincount(hits, minlength=offsets.size)
+                return hits.cumsum(out=hits)
+            return np.searchsorted(members, offsets, side="right")
     return np.cumsum(atom_hit_counts(family, selection))
 
 
@@ -180,11 +189,17 @@ def vstar(family: ForestFamily, selection: Collection[int]) -> int:
 
 def validate_path(m: int, path: Sequence[int]) -> tuple[int, ...]:
     """Check that ``path`` is a prefix of a permutation of 1..m (no booleans)."""
-    if not isinstance(path, (Sequence, np.ndarray)):
-        path = list(path)  # a one-shot iterable: the boolean check indexes it
+    try:
+        if not isinstance(path, (Sequence, np.ndarray)):
+            path = list(path)  # a one-shot iterable: the boolean check indexes it
+        entries = iter(path)
+    except TypeError:  # no sequence at all, such as a 0-d array
+        raise NotAPermutationError(
+            f"path entries must be integers, got {path!r}"
+        ) from None
     out = []
     seen = set()
-    for x in path:
+    for x in entries:
         try:
             xi = operator.index(x)
         except TypeError:

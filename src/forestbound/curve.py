@@ -14,13 +14,15 @@ are the first zeta of the steps that enter it, and a region's are the first
 zeta of the union of its children's.  Up to step t a region then passes up
 min(zeta, sum over its children) times, which is its value in the
 bottom-up sweep of vstar(S_t), so V_t counts the roots' increment times up
-to t.  The engine sorts the steps once, keyed by their atom's row, then
-per depth level, deepest first, keeps each row's first zeta keys and
-re-keys them to the parent row; a level whose budgets are all vacuous
-keeps every key and needs no sort.  It costs O(T log T) per level with no
-Python loop over the steps.  The curve it returns holds V_0..V_T as the
-int64 array of the counts' running sum; the CSV writer renders that array,
-and only a caller of :attr:`BoundCurve.values` turns it into Python ints.
+to t.  The engine sorts the T steps once, keyed by their atom's row, and
+keeps each atom's first zeta keys; then per depth level, deepest first, it
+re-keys the kept keys to the parent row and sorts and truncates only the
+keys so handed up, at most the sum of min(zeta, |R ∩ S_T|) over the child
+rows R; an atom's keys are never sorted again.  A level whose budgets are
+all vacuous keeps every key and needs no sort.  No Python loop runs over
+the steps.  The curve it returns holds V_0..V_T as the int64 array of the
+counts' running sum; the CSV writer renders that array, and only a caller
+of :attr:`BoundCurve.values` turns it into Python ints.
 
 :func:`naive_curve` evaluates vstar(S_t) afresh on every prefix S_t; it is
 quadratic in m and is the reference to compare a curve with.
@@ -140,13 +142,15 @@ def _curve_np(family: ForestFamily, steps: np.ndarray) -> BoundCurve:
 
     ``steps`` is a checked path as an int64 array.  Step t is keyed
     ``row << shift | t`` by the row that owns it, first its atom's; the keys
-    are sorted once.  Deepest level first, a row keeps the first zeta of its
-    keys and hands them to its parent, which sorts them among its own.
-    Roots hand theirs to row -1, so their keys still end in their times.
+    are sorted once, and every atom keeps its first zeta of them in one
+    pass.  Deepest level first, the keys a level kept are re-keyed to their
+    parent rows, and the level above sorts and truncates only these, since
+    its atoms' keys are already sorted and kept.  The roots' keys end in
+    their times.
     """
     n_steps = len(steps)
     shift = n_steps.bit_length()
-    seq = np.arange(n_steps + 1)  # the times 1..T, and positions in a level
+    seq = np.arange(n_steps + 1)  # the times 1..T, and positions in a row
     keys = family._atom_rows()[steps]
     keys <<= shift
     keys += seq[1:]
@@ -155,25 +159,35 @@ def _curve_np(family: ForestFamily, steps: np.ndarray) -> BoundCurve:
     bounds = rows << shift  # rows r..q own the keys bounds[r]:bounds[q + 1]
     rekey = (family._parent - rows[:-1]) << shift
     zeta, levels = family._zeta, family._levels.tolist()
-    # keys[cut[h - 1]:cut[h]] are the steps in the atoms of depth h.
-    cut = keys.searchsorted(bounds[family._levels]).tolist()
     # Only a level with a budget below its region's size can refuse a key;
     # the budgets of zeta_trivial, the default of forestbound bench, never do.
     binds = np.logical_or.reduceat(zeta < family._sizes(), levels[:-1]).tolist()
-    up = keys[:0]  # the keys the level below handed up
-    for h in range(len(levels) - 1, 0, -1):
-        here = np.concatenate((up, keys[cut[h - 1] : cut[h]]))
-        if binds[h - 1]:
-            here.sort()
-            a, b = levels[h - 1], levels[h]
-            # A key stays when fewer than zeta keys of its row come before it.
-            first = here.searchsorted(bounds[a : b + 1])
-            limit = (first[:-1] + zeta[a:b]).repeat(first[1:] - first[:-1])
-            here = here[seq[: here.size] < limit]
+    if any(binds):
+        keys = _first_keys(keys, bounds, zeta, seq)
+    # keys[cut[h - 1]:cut[h]] are the kept steps in the atoms of depth h.
+    cut = keys.searchsorted(bounds[family._levels]).tolist()
+    # The deepest level holds atoms only.
+    here = keys[cut[-2] :]
+    for h in range(len(levels) - 2, 0, -1):
+        # The keys handed up belong to the level's non-atom rows, which its
+        # atoms' keys never share.
         up = rekey[here >> shift]
         up += here
-    values = np.bincount(up & ((1 << shift) - 1), minlength=n_steps + 1)
+        if binds[h - 1]:
+            up.sort()
+            a, b = levels[h - 1], levels[h]
+            up = _first_keys(up, bounds[a : b + 1], zeta[a:b], seq)
+        here = np.concatenate((up, keys[cut[h - 1] : cut[h]]))
+    values = np.bincount(here & ((1 << shift) - 1), minlength=n_steps + 1)
     return BoundCurve(values.cumsum(out=values))
+
+
+def _first_keys(keys, bounds, zeta, seq) -> np.ndarray:
+    # The sorted keys of rows r..q (bounds[r]:bounds[q + 1], budgets zeta),
+    # each row cut to its first zeta: a key stays when fewer than zeta keys
+    # of its row come before it.  seq is 0, 1, ... over at least the keys.
+    first = keys.searchsorted(bounds)
+    return keys[seq[: keys.size] < (first[:-1] + zeta).repeat(np.diff(first))]
 
 
 def curve_from_pvalues(family: ForestFamily, pvalues: Sequence[float]) -> BoundCurve:

@@ -164,7 +164,13 @@ def _index_column(path: Sequence[int]) -> np.ndarray:
     idx = _index_array(_INT64_MAX, path)
     if idx is not None:
         return idx
-    for x in path:
+    try:
+        entries = iter(path)
+    except TypeError:  # no sequence at all, such as a 0-d array
+        raise FormatError(
+            "path must be a flat sequence of hypothesis indices"
+        ) from None
+    for x in entries:
         if (
             isinstance(x, (bool, np.bool_))
             or not isinstance(x, (int, np.integer))

@@ -17,6 +17,7 @@ families.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -51,9 +52,9 @@ def prune(family: ForestFamily) -> PruneResult:
     left, right, zeta = family._left, family._right, family._zeta
     children = family._sizes() + np.asarray(acc[:-1], dtype=np.int64)
     dominated = (left != right) & (zeta >= children)
-    removed = frozenset(
-        map(RegionKey, left[dominated].tolist(), right[dominated].tolist())
-    )
+    # RegionKey._make without a Python call per region.
+    pairs = zip(left[dominated].tolist(), right[dominated].tolist())
+    removed = frozenset(map(tuple.__new__, repeat(RegionKey), pairs))
     kept = ~dominated
     pruned = ForestFamily._from_rows(
         family.m, family.atom_sizes, left[kept], right[kept], zeta[kept]

@@ -82,12 +82,22 @@ class TestEquivalence:
             fam = fb.complete_family(random_family(rng, max_atoms=10, max_atom_size=4))
             path = random_path(rng, fam.m, partial=rng.random() < 0.3)
             # The zeta_trivial twin has only vacuous levels, and on a partial
-            # path some levels receive no key.
-            for twin in (fam, fb.zeta_trivial(fam)):
-                naive = fb.naive_curve(twin, path)
-                fast = fb.fast_curve(twin, path)
-                pruned = fb.fast_curve(fb.prune(twin).pruned_family, path)
-                assert naive == fast == pruned
+            # path some levels receive no key.  In the other two twins only
+            # the atoms' budgets bind, or only the other rows'.
+            atom = fam._left == fam._right
+            sizes = fam._sizes()
+            twins = (
+                fam,
+                fb.zeta_trivial(fam),
+                fam._with_zetas(np.where(atom, fam._zeta, sizes)),
+                fam._with_zetas(np.where(atom, sizes, fam._zeta)),
+            )
+            for twin in twins:
+                for steps in (path, path[:1], []):
+                    naive = fb.naive_curve(twin, steps)
+                    fast = fb.fast_curve(twin, steps)
+                    pruned = fb.fast_curve(fb.prune(twin).pruned_family, steps)
+                    assert naive == fast == pruned
 
     def test_engine_equals_naive_on_large_families(self):
         # From NUMPY_MIN_ATOMS atoms up naive_curve's vstar runs the numpy
@@ -213,6 +223,7 @@ class TestLargeSidePathCheck:
         lambda m: [[1], [2]],
         lambda m: "12",
         lambda m: [None],
+        lambda m: np.array(5),
     ]
 
     @pytest.mark.parametrize("bad", BAD)

@@ -491,6 +491,7 @@ class TestCurveCsvRefusals:
             [[1], [2]],
             [1, True],
             [3, 1, np.True_],
+            np.array(5),
         ],
         ids=repr,
     )

@@ -82,6 +82,7 @@ class TestPruneProperties:
             kept = set(result.pruned_family.keys())
             assert kept | result.removed == set(fam.keys())
             assert kept & result.removed == set()
+            assert all(type(k) is fb.RegionKey for k in result.removed)
 
     def test_atoms_never_removed(self):
         rng = random.Random(67)
