@@ -150,7 +150,7 @@ def _curve_np(family: ForestFamily, steps: np.ndarray) -> BoundCurve:
     """
     n_steps = len(steps)
     shift = n_steps.bit_length()
-    seq = np.arange(n_steps + 1)  # the times 1..T, and positions in a row
+    seq = np.arange(n_steps + 1)  # the times 1..T, and positions among keys
     keys = family._atom_rows()[steps]
     keys <<= shift
     keys += seq[1:]
@@ -182,7 +182,9 @@ def _curve_np(family: ForestFamily, steps: np.ndarray) -> BoundCurve:
     return BoundCurve(values.cumsum(out=values))
 
 
-def _first_keys(keys, bounds, zeta, seq) -> np.ndarray:
+def _first_keys(
+    keys: np.ndarray, bounds: np.ndarray, zeta: np.ndarray, seq: np.ndarray
+) -> np.ndarray:
     # The sorted keys of rows r..q (bounds[r]:bounds[q + 1], budgets zeta),
     # each row cut to its first zeta: a key stays when fewer than zeta keys
     # of its row come before it.  seq is 0, 1, ... over at least the keys.
