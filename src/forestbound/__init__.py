@@ -1,13 +1,7 @@
 """Post hoc upper bounds on false discoveries over forest-structured
 reference families, with an incremental algorithm for whole bound curves."""
 
-from .bounds import (
-    atom_hit_counts,
-    oracle_vstar_partitions,
-    oracle_vstar_sets,
-    oracle_vstar_subsets,
-    vstar,
-)
+from .bounds import atom_hit_counts, vstar
 from .curve import (
     BoundCurve,
     curve_from_pvalues,
@@ -25,7 +19,6 @@ from .errors import (
     NotAPermutationError,
     OverlapError,
     SizeMismatchError,
-    TooLargeForOracleError,
     UnknownRegionError,
     ZetaRangeError,
 )
@@ -37,7 +30,7 @@ from .forest import (
     build_family,
     complete_family,
 )
-from .pruning import PruneResult, compact, definition_removed_set, prune
+from .pruning import PruneResult, compact, prune
 from .sim import (
     BenchReport,
     ScalingReport,
@@ -70,7 +63,6 @@ __all__ = [
     "ScenarioConfig",
     "SizeMismatchError",
     "TimingSummary",
-    "TooLargeForOracleError",
     "UnknownRegionError",
     "ZetaEstimator",
     "ZetaRangeError",
@@ -81,14 +73,10 @@ __all__ = [
     "complete_family",
     "compact",
     "curve_from_pvalues",
-    "definition_removed_set",
     "fast_curve",
     "fdp_curve",
     "gen_pvalues",
     "naive_curve",
-    "oracle_vstar_partitions",
-    "oracle_vstar_sets",
-    "oracle_vstar_subsets",
     "prune",
     "run_scenario",
     "scaling_check",

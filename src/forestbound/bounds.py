@@ -1,4 +1,4 @@
-"""Single-evaluation bound and brute-force reference oracles.
+"""Single-evaluation bound and the checks of caller-supplied indices.
 
 :func:`vstar` computes the interpolated upper bound on the number of false
 discoveries in a selection set, as a bottom-up sweep over the forest levels:
@@ -17,37 +17,24 @@ functions and the path column of the CSV writers.  Whatever it does not
 read, each caller hands to its own Python validator, which raises the
 refusal: :func:`atom_hit_counts` for vstar, :func:`validate_path` for the
 curves, and a per-entry scan for the writers.
-
-The three oracle functions recompute the same quantity straight from its
-defining optimization problems by exhaustive enumeration.  They exist only to
-cross-check ``vstar`` on small instances and refuse anything large.
 """
 
 from __future__ import annotations
 
 import operator
 from itertools import accumulate
-from typing import Collection, Iterator, Sequence
+from typing import Collection, Sequence
 
 import numpy as np
 
-from .errors import (
-    IncompleteFamilyError,
-    IndexOutOfRangeError,
-    NotAPermutationError,
-    TooLargeForOracleError,
-)
-from .forest import ForestFamily, RegionKey
+from .errors import IncompleteFamilyError, IndexOutOfRangeError, NotAPermutationError
+from .forest import ForestFamily
 
 # Families with at least this many atoms go through the vectorized sweep of
 # vstar and prune; below it, plain lists beat the per-call overhead (on a
 # 2-vCPU x86 host, the numpy sweep took 1.3-1.6x the Python time at 64
 # atoms, 0.8-1.2x at 128).
 NUMPY_MIN_ATOMS = 128
-
-ORACLE_MAX_M = 20
-ORACLE_MAX_ATOMS = 12
-ORACLE_MAX_REGIONS = 20
 
 
 def atom_hit_counts(family: ForestFamily, selection: Collection[int]) -> list[int]:
@@ -253,125 +240,3 @@ def _path_array(m: int, path: Sequence[int]) -> np.ndarray:
         return np.array(validate_path(m, path), dtype=np.int64)
     return steps
 
-
-# -- oracles -------------------------------------------------------------
-
-
-def _selection_mask(family: ForestFamily, selection: Collection[int]) -> int:
-    atom_hit_counts(family, selection)  # refuses what vstar refuses
-    mask = 0
-    for s in selection:
-        mask |= 1 << (operator.index(s) - 1)
-    return mask
-
-
-def _region_masks(family: ForestFamily) -> list[tuple[int, int]]:
-    out = []
-    for reg in family.regions():
-        mask = 0
-        for h in family.region_members(reg.key):
-            mask |= 1 << (h - 1)
-        out.append((mask, reg.zeta))
-    return out
-
-
-def oracle_vstar_sets(family: ForestFamily, selection: Collection[int]) -> int:
-    """Defining maximum: the largest subset of S obeying every region budget.
-
-    Restricting the candidate null sets to A ⊆ S loses nothing, since only
-    ``|S ∩ A|`` is scored; the budgets constrain ``|A ∩ R| <= zeta`` for
-    every region.  Guard: the enumeration size ``min(m, |S|) <= 20``.
-    """
-    if min(family.m, len(selection)) > ORACLE_MAX_M:
-        raise TooLargeForOracleError(
-            f"|S|={len(selection)} and m={family.m} both exceed {ORACLE_MAX_M}"
-        )
-    smask = _selection_mask(family, selection)
-    regs = _region_masks(family)
-    best = 0
-    sub = smask
-    while True:
-        size = sub.bit_count()
-        if size > best and all(
-            (sub & rmask).bit_count() <= z for rmask, z in regs
-        ):
-            best = size
-        if sub == 0:
-            return best
-        sub = (sub - 1) & smask
-
-
-def _tilings(
-    starts: dict[int, list[int]], pos: int, stop: int
-) -> Iterator[list[RegionKey]]:
-    # All ways to cover atoms pos..stop by family intervals, left to right.
-    if pos > stop:
-        yield []
-        return
-    for j in starts.get(pos, ()):
-        if j <= stop:
-            for rest in _tilings(starts, j + 1, stop):
-                yield [RegionKey(pos, j), *rest]
-
-
-def partition_subsets(family: ForestFamily) -> Iterator[list[RegionKey]]:
-    """All region subsets whose intervals tile the atom range exactly."""
-    starts: dict[int, list[int]] = {}
-    for key in family.keys():
-        starts.setdefault(key.i, []).append(key.j)
-    yield from _tilings(starts, 1, family.n_atoms)
-
-
-def oracle_vstar_partitions(
-    family: ForestFamily, selection: Collection[int]
-) -> int:
-    """Partition form: minimum summed capped budget over tiling subsets.
-
-    Requires a complete family (the atoms guarantee at least one tiling).
-    Guard: N <= 12.
-    """
-    if family.n_atoms > ORACLE_MAX_ATOMS:
-        raise TooLargeForOracleError(
-            f"N={family.n_atoms} exceeds {ORACLE_MAX_ATOMS}"
-        )
-    _require_complete(family)
-    hits = atom_hit_counts(family, selection)
-    prefix = list(accumulate(hits))
-    best = None
-    for tiling in partition_subsets(family):
-        total = 0
-        for key in tiling:
-            count = prefix[key.j] - prefix[key.i - 1]
-            total += min(family.zeta(key), count)
-        if best is None or total < best:
-            best = total
-    assert best is not None
-    return best
-
-
-def oracle_vstar_subsets(family: ForestFamily, selection: Collection[int]) -> int:
-    """Free-subset form: min over all region subsets Q of the capped budgets
-    plus the uncovered remainder ``|S \\ U Q|``.  Works on incomplete
-    families.  Guard: |K| <= 20.
-    """
-    k = len(family)
-    if k > ORACLE_MAX_REGIONS:
-        raise TooLargeForOracleError(f"|K|={k} exceeds {ORACLE_MAX_REGIONS}")
-    smask = _selection_mask(family, selection)
-    regs = _region_masks(family)
-    terms = [min(z, (smask & rmask).bit_count()) for rmask, z in regs]
-    # Incremental enumeration: reuse the union mask and budget sum of the
-    # subset with the lowest bit cleared.
-    union = [0] * (1 << k)
-    total = [0] * (1 << k)
-    best = smask.bit_count()  # Q = empty set
-    for q in range(1, 1 << k):
-        low = q & -q
-        idx = low.bit_length() - 1
-        prev = q ^ low
-        union[q] = union[prev] | regs[idx][0]
-        total[q] = total[prev] + terms[idx]
-        cost = total[q] + (smask & ~union[q]).bit_count()
-        if cost < best:
-            best = cost
-    return best

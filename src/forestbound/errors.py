@@ -45,9 +45,5 @@ class InvalidProbabilityError(ForestError):
     """A p-value is not a finite number in [0, 1]."""
 
 
-class TooLargeForOracleError(ForestError):
-    """The instance exceeds the hard size guard of a brute-force oracle."""
-
-
 class FormatError(ForestError):
     """A serialized family, path, or table does not match its schema."""

@@ -79,7 +79,12 @@ def _checked_sizes(m, atom_sizes) -> tuple[int, tuple[int, ...]]:
     m = _as_count(m, "m")
     if not 1 <= m < 2**63:  # every count must fit the int64 row table
         raise SizeMismatchError(f"m must be in 1..2**63 - 1, got {m}")
-    sizes = tuple(atom_sizes)
+    try:
+        sizes = tuple(atom_sizes)
+    except TypeError:  # no sequence at all, such as 1 or None
+        raise SizeMismatchError(
+            f"atom sizes must be a sequence of integers, got {atom_sizes!r}"
+        ) from None
     if not _all_ints(sizes):
         sizes = tuple(_as_count(s, "atom size") for s in sizes)
     if not sizes or min(sizes) < 1:

@@ -22,6 +22,7 @@ from .bounds import _index_array
 from .curve import BoundCurve
 from .errors import FormatError
 from .forest import ForestFamily, RegionKey
+from .zeta import _check_pvalues
 
 
 def dump_forest(family: ForestFamily) -> str:
@@ -87,29 +88,51 @@ def dump_path_csv(path_indices: Sequence[int]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_path_csv(text: str) -> list[int]:
+def _csv_entries(text: str, header: str, what: str) -> list[str]:
+    """The non-blank lines of a one-column CSV after its header, stripped.
+
+    ``int`` and ``float`` also read underscores (``1_0`` as 10) and non-ASCII
+    digits, so an entry holding either is refused; one check covers the
+    whole body.
+    """
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "hypothesis_index":
-        raise FormatError("path CSV must start with a 'hypothesis_index' header")
+    if not lines or lines[0] != header:
+        raise FormatError(f"{what} CSV must start with a '{header}' header")
+    entries = lines[1:]
+    body = "".join(entries)
+    if "_" in body or not body.isascii():
+        bad = next(e for e in entries if "_" in e or not e.isascii())
+        raise FormatError(
+            f"bad {what} entry: {bad!r} holds an underscore or a non-ASCII character"
+        )
+    return entries
+
+
+def parse_path_csv(text: str) -> list[int]:
+    entries = _csv_entries(text, "hypothesis_index", "path")
     try:
-        return [int(ln) for ln in lines[1:]]
+        return [int(ln) for ln in entries]
     except ValueError as exc:
         raise FormatError(f"bad path entry: {exc}") from None
 
 
 def parse_pvalues_csv(text: str) -> list[float]:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "p_value":
-        raise FormatError("p-value CSV must start with a 'p_value' header")
+    entries = _csv_entries(text, "p_value", "p-value")
     try:
-        return [float(ln) for ln in lines[1:]]
+        return [float(ln) for ln in entries]
     except ValueError as exc:
         raise FormatError(f"bad p-value entry: {exc}") from None
 
 
 def dump_pvalues_csv(pvalues: Sequence[float]) -> str:
+    """One row per p-value, each checked as every p-value entry checks it
+    (finite, in [0, 1], no boolean)."""
+    if not isinstance(pvalues, (Sequence, np.ndarray)):
+        pvalues = list(pvalues)  # one-shot iterables
     lines = ["p_value"]
-    lines.extend(format(float(p), ".17g") for p in pvalues)
+    if len(pvalues):  # the check reads no empty vector
+        checked = _check_pvalues(len(pvalues), pvalues)
+        lines.extend(format(p, ".17g") for p in checked.tolist())
     return "\n".join(lines) + "\n"
 
 

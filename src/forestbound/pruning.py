@@ -7,11 +7,6 @@ value unchanged while shrinking the family.  The detection reuses the
 bottom-up sweep of the single-evaluation bound on the full selection set,
 where each region's capped budget is just its budget: a region is dominated
 exactly when its budget is at least the summed values of its children.
-
-:func:`definition_removed_set` re-derives the removed set straight from the
-tiling-domination definition by memoized enumeration; it is deliberately
-independent of the sweep and exists to cross-check :func:`prune` on small
-families.
 """
 
 from __future__ import annotations
@@ -69,48 +64,3 @@ def compact(result: PruneResult) -> ForestFamily:
     kept for callers that compact after pruning."""
     return result.pruned_family
 
-
-def definition_removed_set(family: ForestFamily) -> frozenset[RegionKey]:
-    """Removed set per the domination definition, by direct enumeration.
-
-    A region (i, j) is removed when its atom interval can be tiled by at
-    least two family members whose budgets sum to at most its own.  Tiling
-    costs are minimized by recursion on the leftmost uncovered atom,
-    memoized per sub-interval.  Small families only; cross-checks prune().
-    """
-    ends: dict[int, list[int]] = {}
-    for key in family.keys():
-        ends.setdefault(key.i, []).append(key.j)
-    zeta = {key: family.zeta(key) for key in family.keys()}
-    memo: dict[tuple[int, int], float] = {}
-
-    def min_tiling_cost(a: int, b: int) -> float:
-        # Cheapest tiling of atoms a..b by family intervals; inf if none.
-        if a > b:
-            return 0.0
-        got = memo.get((a, b))
-        if got is not None:
-            return got
-        best = float("inf")
-        for j in ends.get(a, ()):
-            if j <= b:
-                tail = min_tiling_cost(j + 1, b)
-                cost = zeta[RegionKey(a, j)] + tail
-                if cost < best:
-                    best = cost
-        memo[(a, b)] = best
-        return best
-
-    removed = set()
-    for key in family.keys():
-        if key.i == key.j:
-            continue
-        best_two_pieces = float("inf")
-        for j in ends.get(key.i, ()):
-            if j < key.j:  # first piece proper, so at least two pieces total
-                cost = zeta[RegionKey(key.i, j)] + min_tiling_cost(j + 1, key.j)
-                if cost < best_two_pieces:
-                    best_two_pieces = cost
-        if best_two_pieces <= zeta[key]:
-            removed.add(key)
-    return frozenset(removed)

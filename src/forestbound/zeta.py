@@ -191,10 +191,10 @@ def apply_zetas(
         r = family._row(key)
         size = sizes[r]
         try:
-            clamped = None if isinstance(z, bool) else min(max(int(z), 0), size)
+            clamped = min(max(int(z), 0), size)
         except (TypeError, ValueError, OverflowError):
             clamped = None
-        if clamped is None:
+        if clamped is None or isinstance(z, (bool, np.bool_)):
             raise ZetaRangeError(
                 f"zeta estimate {z!r} for region {key} is not a finite number"
             )

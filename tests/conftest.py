@@ -1,5 +1,7 @@
-"""Shared fixtures: the m=25 worked example, random family generators and
-the paper's curve walk, kept as the reference for ``fast_curve``.
+"""Shared fixtures: the m=25 worked example, random family generators, and
+the brute-force references the package is checked against: the paper's curve
+walk for ``fast_curve``, three exhaustive oracles for ``vstar`` and the
+domination definition for ``prune``.
 
 The example family has 8 atoms of sizes (2, 2, 6, 6, 4, 1, 1, 3) and is used
 throughout as a golden instance: its completion adds atoms 2, 6, 8; pruning
@@ -7,12 +9,16 @@ removes exactly the region (6, 7); and the bound curve along the fixed
 9-step path is (1, 2, 3, 3, 4, 5, 5, 5, 5).
 """
 
+import operator
 import random
+from itertools import accumulate
+from typing import Collection, Iterator
 
 import pytest
 
 import forestbound as fb
-from forestbound.bounds import validate_path
+from forestbound import ForestFamily, RegionKey, atom_hit_counts
+from forestbound.bounds import _require_complete, validate_path
 
 EXAMPLE_M = 25
 EXAMPLE_ATOMS = (2, 2, 6, 6, 4, 1, 1, 3)
@@ -187,3 +193,185 @@ def random_path(rng: random.Random, m: int, partial: bool = False) -> list:
     if partial:
         return path[: rng.randint(0, m)]
     return path
+
+
+# -- oracles -------------------------------------------------------------
+#
+# The three oracle functions recompute vstar's value straight from its
+# defining optimization problems by exhaustive enumeration.  They exist only
+# to cross-check ``vstar`` on small instances and refuse anything large.
+
+ORACLE_MAX_M = 20
+ORACLE_MAX_ATOMS = 12
+ORACLE_MAX_REGIONS = 20
+
+
+class TooLargeForOracleError(fb.ForestError):
+    """The instance exceeds the hard size guard of a brute-force oracle."""
+
+
+def _selection_mask(family: ForestFamily, selection: Collection[int]) -> int:
+    atom_hit_counts(family, selection)  # refuses what vstar refuses
+    mask = 0
+    for s in selection:
+        mask |= 1 << (operator.index(s) - 1)
+    return mask
+
+
+def _region_masks(family: ForestFamily) -> list[tuple[int, int]]:
+    out = []
+    for reg in family.regions():
+        mask = 0
+        for h in family.region_members(reg.key):
+            mask |= 1 << (h - 1)
+        out.append((mask, reg.zeta))
+    return out
+
+
+def oracle_vstar_sets(family: ForestFamily, selection: Collection[int]) -> int:
+    """Defining maximum: the largest subset of S obeying every region budget.
+
+    Restricting the candidate null sets to A ⊆ S loses nothing, since only
+    ``|S ∩ A|`` is scored; the budgets constrain ``|A ∩ R| <= zeta`` for
+    every region.  Guard: the enumeration size ``min(m, |S|) <= 20``.
+    """
+    if min(family.m, len(selection)) > ORACLE_MAX_M:
+        raise TooLargeForOracleError(
+            f"|S|={len(selection)} and m={family.m} both exceed {ORACLE_MAX_M}"
+        )
+    smask = _selection_mask(family, selection)
+    regs = _region_masks(family)
+    best = 0
+    sub = smask
+    while True:
+        size = sub.bit_count()
+        if size > best and all(
+            (sub & rmask).bit_count() <= z for rmask, z in regs
+        ):
+            best = size
+        if sub == 0:
+            return best
+        sub = (sub - 1) & smask
+
+
+def _tilings(
+    starts: dict[int, list[int]], pos: int, stop: int
+) -> Iterator[list[RegionKey]]:
+    # All ways to cover atoms pos..stop by family intervals, left to right.
+    if pos > stop:
+        yield []
+        return
+    for j in starts.get(pos, ()):
+        if j <= stop:
+            for rest in _tilings(starts, j + 1, stop):
+                yield [RegionKey(pos, j), *rest]
+
+
+def partition_subsets(family: ForestFamily) -> Iterator[list[RegionKey]]:
+    """All region subsets whose intervals tile the atom range exactly."""
+    starts: dict[int, list[int]] = {}
+    for key in family.keys():
+        starts.setdefault(key.i, []).append(key.j)
+    yield from _tilings(starts, 1, family.n_atoms)
+
+
+def oracle_vstar_partitions(
+    family: ForestFamily, selection: Collection[int]
+) -> int:
+    """Partition form: minimum summed capped budget over tiling subsets.
+
+    Requires a complete family (the atoms guarantee at least one tiling).
+    Guard: N <= 12.
+    """
+    if family.n_atoms > ORACLE_MAX_ATOMS:
+        raise TooLargeForOracleError(
+            f"N={family.n_atoms} exceeds {ORACLE_MAX_ATOMS}"
+        )
+    _require_complete(family)
+    hits = atom_hit_counts(family, selection)
+    prefix = list(accumulate(hits))
+    best = None
+    for tiling in partition_subsets(family):
+        total = 0
+        for key in tiling:
+            count = prefix[key.j] - prefix[key.i - 1]
+            total += min(family.zeta(key), count)
+        if best is None or total < best:
+            best = total
+    assert best is not None
+    return best
+
+
+def oracle_vstar_subsets(family: ForestFamily, selection: Collection[int]) -> int:
+    """Free-subset form: min over all region subsets Q of the capped budgets
+    plus the uncovered remainder ``|S \\ U Q|``.  Works on incomplete
+    families.  Guard: |K| <= 20.
+    """
+    k = len(family)
+    if k > ORACLE_MAX_REGIONS:
+        raise TooLargeForOracleError(f"|K|={k} exceeds {ORACLE_MAX_REGIONS}")
+    smask = _selection_mask(family, selection)
+    regs = _region_masks(family)
+    terms = [min(z, (smask & rmask).bit_count()) for rmask, z in regs]
+    # Incremental enumeration: reuse the union mask and budget sum of the
+    # subset with the lowest bit cleared.
+    union = [0] * (1 << k)
+    total = [0] * (1 << k)
+    best = smask.bit_count()  # Q = empty set
+    for q in range(1, 1 << k):
+        low = q & -q
+        idx = low.bit_length() - 1
+        prev = q ^ low
+        union[q] = union[prev] | regs[idx][0]
+        total[q] = total[prev] + terms[idx]
+        cost = total[q] + (smask & ~union[q]).bit_count()
+        if cost < best:
+            best = cost
+    return best
+
+
+def definition_removed_set(family: ForestFamily) -> frozenset[RegionKey]:
+    """Removed set per the domination definition, by direct enumeration.
+
+    A region (i, j) is removed when its atom interval can be tiled by at
+    least two family members whose budgets sum to at most its own.  Tiling
+    costs are minimized by recursion on the leftmost uncovered atom,
+    memoized per sub-interval.  Deliberately independent of the sweep, for
+    small families only; cross-checks prune().
+    """
+    ends: dict[int, list[int]] = {}
+    for key in family.keys():
+        ends.setdefault(key.i, []).append(key.j)
+    zeta = {key: family.zeta(key) for key in family.keys()}
+    memo: dict[tuple[int, int], float] = {}
+
+    def min_tiling_cost(a: int, b: int) -> float:
+        # Cheapest tiling of atoms a..b by family intervals; inf if none.
+        if a > b:
+            return 0.0
+        got = memo.get((a, b))
+        if got is not None:
+            return got
+        best = float("inf")
+        for j in ends.get(a, ()):
+            if j <= b:
+                tail = min_tiling_cost(j + 1, b)
+                cost = zeta[RegionKey(a, j)] + tail
+                if cost < best:
+                    best = cost
+        memo[(a, b)] = best
+        return best
+
+    removed = set()
+    for key in family.keys():
+        if key.i == key.j:
+            continue
+        best_two_pieces = float("inf")
+        for j in ends.get(key.i, ()):
+            if j < key.j:  # first piece proper, so at least two pieces total
+                cost = zeta[RegionKey(key.i, j)] + min_tiling_cost(j + 1, key.j)
+                if cost < best_two_pieces:
+                    best_two_pieces = cost
+        if best_two_pieces <= zeta[key]:
+            removed.add(key)
+    return frozenset(removed)

@@ -20,6 +20,10 @@ from conftest import (
     EXAMPLE_M,
     EXAMPLE_PATH,
     EXAMPLE_REGIONS,
+    definition_removed_set,
+    oracle_vstar_partitions,
+    oracle_vstar_sets,
+    oracle_vstar_subsets,
     random_family,
     random_path,
     random_selection,
@@ -96,9 +100,9 @@ def test_criterion_2_oracle_equivalence():
             sel = random_selection(rng, fam.m)
             v = fb.vstar(fam, sel)
             ok = (
-                v == fb.oracle_vstar_sets(fam, sel)
-                and v == fb.oracle_vstar_subsets(fam, sel)
-                and v == fb.oracle_vstar_partitions(fam, sel)
+                v == oracle_vstar_sets(fam, sel)
+                and v == oracle_vstar_subsets(fam, sel)
+                and v == oracle_vstar_partitions(fam, sel)
             )
             checks += 1
             if not ok:
@@ -151,7 +155,7 @@ def test_criterion_4_pruning_correctness():
         )
         assert fam.n_atoms <= 8
         result = fb.prune(fam)
-        if result.removed != fb.definition_removed_set(fam):
+        if result.removed != definition_removed_set(fam):
             _report(4, "pruning correctness", False, f"(checker mismatch on {fam})")
         pruned = result.pruned_family
         if fam.m <= 12:

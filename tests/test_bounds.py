@@ -14,12 +14,9 @@ from forestbound import (
     IncompleteFamilyError,
     IndexOutOfRangeError,
     NotAPermutationError,
-    TooLargeForOracleError,
 )
 from forestbound.bounds import (
     NUMPY_MIN_ATOMS,
-    ORACLE_MAX_ATOMS,
-    ORACLE_MAX_M,
     _sweep_np,
     _sweep_py,
     atom_hit_counts,
@@ -27,7 +24,18 @@ from forestbound.bounds import (
 )
 
 import test_curve
-from conftest import EXAMPLE_CURVE, EXAMPLE_PATH, random_family, random_selection
+from conftest import (
+    EXAMPLE_CURVE,
+    EXAMPLE_PATH,
+    ORACLE_MAX_ATOMS,
+    ORACLE_MAX_M,
+    TooLargeForOracleError,
+    oracle_vstar_partitions,
+    oracle_vstar_sets,
+    oracle_vstar_subsets,
+    random_family,
+    random_selection,
+)
 
 
 def both_engines(family, selection):
@@ -99,7 +107,7 @@ class TestVstar:
                 random_family(rng, max_atoms=ORACLE_MAX_ATOMS)
             )
             sel = random_selection(rng, fam.m)
-            expected = fb.oracle_vstar_partitions(fam, sel)
+            expected = oracle_vstar_partitions(fam, sel)
             assert both_engines(fam, sel) == (expected, expected)
         for _ in range(40):
             fam = fb.complete_family(
@@ -108,7 +116,7 @@ class TestVstar:
                 )
             )
             sel = set(rng.sample(range(1, fam.m + 1), rng.randint(0, 10)))
-            expected = fb.oracle_vstar_sets(fam, sel)
+            expected = oracle_vstar_sets(fam, sel)
             assert both_engines(fam, sel) == (expected, expected)
             py, np_ = both_engines(fam, random_selection(rng, fam.m))
             assert py == np_
@@ -143,7 +151,7 @@ class TestLargeSideSelections:
         hc = list(accumulate(atom_hit_counts(fam, members)))
         expected = _sweep_py(fam, hc)[-1]
         if size <= ORACLE_MAX_M:
-            assert expected == fb.oracle_vstar_sets(fam, members)
+            assert expected == oracle_vstar_sets(fam, members)
         for form in self.FORMS:
             assert fb.vstar(fam, form(members)) == expected
 
@@ -215,7 +223,7 @@ def test_one_completeness_check(partial_family):
         lambda f: fb.fast_curve(f, [1]),
         lambda f: fb.curve_from_pvalues(f, [0.5] * f.m),
         fb.prune,
-        lambda f: fb.oracle_vstar_partitions(f, {1}),
+        lambda f: oracle_vstar_partitions(f, {1}),
     ]
     messages = set()
     for call in calls:
@@ -232,9 +240,9 @@ def test_one_completeness_check(partial_family):
 def test_oracles_share_selection_rules(example_family, bad):
     for bound in (
         fb.vstar,
-        fb.oracle_vstar_sets,
-        fb.oracle_vstar_subsets,
-        fb.oracle_vstar_partitions,
+        oracle_vstar_sets,
+        oracle_vstar_subsets,
+        oracle_vstar_partitions,
     ):
         with pytest.raises(IndexOutOfRangeError):
             bound(example_family, bad)
@@ -262,13 +270,13 @@ class TestHitCounts:
 
 class TestOracles:
     def test_sets_example(self, example_family):
-        assert fb.oracle_vstar_sets(example_family, {11}) == 1
+        assert oracle_vstar_sets(example_family, {11}) == 1
 
     def test_sets_empty(self, example_family):
-        assert fb.oracle_vstar_sets(example_family, set()) == 0
+        assert oracle_vstar_sets(example_family, set()) == 0
 
     def test_partitions_example(self, example_family):
-        assert fb.oracle_vstar_partitions(example_family, {11, 17, 12}) == 3
+        assert oracle_vstar_partitions(example_family, {11, 17, 12}) == 3
 
     def test_partitions_atoms_only_closed_form(self):
         rng = random.Random(29)
@@ -285,36 +293,36 @@ class TestOracles:
                 min(fam.zeta((a, a)), len(sel & set(fam.atom_members(a))))
                 for a in range(1, n + 1)
             )
-            assert fb.oracle_vstar_partitions(fam, sel) == expected
+            assert oracle_vstar_partitions(fam, sel) == expected
 
     def test_partitions_requires_complete(self, partial_family):
         with pytest.raises(IncompleteFamilyError):
-            fb.oracle_vstar_partitions(partial_family, {1})
+            oracle_vstar_partitions(partial_family, {1})
 
     def test_subsets_example_before_completion(self, partial_family):
         sel = set(range(11, 21))
-        assert fb.oracle_vstar_subsets(partial_family, sel) == 4
-        assert fb.oracle_vstar_sets(partial_family, sel) == 4
+        assert oracle_vstar_subsets(partial_family, sel) == 4
+        assert oracle_vstar_sets(partial_family, sel) == 4
 
     def test_subsets_never_exceeds_selection_size(self):
         rng = random.Random(31)
         for _ in range(50):
             fam = random_family(rng)
             sel = random_selection(rng, fam.m)
-            assert fb.oracle_vstar_subsets(fam, sel) <= len(sel)
+            assert oracle_vstar_subsets(fam, sel) <= len(sel)
 
     def test_guards(self):
         big = fb.build_dyadic(6, 1)  # m = 32, |K| = 63, N = 32
         with pytest.raises(TooLargeForOracleError):
-            fb.oracle_vstar_sets(big, set(range(1, 33)))
+            oracle_vstar_sets(big, set(range(1, 33)))
         with pytest.raises(TooLargeForOracleError):
-            fb.oracle_vstar_partitions(big, {1})
+            oracle_vstar_partitions(big, {1})
         with pytest.raises(TooLargeForOracleError):
-            fb.oracle_vstar_subsets(big, {1})
+            oracle_vstar_subsets(big, {1})
 
     def test_sets_allows_small_selection_on_larger_family(self, example_family):
         # m = 25 exceeds the subset budget, but |S| = 1 keeps it enumerable
-        assert fb.oracle_vstar_sets(example_family, {11}) == 1
+        assert oracle_vstar_sets(example_family, {11}) == 1
 
     def test_cross_oracle_equality(self):
         rng = random.Random(37)
@@ -322,9 +330,9 @@ class TestOracles:
             fam = random_family(rng)
             comp = fb.complete_family(fam)
             sel = random_selection(rng, fam.m)
-            reference = fb.oracle_vstar_sets(comp, sel)
-            assert fb.oracle_vstar_subsets(comp, sel) == reference
-            assert fb.oracle_vstar_partitions(comp, sel) == reference
+            reference = oracle_vstar_sets(comp, sel)
+            assert oracle_vstar_subsets(comp, sel) == reference
+            assert oracle_vstar_partitions(comp, sel) == reference
             assert fb.vstar(comp, sel) == reference
 
     def test_completion_invariance(self):
@@ -333,10 +341,10 @@ class TestOracles:
             fam = random_family(rng)
             comp = fb.complete_family(fam)
             sel = random_selection(rng, fam.m)
-            assert fb.oracle_vstar_sets(fam, sel) == fb.oracle_vstar_sets(
+            assert oracle_vstar_sets(fam, sel) == oracle_vstar_sets(
                 comp, sel
             )
-            assert fb.oracle_vstar_subsets(fam, sel) == fb.vstar(comp, sel)
+            assert oracle_vstar_subsets(fam, sel) == fb.vstar(comp, sel)
 
 
 class TestVstarProperties:

@@ -62,10 +62,14 @@ class TestValidate:
         assert main(["validate", "--in", str(bad)]) == 2
         assert "overlap" in capsys.readouterr().err
 
-    def test_malformed_json_exits_2(self, tmp_path):
+    def test_malformed_json_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.forest"
         bad.write_text("{not json")
         assert main(["validate", "--in", str(bad)]) == 2
+        for sizes in ("1", "null"):  # atom sizes that are no sequence
+            bad.write_text(f'{{"m": 1, "atom_sizes": {sizes}, "regions": []}}')
+            assert main(["validate", "--in", str(bad)]) == 2
+            assert "atom sizes must be a sequence" in capsys.readouterr().err
 
     def test_missing_file_exits_3(self, tmp_path):
         assert main(["validate", "--in", str(tmp_path / "nope.forest")]) == 3

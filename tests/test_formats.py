@@ -148,6 +148,11 @@ class TestForestRoundTrip:
             parse_forest(doc(sizes=(True, True)))
         with pytest.raises(fb.SizeMismatchError):
             parse_forest(doc(region=(True, True)))
+        for sizes in ("1", "null"):  # no sequence at all
+            with pytest.raises(fb.SizeMismatchError):
+                parse_forest(f'{{"m": 1, "atom_sizes": {sizes}, "regions": []}}')
+        with pytest.raises(fb.SizeMismatchError):
+            fb.build_family(1, 1, [])
 
     @pytest.mark.parametrize(
         "regions, error, message",
@@ -210,6 +215,10 @@ class TestPathCsv:
     def test_bad_entry(self):
         with pytest.raises(FormatError):
             parse_path_csv("hypothesis_index\nfoo\n")
+        # int() reads both as numbers: 10 and 1.
+        for entry in ("1_0", "\u0661"):
+            with pytest.raises(FormatError, match="bad path entry"):
+                parse_path_csv(f"hypothesis_index\n3\n{entry}\n")
 
     def test_empty_path(self):
         assert parse_path_csv("hypothesis_index\n") == []
@@ -223,6 +232,21 @@ class TestPvaluesCsv:
     def test_missing_header(self):
         with pytest.raises(FormatError):
             parse_pvalues_csv("0.5\n")
+
+    def test_writes_each_value_at_17_digits(self):
+        values = [0.25, 1, 0, 1e-17, np.float32(0.1), Fraction(1, 3)]
+        expected = "".join(f"{float(p):.17g}\n" for p in values)
+        assert dump_pvalues_csv(values) == "p_value\n" + expected
+        assert dump_pvalues_csv(np.array(values, dtype=float)) == "p_value\n" + expected
+        assert dump_pvalues_csv(iter(values)) == "p_value\n" + expected
+        assert dump_pvalues_csv([]) == "p_value\n"
+
+    @pytest.mark.parametrize(
+        "values", [[True, 0.5], [np.True_], ["0.5"], [7], [math.nan], [-0.1], [[0.5]]]
+    )
+    def test_refuses_what_is_no_p_value(self, values):
+        with pytest.raises(fb.InvalidProbabilityError):
+            dump_pvalues_csv(values)
 
 
 class TestPvaluesCsvOddInputs:
@@ -238,7 +262,7 @@ class TestPvaluesCsvOddInputs:
             ("p_value\r\n0.5\r\n", [0.5]),
             ("p_value\n+0.5\n", [0.5]),
             ("p_value\n.5\n1e-3\n-0.0\n", [0.5, 0.001, -0.0]),
-            ("p_value\n1_0\n0_5\n", [10.0, 5.0]),  # float() reads underscores
+            ("p_value\n1E-3\n5e-1\n", [0.001, 0.5]),
             ("p_value\ninf\n-inf\n", [math.inf, -math.inf]),
             ("p_value\n", []),  # header only
         ],
@@ -262,12 +286,16 @@ class TestPvaluesCsvOddInputs:
         with pytest.raises(FormatError, match="must start with a 'p_value' header"):
             parse_pvalues_csv(text)
 
-    @pytest.mark.parametrize("entry", ["0.5,0.1", "0x1p-2", "foo", "0.5 0.1"])
+    @pytest.mark.parametrize(
+        "entry",
+        # float() reads the last four, as 10, 5, 0.0001 and 0.5.
+        ["0.5,0.1", "0x1p-2", "foo", "0.5 0.1", "1_0", "0_5", "0.000_1", "\u0660.5"],
+    )
     def test_bad_entry(self, entry):
         with pytest.raises(FormatError, match="bad p-value entry"):
             parse_pvalues_csv(f"p_value\n{entry}\n")
 
-    @pytest.mark.parametrize("entry", ["nan", "inf", "-inf", "1_0", "-0.5"])
+    @pytest.mark.parametrize("entry", ["nan", "inf", "-inf", "-0.5"])
     def test_read_but_refused_by_the_curve(self, entry):
         family = fb.zeta_trivial(fb.build_dyadic(1, 1))
         pvalues = parse_pvalues_csv(f"p_value\n{entry}\n")

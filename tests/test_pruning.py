@@ -8,7 +8,12 @@ import forestbound as fb
 from forestbound import IncompleteFamilyError, RegionKey
 from forestbound.bounds import NUMPY_MIN_ATOMS
 
-from conftest import random_family, random_path, random_selection
+from conftest import (
+    definition_removed_set,
+    random_family,
+    random_path,
+    random_selection,
+)
 
 
 class TestPruneExample:
@@ -63,7 +68,7 @@ class TestPruneProperties:
         rng = random.Random(59)
         for _ in range(200):
             fam = fb.complete_family(random_family(rng, max_atoms=8))
-            assert fb.prune(fam).removed == fb.definition_removed_set(fam)
+            assert fb.prune(fam).removed == definition_removed_set(fam)
         for _ in range(20):
             fam = fb.complete_family(
                 random_family(
@@ -71,7 +76,7 @@ class TestPruneProperties:
                 )
             )
             result = fb.prune(fam)
-            assert result.removed == fb.definition_removed_set(fam)
+            assert result.removed == definition_removed_set(fam)
             assert result.vstar_full == fb.vstar(fam, set(range(1, fam.m + 1)))
 
     def test_removed_and_kept_partition_the_region_set(self):

@@ -30,7 +30,6 @@ from forestbound import (
     SizeMismatchError,
     ZetaRangeError,
 )
-from forestbound.bounds import ORACLE_MAX_M
 from forestbound.curve import _curve_np
 from forestbound.forest import ForestFamily
 from forestbound.formats import dump_forest
@@ -38,7 +37,12 @@ from forestbound.formats import dump_forest
 from conftest import (
     EXAMPLE_CURVE,
     EXAMPLE_PATH,
+    ORACLE_MAX_M,
     check_parent_column,
+    definition_removed_set,
+    oracle_vstar_partitions,
+    oracle_vstar_sets,
+    oracle_vstar_subsets,
     random_family,
     reference_walk,
 )
@@ -460,18 +464,18 @@ class TestCurvesOnDrawnFamilies:
         assert fast == fb.fast_curve(result.pruned_family, path)
         for t in range(len(path) + 1):
             prefix = path[:t]
-            assert fast[t] == fb.oracle_vstar_partitions(fam, prefix)
+            assert fast[t] == oracle_vstar_partitions(fam, prefix)
             # Completion adds only vacuous budgets, so the drawn family agrees.
-            assert fast[t] == fb.oracle_vstar_subsets(drawn, prefix)
+            assert fast[t] == oracle_vstar_subsets(drawn, prefix)
             if min(fam.m, t) <= ORACLE_MAX_M:
-                assert fast[t] == fb.oracle_vstar_sets(fam, prefix)
+                assert fast[t] == oracle_vstar_sets(fam, prefix)
         kept = [
             (r.key.i, r.key.j, r.zeta)
             for r in fam.regions()
             if r.key not in result.removed
         ]
         assert result.pruned_family == fb.build_family(fam.m, fam.atom_sizes, kept)
-        assert result.removed == fb.definition_removed_set(fam)
+        assert result.removed == definition_removed_set(fam)
 
 
 # -- the rank-and-truncate curve engine ----------------------------------
@@ -497,7 +501,7 @@ class TestCurveEngine:
         assert got == reference_walk(fam, path) == fb.naive_curve(fam, path)
         assert _curve_np(fb.prune(fam).pruned_family, _steps(path)) == got
         for t in range(len(path) + 1):
-            assert got[t] == fb.oracle_vstar_partitions(fam, path[:t])
+            assert got[t] == oracle_vstar_partitions(fam, path[:t])
 
     def test_example_family(self, example_family):
         # Atoms at depths 1 to 3, a zero budget at (7, 7), and (6, 7) pruned.

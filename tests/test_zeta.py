@@ -203,7 +203,7 @@ class TestApplyZetas:
         assert out.zeta((1, 5)) == 3
 
     @pytest.mark.parametrize(
-        "bad", [float("nan"), float("inf"), -float("inf"), True]
+        "bad", [float("nan"), float("inf"), -float("inf"), True, np.True_]
     )
     def test_non_finite_or_boolean_estimate_is_a_zeta_error(self, example_family, bad):
         with pytest.raises(fb.ZetaRangeError):
