@@ -45,7 +45,7 @@ def atom_hit_counts(family: ForestFamily, selection: Collection[int]) -> list[in
     members.
     """
     distinct = isinstance(selection, (set, frozenset))
-    atom_of = family._atom_of()
+    atom_of = family._atom_of
     hits = [0] * (family.n_atoms + 1)
     try:
         # A selection that is no collection, such as a 0-d array, and an
@@ -95,7 +95,7 @@ def _sweep_py(family: ForestFamily, hc: Sequence[int]) -> list[int]:
     """
     if isinstance(hc, np.ndarray):
         hc = hc.tolist()
-    zeta, left, right, parent = family._row_lists()
+    zeta, left, right, parent = family._row_lists
     acc = [0] * (len(zeta) + 1)
     acc[-1] = hc[-1]
     for r in range(len(zeta) - 1, -1, -1):

@@ -54,7 +54,9 @@ class BoundCurve:
 
     def __init__(self, values: Sequence[int] | np.ndarray) -> None:
         array = np.array(values)  # a copy: the caller's sequence stays theirs
-        if array.ndim != 1 or (array.size and array.dtype.kind not in "iu"):
+        # An unsigned value above the int64 range would wrap.
+        wraps = array.dtype.kind == "u" and array.size and array.max() >= 2**63
+        if array.ndim != 1 or (array.size and array.dtype.kind not in "iu") or wraps:
             raise TypeError("a curve is a flat sequence of integers")
         array = array.astype(np.int64, copy=False)
         array.flags.writeable = False
@@ -151,7 +153,7 @@ def _curve_np(family: ForestFamily, steps: np.ndarray) -> BoundCurve:
     n_steps = len(steps)
     shift = n_steps.bit_length()
     seq = np.arange(n_steps + 1)  # the times 1..T, and positions among keys
-    keys = family._atom_rows()[steps]
+    keys = family._atom_rows[steps]
     keys <<= shift
     keys += seq[1:]
     keys.sort()
@@ -161,7 +163,7 @@ def _curve_np(family: ForestFamily, steps: np.ndarray) -> BoundCurve:
     zeta, levels = family._zeta, family._levels.tolist()
     # Only a level with a budget below its region's size can refuse a key;
     # the budgets of zeta_trivial, the default of forestbound bench, never do.
-    binds = np.logical_or.reduceat(zeta < family._sizes(), levels[:-1]).tolist()
+    binds = np.logical_or.reduceat(zeta < family._sizes, levels[:-1]).tolist()
     if any(binds):
         keys = _first_keys(keys, bounds, zeta, seq)
     # keys[cut[h - 1]:cut[h]] are the kept steps in the atoms of depth h.

@@ -21,21 +21,23 @@ integer checks take whole columns, and one pass over the regions sorted by
 searches (see :class:`ForestFamily`).  A refused input names the same first
 fault as a check of one value at a time would.
 
-ForestFamily instances are immutable after construction and safe to share
-across threads.  Derived lookup structures are built lazily and cached; the
-cache build is idempotent, so a race at worst duplicates work.
+ForestFamily instances hold read-only int64 arrays, m and a flag, and are
+safe to share across threads.  Views that hold Python objects are cached
+properties built on first read; a race at worst builds one twice.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import (
     DuplicateRegionError,
+    FormatError,
     IndexOutOfRangeError,
     OverlapError,
     SizeMismatchError,
@@ -75,7 +77,18 @@ def _all_ints(values) -> bool:
     return set(map(type, values)) <= {int}
 
 
-def _checked_sizes(m, atom_sizes) -> tuple[int, tuple[int, ...]]:
+def _region_key(key) -> RegionKey | None:
+    """``key`` as a pair of integers (no bool), or None when it is no such
+    pair."""
+    try:
+        i, j = key
+        return RegionKey(_as_count(i, "i", TypeError), _as_count(j, "j", TypeError))
+    except (TypeError, ValueError):
+        return None
+
+
+def _checked_sizes(m, atom_sizes) -> tuple[int, np.ndarray]:
+    """m and the atom offsets: ``offsets[n]`` hypotheses lie in atoms 1..n."""
     m = _as_count(m, "m")
     if not 1 <= m < 2**63:  # every count must fit the int64 row table
         raise SizeMismatchError(f"m must be in 1..2**63 - 1, got {m}")
@@ -91,7 +104,9 @@ def _checked_sizes(m, atom_sizes) -> tuple[int, tuple[int, ...]]:
         raise SizeMismatchError(f"atom sizes must be positive, got {sizes}")
     if sum(sizes) != m:
         raise SizeMismatchError(f"atom sizes sum to {sum(sizes)}, expected m={m}")
-    return m, sizes
+    offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    return m, offsets
 
 
 _COLUMNS = (
@@ -106,11 +121,18 @@ def _region_columns(columns, rows) -> list[np.ndarray]:
 
     Three columns of ints are converted whole.  Otherwise ``rows``, the same
     triples in input order, are checked value by value, so the fault raised
-    is the first one met row by row: i, then j, then zeta.
+    is the first one met row by row: i, then j, then zeta.  A row that is
+    no triple raises FormatError.
     """
     if len(columns) != 3 or not all(map(_all_ints, columns)):
         columns = [], [], []
-        for i, j, z in rows:
+        for n, row in enumerate(rows, start=1):
+            try:
+                i, j, z = row
+            except (TypeError, ValueError):
+                raise FormatError(
+                    f"row {n} of regions is not an (i, j, zeta) triple: {row!r}"
+                ) from None
             columns[0].append(_as_count(i, "region start"))
             columns[1].append(_as_count(j, "region end"))
             columns[2].append(_as_count(z, "zeta", ZetaRangeError))
@@ -140,8 +162,10 @@ class ForestFamily:
     The regions are one row table in (depth, i) order, so children follow
     their parents: read-only int64 arrays ``_left``, ``_right``, ``_zeta``,
     ``_depth`` and ``_parent`` (the row of the tightest strictly containing
-    region, -1 for a root).  ``_offsets[n]`` counts the hypotheses in atoms
-    1..n, and rows ``_levels[h-1]:_levels[h]`` have depth h.  The sweeps of
+    region, -1 for a root).  ``_offsets[n]``, the partition's one record,
+    counts the hypotheses in atoms 1..n, and rows ``_levels[h-1]:_levels[h]``
+    have depth h.  Every other view is a cached property; the budget check
+    builds ``_sizes``, each row's hypothesis count.  The sweeps of
     :mod:`forestbound.bounds` and the curve engine of
     :mod:`forestbound.curve` read ancestry only from ``_parent``.
 
@@ -164,8 +188,14 @@ class ForestFamily:
         atom_sizes: Sequence[int],
         regions: Iterable[tuple[int, int, int]],
     ) -> None:
-        m, sizes = _checked_sizes(m, atom_sizes)
-        rows = list(regions)
+        m, offsets = _checked_sizes(m, atom_sizes)
+        try:
+            rows = iter(regions)
+        except TypeError:
+            raise FormatError(
+                f"regions must be an iterable of (i, j, zeta) triples, got {regions!r}"
+            ) from None
+        rows = list(rows)
         columns = ()
         # Only tuple rows are transposed: the fallback reads the rows again,
         # and a row that is an iterator could be read once only.
@@ -174,28 +204,26 @@ class ForestFamily:
                 columns = tuple(zip(*rows, strict=True))
             except ValueError:  # rows of unequal lengths
                 pass
-        self._build(m, sizes, *_region_columns(columns, rows))
+        self._build(m, offsets, *_region_columns(columns, rows))
 
     @classmethod
     def _from_columns(cls, m, atom_sizes, left, right, zeta) -> "ForestFamily":
         # For readers that hold the regions as three sequences, i, j and zeta.
-        m, sizes = _checked_sizes(m, atom_sizes)
+        m, offsets = _checked_sizes(m, atom_sizes)
         columns = (left, right, zeta)
         return cls.__new__(cls)._build(
-            m, sizes, *_region_columns(columns, zip(*columns))
+            m, offsets, *_region_columns(columns, zip(*columns))
         )
 
     @classmethod
-    def _from_rows(cls, m, sizes, left, right, zeta) -> "ForestFamily":
-        # For callers that hold validated sizes and int64 region columns.
-        return cls.__new__(cls)._build(m, sizes, left, right, zeta)
+    def _from_rows(cls, m, offsets, left, right, zeta) -> "ForestFamily":
+        # For callers that hold validated atom offsets and int64 columns.
+        return cls.__new__(cls)._build(m, offsets, left, right, zeta)
 
-    def _build(self, m, sizes, left, right, zeta) -> "ForestFamily":
+    def _build(self, m, offsets, left, right, zeta) -> "ForestFamily":
         # The structural pass: key ranges, distinctness and nesting, then the
         # rows in (depth, i) order with their parents, and budget ranges.
-        n = len(sizes)
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(sizes, out=offsets[1:])
+        n = len(offsets) - 1
         bad = np.flatnonzero((left < 1) | (left > right) | (right > n))
         if bad.size:
             r = bad[0]
@@ -235,7 +263,6 @@ class ForestFamily:
             key = RegionKey(int(left[r]), int(right[r]))
             raise OverlapError(f"regions {top} and {key} overlap without nesting")
         self.m = m
-        self.atom_sizes = sizes
         self._offsets = _frozen(offsets)
         self._left = _frozen(left)
         self._right = _frozen(right)
@@ -247,25 +274,20 @@ class ForestFamily:
             np.searchsorted(self._depth, np.arange(height + 1), side="right")
         )
         self._complete = bool(np.count_nonzero(left == right) == n)
-        self._atom_of_cache: list[int] | None = None
-        self._atom_rows_cache: np.ndarray | None = None
-        self._row_lists_cache: tuple[list[int], ...] | None = None
-        self._rows_cache: dict[tuple[int, int], int] | None = None
         return self
 
     def _with_zetas(self, zeta) -> "ForestFamily":
         """A copy with the row-aligned budgets ``zeta``; the structure arrays
-        and the lookup caches that hold no budget are shared with this
-        family."""
+        and the views that hold no budget are shared with this family."""
         family = ForestFamily.__new__(ForestFamily)
         family.__dict__.update(self.__dict__)
+        family.__dict__.pop("_row_lists", None)  # it holds the budgets' list
         family._zeta = self._checked(np.array(zeta, dtype=np.int64))
-        family._row_lists_cache = None  # it holds the budgets' list
         return family
 
     def _checked(self, zeta: np.ndarray) -> np.ndarray:
         # Budgets in 0..|R|, row by row, made read-only.
-        size = self._sizes()
+        size = self._sizes
         bad = np.flatnonzero((zeta < 0) | (zeta > size))
         if bad.size:
             r = bad[0]
@@ -278,8 +300,13 @@ class ForestFamily:
     # -- basic queries ----------------------------------------------------
 
     @property
+    def atom_sizes(self) -> tuple[int, ...]:
+        """Hypotheses per atom, read from the offsets."""
+        return tuple((self._offsets[1:] - self._offsets[:-1]).tolist())
+
+    @property
     def n_atoms(self) -> int:
-        return len(self.atom_sizes)
+        return len(self._offsets) - 1
 
     @property
     def height(self) -> int:
@@ -293,7 +320,7 @@ class ForestFamily:
         return len(self._zeta)
 
     def __contains__(self, key) -> bool:
-        return RegionKey(*key) in self._rows()
+        return _region_key(key) in self._rows
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ForestFamily):
@@ -302,7 +329,7 @@ class ForestFamily:
         # equal tables.
         return (
             self.m == other.m
-            and self.atom_sizes == other.atom_sizes
+            and np.array_equal(self._offsets, other._offsets)
             and np.array_equal(self._left, other._left)
             and np.array_equal(self._right, other._right)
             and np.array_equal(self._zeta, other._zeta)
@@ -322,11 +349,14 @@ class ForestFamily:
 
     def regions(self) -> Iterator[Region]:
         """Regions sorted by key."""
-        return map(self.region, self.keys())
+        order = np.lexsort((self._right, self._left))
+        zeta, depth = self._zeta[order].tolist(), self._depth[order].tolist()
+        return map(Region, self.keys(), zeta, depth)
 
     def region(self, key) -> Region:
         r = self._row(key)
-        return Region(RegionKey(*key), int(self._zeta[r]), int(self._depth[r]))
+        key = RegionKey(int(self._left[r]), int(self._right[r]))
+        return Region(key, int(self._zeta[r]), int(self._depth[r]))
 
     def zeta(self, key) -> int:
         return int(self._zeta[self._row(key)])
@@ -343,62 +373,56 @@ class ForestFamily:
 
     def atom_members(self, n: int) -> range:
         """Hypothesis indices of atom n (1-based, contiguous)."""
+        n = _as_count(n, "atom", IndexOutOfRangeError)
         if not 1 <= n <= self.n_atoms:
             raise IndexOutOfRangeError(f"atom {n} outside 1..{self.n_atoms}")
         return range(int(self._offsets[n - 1]) + 1, int(self._offsets[n]) + 1)
 
-    # -- derived structures (lazy, cached) --------------------------------
-
-    def _sizes(self) -> np.ndarray:
-        """Number of hypotheses of every row."""
-        return self._offsets[self._right] - self._offsets[self._left - 1]
-
-    def _rows(self) -> dict[tuple[int, int], int]:
-        rows = self._rows_cache
-        if rows is None:
-            keys = zip(self._left.tolist(), self._right.tolist())
-            rows = dict(zip(keys, range(len(self))))
-            self._rows_cache = rows
-        return rows
-
     def _row(self, key) -> int:
-        key = RegionKey(*key)
-        r = self._rows().get(key)
+        """The row of ``key``, read as a pair of integers (no bool)."""
+        pair = _region_key(key)
+        r = self._rows.get(pair)
         if r is None:
-            raise UnknownRegionError(f"region {key} not in family")
+            raise UnknownRegionError(f"region {pair or key!r} not in family")
         return r
 
+    # -- derived views (lazy, cached) -------------------------------------
+
+    @cached_property
+    def _sizes(self) -> np.ndarray:
+        """Number of hypotheses of every row, read-only int64."""
+        return _frozen(self._offsets[self._right] - self._offsets[self._left - 1])
+
+    @cached_property
+    def _rows(self) -> dict[tuple[int, int], int]:
+        keys = zip(self._left.tolist(), self._right.tolist())
+        return dict(zip(keys, range(len(self))))
+
+    @cached_property
     def _row_lists(self) -> tuple[list[int], ...]:
         """The columns ``_zeta``, ``_left``, ``_right`` and ``_parent`` as
         lists of Python ints, for the Python sweep."""
-        lists = self._row_lists_cache
-        if lists is None:
-            columns = (self._zeta, self._left, self._right, self._parent)
-            self._row_lists_cache = lists = tuple(c.tolist() for c in columns)
-        return lists
+        columns = (self._zeta, self._left, self._right, self._parent)
+        return tuple(c.tolist() for c in columns)
 
+    @cached_property
     def _atom_of(self) -> list[int]:
         """``atom_of[h]`` is the atom of hypothesis h; entry 0 is padding."""
-        atom_of = self._atom_of_cache
-        if atom_of is None:
-            atom_of = [0]
-            for n, size in enumerate(self.atom_sizes, start=1):
-                atom_of += [n] * size
-            self._atom_of_cache = atom_of
+        atom_of = [0]
+        for n, size in enumerate(self.atom_sizes, start=1):
+            atom_of += [n] * size
         return atom_of
 
+    @cached_property
     def _atom_rows(self) -> np.ndarray:
         """``atom_rows[h]`` is the row of the atom of hypothesis h, read-only
         int64; entry 0 is padding.  Complete families only."""
-        atom_rows = self._atom_rows_cache
-        if atom_rows is None:
-            atoms = np.flatnonzero(self._left == self._right)
-            atoms = atoms[np.argsort(self._left[atoms])]
-            atom_rows = np.empty(self.m + 1, dtype=np.int64)
-            atom_rows[0] = -1
-            atom_rows[1:] = np.repeat(atoms, np.diff(self._offsets))
-            self._atom_rows_cache = atom_rows = _frozen(atom_rows)
-        return atom_rows
+        atoms = np.flatnonzero(self._left == self._right)
+        atoms = atoms[np.argsort(self._left[atoms])]
+        atom_rows = np.empty(self.m + 1, dtype=np.int64)
+        atom_rows[0] = -1
+        atom_rows[1:] = np.repeat(atoms, np.diff(self._offsets))
+        return _frozen(atom_rows)
 
 
 def build_family(
@@ -424,7 +448,7 @@ def complete_family(family: ForestFamily) -> ForestFamily:
     sizes = np.diff(family._offsets)[missing - 1]
     return ForestFamily._from_rows(
         family.m,
-        family.atom_sizes,
+        family._offsets,
         np.concatenate((family._left, missing)),
         np.concatenate((family._right, missing)),
         np.concatenate((family._zeta, sizes)),
@@ -462,6 +486,7 @@ def build_dyadic(height: int, atom_size: int) -> ForestFamily:
     spans = n >> np.arange(height)  # n, n/2, ..., 1 atoms per region
     left = np.concatenate([np.arange(1, n + 1, span) for span in spans.tolist()])
     span = np.repeat(spans, n // spans)
+    offsets = np.arange(n + 1) * atom_size
     return ForestFamily._from_rows(
-        n * atom_size, (atom_size,) * n, left, left + span - 1, span * atom_size
+        n * atom_size, offsets, left, left + span - 1, span * atom_size
     )

@@ -21,7 +21,7 @@ import numpy as np
 from .bounds import _index_array
 from .curve import BoundCurve
 from .errors import FormatError
-from .forest import ForestFamily, RegionKey
+from .forest import ForestFamily, _region_key
 from .zeta import _check_pvalues
 
 
@@ -56,6 +56,8 @@ def parse_forest(text: str) -> ForestFamily:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise FormatError("forest file nests too deeply to parse") from None
     if not isinstance(doc, dict):
         raise FormatError("forest file must be a JSON object")
     try:
@@ -167,10 +169,16 @@ def dump_curve_csv(path_indices: Sequence[int], curve: BoundCurve) -> str:
 
 
 def dump_removed_csv(removed) -> str:
-    """Pruning report: one row per removed region key."""
+    """Pruning report: one row per removed region key, sorted.  A key that
+    is not two integers (no bool) with 1 <= i <= j raises FormatError."""
+    keys = []
+    for k in removed:
+        key = _region_key(k)
+        if key is None or not 1 <= key.i <= key.j:
+            raise FormatError(f"removed region {k!r} is not an atom interval (i, j)")
+        keys.append(key)
     lines = ["i,j"]
-    for key in sorted(RegionKey(*k) for k in removed):
-        lines.append(f"{key.i},{key.j}")
+    lines.extend(f"{i},{j}" for i, j in sorted(keys))
     return "\n".join(lines) + "\n"
 
 

@@ -45,14 +45,14 @@ def prune(family: ForestFamily) -> PruneResult:
     # values of its children.
     acc = _sweep(family, family._offsets)
     left, right, zeta = family._left, family._right, family._zeta
-    children = family._sizes() + np.asarray(acc[:-1], dtype=np.int64)
+    children = family._sizes + np.asarray(acc[:-1], dtype=np.int64)
     dominated = (left != right) & (zeta >= children)
     # RegionKey._make without a Python call per region.
     pairs = zip(left[dominated].tolist(), right[dominated].tolist())
     removed = frozenset(map(tuple.__new__, repeat(RegionKey), pairs))
     kept = ~dominated
     pruned = ForestFamily._from_rows(
-        family.m, family.atom_sizes, left[kept], right[kept], zeta[kept]
+        family.m, family._offsets, left[kept], right[kept], zeta[kept]
     )
     return PruneResult(
         pruned_family=pruned, removed=removed, vstar_full=int(acc[-1])

@@ -129,7 +129,7 @@ def reference_walk(family: fb.ForestFamily, path, work: dict | None = None):
     """
     assert family.is_complete
     steps = validate_path(family.m, path)
-    atom_rows = family._atom_rows().tolist()
+    atom_rows = family._atom_rows.tolist()
     budget = family._zeta.tolist()  # what each region has left to absorb
     parent = family._parent.tolist()
     left = family._left.tolist()

@@ -191,7 +191,7 @@ class TestLargeSideSelections:
         for family in (large_family, fam):
             fb.vstar(family, [2, 1, family.m])
             fb.vstar(family, {3, family.m - 1})
-            assert family._atom_of_cache is None
+            assert "_atom_of" not in family.__dict__
         fam = fb.build_dyadic(8, 2**15)  # its first vstar is measured
         tracemalloc.start()
         try:

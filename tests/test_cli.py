@@ -70,6 +70,9 @@ class TestValidate:
             bad.write_text(f'{{"m": 1, "atom_sizes": {sizes}, "regions": []}}')
             assert main(["validate", "--in", str(bad)]) == 2
             assert "atom sizes must be a sequence" in capsys.readouterr().err
+        bad.write_text("[" * 100000 + "]" * 100000)
+        assert main(["validate", "--in", str(bad)]) == 2
+        assert "nests too deeply" in capsys.readouterr().err
 
     def test_missing_file_exits_3(self, tmp_path):
         assert main(["validate", "--in", str(tmp_path / "nope.forest")]) == 3

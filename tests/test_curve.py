@@ -57,7 +57,7 @@ class TestParentColumn:
     # The rows a step's climb visits: from its atom up ``_parent`` to a root.
     def test_climb_fixtures(self, example_family):
         def climb(hyp):
-            r = int(example_family._atom_rows()[hyp])
+            r = int(example_family._atom_rows[hyp])
             keys = []
             while r >= 0:
                 keys.append(row_key(example_family, r))
@@ -85,7 +85,7 @@ class TestEquivalence:
             # path some levels receive no key.  In the other two twins only
             # the atoms' budgets bind, or only the other rows'.
             atom = fam._left == fam._right
-            sizes = fam._sizes()
+            sizes = fam._sizes
             twins = (
                 fam,
                 fb.zeta_trivial(fam),
@@ -287,7 +287,7 @@ class TestWalkWork:
         for height, atom_size in [(1, 5), (3, 2), (4, 3), (6, 1), (5, 4)]:
             fam = fb.build_dyadic(height, atom_size)
             p = [rng.random() ** 3 for _ in range(fam.m)]
-            budgets = [rng.randint(0, s) for s in fam._sizes().tolist()]
+            budgets = [rng.randint(0, s) for s in fam._sizes.tolist()]
             for est in (fam, fb.zeta_dkwm(fam, p, 0.1), fam._with_zetas(budgets)):
                 self.check(est, random_path(rng, fam.m))
                 self.check(est, random_path(rng, fam.m, partial=True))
@@ -436,7 +436,16 @@ class TestBoundCurve:
         assert curve.values == (0, 1, 2)
         assert source.flags.writeable
 
-    @pytest.mark.parametrize("values", [(0, 0.5), (0, "1"), ((0, 1), (1, 2)), 3])
+    @pytest.mark.parametrize(
+        "values",
+        [
+            (0, 0.5),
+            (0, "1"),
+            ((0, 1), (1, 2)),
+            3,
+            np.array([0, 2**63], dtype=np.uint64),  # would wrap to -2**63
+        ],
+    )
     def test_refuses_what_is_not_a_flat_integer_sequence(self, values):
         with pytest.raises(TypeError):
             fb.BoundCurve(values)

@@ -3,6 +3,7 @@
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import forestbound as fb
@@ -160,6 +161,21 @@ class TestDepth:
     def test_unknown_region(self, example_family):
         with pytest.raises(UnknownRegionError):
             example_family.region((2, 5))
+        # A key is two integers: no bool, float, single value or triple.
+        fam = fb.build_dyadic(3, 2)
+        for key in [(True, 1), (1, False), (1.0, 1), (1,), (1, 2, 3), 5, "12", None]:
+            assert key not in fam
+            for lookup in (fam.region, fam.zeta, fam.region_members, fam.region_size):
+                with pytest.raises(UnknownRegionError):
+                    lookup(key)
+        for n in (True, 1.5, "1", None, 0, 5):
+            with pytest.raises(IndexOutOfRangeError):
+                fam.atom_members(n)
+        key = (np.int64(1), np.int32(2))
+        assert key in fam
+        assert fam.region(key) == fam.region((1, 2))
+        assert type(fam.region(key).key.i) is int
+        assert fam.atom_members(np.int64(4)) == range(7, 9)
 
     def test_cached_depth_matches_definition(self):
         rng = random.Random(101)

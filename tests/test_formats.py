@@ -578,3 +578,10 @@ class TestRemovedCsv:
 
     def test_empty(self):
         assert dump_removed_csv(set()) == "i,j\n"
+
+    @pytest.mark.parametrize(
+        "key", [(True, "x"), (2.5, None), (1, True), (1, 2, 3), (2, 1), (0, 1), 5, "12"]
+    )
+    def test_refuses_what_is_no_atom_interval(self, key):
+        with pytest.raises(FormatError, match="is not an atom interval"):
+            dump_removed_csv([fb.RegionKey(1, 5), key])

@@ -24,6 +24,7 @@ import forestbound as fb
 from forestbound import (
     DuplicateRegionError,
     ForestError,
+    FormatError,
     IndexOutOfRangeError,
     OverlapError,
     RegionKey,
@@ -421,8 +422,11 @@ class TestFirstFault:
         assert str(info.value) == message
 
     def test_row_that_is_no_triple(self):
-        with pytest.raises(ValueError, match="not enough values to unpack"):
+        with pytest.raises(FormatError) as info:
             fb.build_family(2, (1, 1), [(1, 1, 0), (1, 2)])
+        assert str(info.value) == (
+            "row 2 of regions is not an (i, j, zeta) triple: (1, 2)"
+        )
 
     @pytest.mark.parametrize(
         "regions, error, message",
@@ -433,7 +437,10 @@ class TestFirstFault:
                 SizeMismatchError, "region start must be an integer, got 1.0",
             ),
             ([iter((1, 1, 0.5)), 5], ZetaRangeError, "zeta must be an integer, got 0.5"),
-            ([iter((1, 1, 0)), 5], TypeError, "cannot unpack non-iterable int object"),
+            (
+                [iter((1, 1, 0)), 5],
+                FormatError, "row 2 of regions is not an (i, j, zeta) triple: 5",
+            ),
             ([[1, 1, 0.5], (1.0, 2, 1)], ZetaRangeError, "zeta must be an integer, got 0.5"),
         ],
     )
@@ -442,6 +449,24 @@ class TestFirstFault:
         with pytest.raises(error) as info:
             fb.build_family(2, (1, 1), regions)
         assert type(info.value) is error
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "regions, message",
+        [
+            (5, "regions must be an iterable of (i, j, zeta) triples, got 5"),
+            (None, "regions must be an iterable of (i, j, zeta) triples, got None"),
+            ([(1, 1)], "row 1 of regions is not an (i, j, zeta) triple: (1, 1)"),
+            (
+                [(1, 1, 1, 1)],
+                "row 1 of regions is not an (i, j, zeta) triple: (1, 1, 1, 1)",
+            ),
+            ([5], "row 1 of regions is not an (i, j, zeta) triple: 5"),
+        ],
+    )
+    def test_regions_that_are_no_triples(self, regions, message):
+        with pytest.raises(FormatError) as info:
+            fb.build_family(1, [1], regions)
         assert str(info.value) == message
 
     def test_rows_read_once_build_the_same_family(self):
@@ -524,7 +549,7 @@ class TestCurveEngine:
 
 # -- budgets replace one array ---------------------------------------------
 
-STRUCTURE = ("_left", "_right", "_depth", "_parent", "_offsets", "_levels")
+STRUCTURE = ("_left", "_right", "_depth", "_parent", "_offsets", "_levels", "_sizes")
 
 
 def _estimates(fam):
@@ -541,20 +566,40 @@ def _estimates(fam):
 class TestBudgetsAreACopy:
     def test_shares_read_only_structure(self):
         fam = fb.build_dyadic(4, 3)
-        atom_rows = fam._atom_rows()
+        atom_rows = fam._atom_rows
         assert not atom_rows.flags.writeable
-        assert atom_rows[1:].tolist() == [fam._row((n, n)) for n in fam._atom_of()[1:]]
+        assert atom_rows[1:].tolist() == [fam._row((n, n)) for n in fam._atom_of[1:]]
+        row_lists = fam._row_lists
         for est in _estimates(fam):
-            assert est._atom_rows() is atom_rows
+            for name in ("_atom_rows", "_atom_of", "_rows"):
+                assert getattr(est, name) is getattr(fam, name), name
             for name in STRUCTURE:
                 assert getattr(est, name) is getattr(fam, name), name
             assert est._zeta is not fam._zeta
+            assert est._row_lists is not row_lists
+            assert est._row_lists[0] == est._zeta.tolist()
+            assert est._row_lists[1:] == row_lists[1:]
             assert est.is_complete and est.height == fam.height
         for name in STRUCTURE + ("_zeta",):
             column = getattr(fam, name)
             assert not column.flags.writeable, name
             with pytest.raises(ValueError):
                 column[0] = 0
+
+    def test_derived_families_share_the_offsets(self):
+        fam = fb.build_dyadic(4, 3)
+        assert fb.prune(fam).pruned_family._offsets is fam._offsets
+        partial = fb.build_family(6, (1, 2, 3), [(1, 3, 6), (2, 2, 1)])
+        assert fb.complete_family(partial)._offsets is partial._offsets
+
+    def test_fresh_family_holds_arrays_only(self):
+        fam = fb.build_dyadic(10, 16)
+        state = vars(fam)
+        assert set(state) == {"m", "_complete", "_zeta", *STRUCTURE}
+        for name, value in state.items():
+            assert not isinstance(value, (tuple, list, dict)), name
+            if name not in ("m", "_complete"):
+                assert value.dtype == np.int64 and not value.flags.writeable, name
 
     def test_no_structural_pass(self, monkeypatch):
         fam = fb.build_dyadic(4, 3)
@@ -568,7 +613,7 @@ class TestBudgetsAreACopy:
 
     def test_budget_range_checked(self):
         fam = fb.build_dyadic(3, 2)
-        sizes = fam._sizes()
+        sizes = fam._sizes
         assert fam._with_zetas(sizes) == fam
         assert fam._with_zetas(np.zeros(len(fam), dtype=np.int64)).zeta((1, 4)) == 0
         with pytest.raises(ZetaRangeError):

@@ -209,6 +209,12 @@ class TestApplyZetas:
         with pytest.raises(fb.ZetaRangeError):
             fb.apply_zetas(example_family, {fb.RegionKey(1, 5): bad})
 
+    @pytest.mark.parametrize("key", [(True, 1), (2.0, 2), (1,), (1, 1, 1), 5])
+    def test_key_that_is_no_integer_pair_is_unknown(self, key):
+        fam = fb.build_dyadic(3, 2)
+        with pytest.raises(fb.UnknownRegionError):
+            fb.apply_zetas(fam, {key: 0})
+
 
 class TestZetaEstimator:
     def test_trivial_strategy(self, example_family):
