@@ -16,7 +16,7 @@ import sys
 from . import formats, sim
 from .bounds import vstar
 from .curve import _pvalue_path, fast_curve, naive_curve
-from .errors import ForestError
+from .errors import ForestError, FormatError
 from .forest import build_dyadic, complete_family
 from .pruning import prune
 from .zeta import ZETA_METHODS, ZetaEstimator
@@ -106,7 +106,10 @@ def _build_parser() -> _Parser:
 
 def _read_text(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError:
+            raise FormatError(f"{path} is not UTF-8 text") from None
 
 
 def _write_text(path: str, text: str) -> None:

@@ -8,22 +8,26 @@ the same inputs, pruned and unpruned, and reports summary statistics per
 variant.  Pruning runs once, before the replications, mirroring how a user
 would amortize it across many curves.
 
-Timing uses the monotonic performance counter with two untimed warm-up runs
-per variant; the warm-ups also populate the per-family lookup caches and
-feed the cross-check that all variants return identical curves.
+Timing uses the monotonic performance counter.  Preparing a scenario runs
+each chosen variant twice untimed: the warm-ups populate the per-family
+lookup caches and feed the cross-check that all variants return identical
+curves, so every scenario is warmed up and checked before the first timed
+replication.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 import operator
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .curve import BoundCurve, _pvalue_path, fast_curve, naive_curve
-from .forest import DYADIC_MAX_M, ForestFamily, build_dyadic
+from .forest import DYADIC_MAX_M, ForestFamily, _as_count, build_dyadic
 from .pruning import prune
 from .zeta import ZETA_METHODS, ZetaEstimator, _check_alpha
 
@@ -54,8 +58,13 @@ class ScenarioConfig:
     order_by_pvalue: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("m", "tree_height", "n_repl", "seed"):
+            _as_count(getattr(self, name), name, ValueError)
         if self.tree_height < 1:
             raise ValueError("tree height must be >= 1")
+        # build_dyadic's bound, checked before 2**(H-1) is computed.
+        if self.tree_height > 32:
+            raise ValueError(f"tree height must be <= 32, got {self.tree_height}")
         n_atoms = 2 ** (self.tree_height - 1)
         if self.m % n_atoms != 0 or self.m < n_atoms:
             raise ValueError(
@@ -76,6 +85,15 @@ class ScenarioConfig:
                 )
         if self.n_repl < 1:
             raise ValueError("n_repl must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        mu = self.mu
+        if not isinstance(mu, numbers.Real) or isinstance(mu, bool) or math.isnan(mu):
+            raise ValueError(f"mu must be a real number other than NaN, got {mu!r}")
+        if not isinstance(self.order_by_pvalue, bool):
+            raise ValueError(
+                f"order_by_pvalue must be a bool, got {self.order_by_pvalue!r}"
+            )
         if self.zeta_method not in ZETA_METHODS:
             raise ValueError(f"unknown zeta method {self.zeta_method!r}")
         _check_alpha(self.alpha)
@@ -131,7 +149,7 @@ class ScalingReport:
 
     small: BenchReport
     large: BenchReport
-    ratios: dict[str, float] = field(default_factory=dict)
+    ratios: dict[str, float]
 
 
 def pvalue_from_stat(x) -> np.ndarray | float:
@@ -165,64 +183,66 @@ def _scenario_family(cfg: ScenarioConfig, pvalues: np.ndarray) -> ForestFamily:
     return ZetaEstimator(cfg.zeta_method, cfg.alpha).apply(family, pvalues)
 
 
-class _PreparedScenario:
-    """A scenario's family, pruned twin, and path, ready to be timed."""
+def _prepare(
+    cfg: ScenarioConfig, variants: Sequence[str] | None
+) -> tuple[dict[str, Callable[[], BoundCurve]], int, int]:
+    """A scenario's chosen runners, warmed up and cross-checked, and the
+    region counts of its family and of the pruned twin."""
+    chosen = VARIANTS if variants is None else tuple(variants)
+    unknown = set(chosen) - set(VARIANTS)
+    if unknown:
+        raise ValueError(f"unknown variants: {sorted(unknown)}")
+    pvalues = gen_pvalues(cfg)
+    family = _scenario_family(cfg, pvalues)
+    pruned = prune(family).pruned_family
+    if cfg.order_by_pvalue:
+        path = _pvalue_path(cfg.m, pvalues)
+    else:
+        path = list(range(1, cfg.m + 1))
+    runners = {
+        "naive.not.pruned": lambda: naive_curve(family, path),
+        "naive.pruned": lambda: naive_curve(pruned, path),
+        "fast.not.pruned": lambda: fast_curve(family, path),
+        "fast.pruned": lambda: fast_curve(pruned, path),
+    }
+    runners = {name: runners[name] for name in chosen}
+    curves: dict[str, BoundCurve] = {}
+    for name, fn in runners.items():
+        for _ in range(WARMUP_RUNS):
+            curves[name] = fn()
+    reference = next(iter(curves.values()))
+    for name, curve in curves.items():
+        if curve != reference:
+            raise RuntimeError(f"variant {name} disagrees with the others")
+    return runners, len(family), len(pruned)
 
-    def __init__(self, cfg: ScenarioConfig, variants: Sequence[str] | None):
-        chosen = VARIANTS if variants is None else tuple(variants)
-        unknown = set(chosen) - set(VARIANTS)
-        if unknown:
-            raise ValueError(f"unknown variants: {sorted(unknown)}")
-        self.cfg = cfg
-        self.chosen = chosen
-        pvalues = gen_pvalues(cfg)
-        family = _scenario_family(cfg, pvalues)
-        pruned = prune(family).pruned_family
-        if cfg.order_by_pvalue:
-            path = _pvalue_path(cfg.m, pvalues)
-        else:
-            path = list(range(1, cfg.m + 1))
-        self.region_count = len(family)
-        self.pruned_region_count = len(pruned)
-        self.runners: dict[str, Callable[[], BoundCurve]] = {
-            "naive.not.pruned": lambda: naive_curve(family, path),
-            "naive.pruned": lambda: naive_curve(pruned, path),
-            "fast.not.pruned": lambda: fast_curve(family, path),
-            "fast.pruned": lambda: fast_curve(pruned, path),
-        }
-        self.warmed = False
 
-    def collect(self, n_repl: int, times: dict[str, list[float]]) -> None:
-        curves: dict[str, BoundCurve] = {}
-        for name in self.chosen:
-            fn = self.runners[name]
-            if not self.warmed:
-                for _ in range(WARMUP_RUNS):
-                    curves[name] = fn()
-            bucket = times.setdefault(name, [])
-            for _ in range(n_repl):
-                t0 = time.perf_counter()
-                fn()
-                t1 = time.perf_counter()
-                bucket.append(t1 - t0)
-        if not self.warmed:
-            self.warmed = True
-            reference = next(iter(curves.values()))
-            for name, curve in curves.items():
-                if curve != reference:
-                    raise RuntimeError(
-                        f"variant {name} disagrees with the others"
-                    )
-
-    def report(self, times: dict[str, list[float]]) -> BenchReport:
-        return BenchReport(
-            config=self.cfg,
+def _measure(
+    cfgs: Sequence[ScenarioConfig], variants: Sequence[str] | None, rounds: int
+) -> list[BenchReport]:
+    """One report per scenario, timed in ``rounds`` alternating rounds of
+    ceil(n_repl / rounds) replications per variant."""
+    prepared = [_prepare(cfg, variants) for cfg in cfgs]
+    times = [{name: [] for name in runners} for runners, _, _ in prepared]
+    for _ in range(rounds):
+        for cfg, (runners, _, _), buckets in zip(cfgs, prepared, times):
+            for name, fn in runners.items():
+                for _ in range(-(-cfg.n_repl // rounds)):
+                    t0 = time.perf_counter()
+                    fn()
+                    t1 = time.perf_counter()
+                    buckets[name].append(t1 - t0)
+    return [
+        BenchReport(
+            config=cfg,
             summaries={
-                name: TimingSummary.from_times(ts) for name, ts in times.items()
+                name: TimingSummary.from_times(ts) for name, ts in buckets.items()
             },
-            region_count=self.region_count,
-            pruned_region_count=self.pruned_region_count,
+            region_count=regions,
+            pruned_region_count=pruned,
         )
+        for cfg, (_, regions, pruned), buckets in zip(cfgs, prepared, times)
+    ]
 
 
 def run_scenario(
@@ -236,10 +256,7 @@ def run_scenario(
     variants must return the same curve; a mismatch raises RuntimeError.
     ``variants`` restricts which of the four are timed.
     """
-    prepared = _PreparedScenario(cfg, variants)
-    times: dict[str, list[float]] = {}
-    prepared.collect(cfg.n_repl, times)
-    return prepared.report(times)
+    return _measure([cfg], variants, 1)[0]
 
 
 def scaling_check(
@@ -259,59 +276,31 @@ def scaling_check(
         raise ValueError("cfg_large.m must be exactly 10 * cfg_small.m")
     if cfg_large.tree_height != cfg_small.tree_height:
         raise ValueError("scenarios must share the tree height")
-    small = _PreparedScenario(cfg_small, variants)
-    large = _PreparedScenario(cfg_large, variants)
-    times_small: dict[str, list[float]] = {}
-    times_large: dict[str, list[float]] = {}
-    per_round_small = -(-cfg_small.n_repl // SCALING_ROUNDS)
-    per_round_large = -(-cfg_large.n_repl // SCALING_ROUNDS)
-    for _ in range(SCALING_ROUNDS):
-        small.collect(per_round_small, times_small)
-        large.collect(per_round_large, times_large)
-    report_small = small.report(times_small)
-    report_large = large.report(times_large)
-    ratios = {
-        name: report_large.median(name) / report_small.median(name)
-        for name in report_small.summaries
-        if name in report_large.summaries
-    }
-    return ScalingReport(small=report_small, large=report_large, ratios=ratios)
+    small, large = _measure([cfg_small, cfg_large], variants, SCALING_ROUNDS)
+    ratios = {name: large.median(name) / small.median(name) for name in small.summaries}
+    return ScalingReport(small=small, large=large, ratios=ratios)
+
+
+def _rows(report: BenchReport, decimals: int) -> list[tuple[str, ...]]:
+    """The header, then per variant its name, six times and ``neval``."""
+    rows = [("expr", "min", "lq", "mean", "median", "uq", "max", "neval")]
+    for name, s in report.summaries.items():
+        times = (s.min, s.lq, s.mean, s.median, s.uq, s.max)
+        rows.append((name, *(f"{t:.{decimals}f}" for t in times), str(s.neval)))
+    return rows
 
 
 def bench_csv(report: BenchReport) -> str:
     """The report as CSV, one row per timed variant."""
-    lines = ["expr,min,lq,mean,median,uq,max,neval"]
-    for name, s in report.summaries.items():
-        lines.append(
-            f"{name},{s.min:.9f},{s.lq:.9f},{s.mean:.9f},"
-            f"{s.median:.9f},{s.uq:.9f},{s.max:.9f},{s.neval}"
-        )
-    return "\n".join(lines) + "\n"
+    return "".join(",".join(row) + "\n" for row in _rows(report, 9))
 
 
 def bench_table(report: BenchReport) -> str:
     """The report as an aligned text table (times in seconds)."""
-    header = ("expr", "min", "lq", "mean", "median", "uq", "max", "neval")
-    rows = [header]
-    for name, s in report.summaries.items():
-        rows.append(
-            (
-                name,
-                f"{s.min:.7f}",
-                f"{s.lq:.7f}",
-                f"{s.mean:.7f}",
-                f"{s.median:.7f}",
-                f"{s.uq:.7f}",
-                f"{s.max:.7f}",
-                str(s.neval),
-            )
-        )
-    widths = [max(len(r[c]) for r in rows) for c in range(len(header))]
-    out = []
-    for row in rows:
-        cells = [
-            row[0].ljust(widths[0]),
-            *(row[c].rjust(widths[c]) for c in range(1, len(header))),
-        ]
-        out.append("  ".join(cells))
-    return "\n".join(out) + "\n"
+    rows = _rows(report, 7)
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    lines = []
+    for name, *cells in rows:
+        padded = (cell.rjust(width) for cell, width in zip(cells, widths[1:]))
+        lines.append("  ".join([name.ljust(widths[0]), *padded]) + "\n")
+    return "".join(lines)

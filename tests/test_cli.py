@@ -73,6 +73,9 @@ class TestValidate:
         bad.write_text("[" * 100000 + "]" * 100000)
         assert main(["validate", "--in", str(bad)]) == 2
         assert "nests too deeply" in capsys.readouterr().err
+        bad.write_bytes(b'\xff\xfe{"m": 1}')
+        assert main(["validate", "--in", str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: {bad} is not UTF-8 text\n"
 
     def test_missing_file_exits_3(self, tmp_path):
         assert main(["validate", "--in", str(tmp_path / "nope.forest")]) == 3
@@ -366,6 +369,9 @@ class TestCurve:
             ]
         )
         assert code == 2
+        bad.write_bytes(b"hypothesis_index\n11\n\xff\n")
+        argv = ["vstar", "--family", str(family_file), "--sel", str(bad)]
+        assert main(argv) == 2
 
 
 class TestCurveCsvDigest:
@@ -505,8 +511,18 @@ class TestBench:
         assert "fast.pruned" in out
         assert csv_out.read_text().startswith("expr,min,lq,mean,median,uq,max,neval")
 
-    def test_bad_scenario_flags_exit_1(self):
+    def test_bad_scenario_flags_exit_1(self, capsys):
         assert main(["bench", "--m", "10", "--height", "3"]) == 1
+        capsys.readouterr()
+        argv = ["bench", "--m", "16", "--height", "3", "--signal-leaves", "1"]
+        assert main([*argv, "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "usage error: seed must be >= 0, got -1\n"
+
+    def test_huge_height_exits_1_before_any_work(self, capsys):
+        # 2**(H-1) is never computed, so H = 10**7 costs nothing.
+        assert main(["bench", "--m", "16", "--height", str(10**7)]) == 1
+        err = capsys.readouterr().err
+        assert err == "usage error: tree height must be <= 32, got 10000000\n"
 
     def test_oversized_m_exits_1_before_any_work(self, monkeypatch, capsys):
         def unreachable(cfg):

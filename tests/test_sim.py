@@ -10,8 +10,11 @@ import numpy as np
 import pytest
 
 import forestbound as fb
+from forestbound import sim
 from forestbound.sim import (
     VARIANTS,
+    BenchReport,
+    TimingSummary,
     bench_csv,
     bench_table,
     pvalue_from_stat,
@@ -138,6 +141,33 @@ class TestScenarioConfig:
             tracemalloc.stop()
         assert peak < 2**20
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"m": 16.0}, "m must be an integer, got 16.0"),
+            ({"tree_height": 3.0}, "tree_height must be an integer, got 3.0"),
+            ({"m": True, "tree_height": True}, "m must be an integer, got True"),
+            ({"n_repl": 2.5}, "n_repl must be an integer, got 2.5"),
+            ({"n_repl": True}, "n_repl must be an integer, got True"),
+            ({"seed": 1.0}, "seed must be an integer, got 1.0"),
+            ({"seed": True}, "seed must be an integer, got True"),
+            ({"seed": -1}, "seed must be >= 0, got -1"),
+            ({"mu": "4"}, "mu must be a real number other than NaN, got '4'"),
+            ({"mu": True}, "mu must be a real number other than NaN, got True"),
+            ({"mu": math.nan}, "mu must be a real number other than NaN, got nan"),
+            ({"order_by_pvalue": 1}, "order_by_pvalue must be a bool, got 1"),
+            ({"tree_height": 33}, "tree height must be <= 32, got 33"),
+        ],
+    )
+    def test_malformed_fields_refused(self, fields, message):
+        with pytest.raises(ValueError) as caught:
+            tiny_config(**fields)
+        assert str(caught.value) == message
+
+    def test_numpy_scalars_accepted(self):
+        cfg = tiny_config(m=np.int64(16), seed=np.int64(3), mu=np.float64(4.0))
+        assert np.array_equal(fb.gen_pvalues(cfg), fb.gen_pvalues(tiny_config()))
+
     def test_n_repl_positive(self):
         with pytest.raises(ValueError):
             tiny_config(n_repl=0)
@@ -217,7 +247,63 @@ class TestScalingCheck:
         assert result.small.summaries["fast.not.pruned"].neval == 3
 
 
+class TestVariantCrossCheck:
+    @pytest.fixture
+    def off_by_one(self, monkeypatch):
+        real = sim.fast_curve
+
+        def loosened(family, path):
+            return fb.BoundCurve([v + 1 for v in real(family, path)])
+
+        monkeypatch.setattr(sim, "fast_curve", loosened)
+
+    def test_run_scenario_refuses_a_disagreeing_variant(self, off_by_one):
+        with pytest.raises(RuntimeError, match="variant fast.not.pruned disagrees"):
+            fb.run_scenario(tiny_config())
+
+    def test_scaling_check_refuses_a_disagreeing_variant(self, off_by_one):
+        with pytest.raises(RuntimeError, match="variant fast.pruned disagrees"):
+            fb.scaling_check(
+                tiny_config(),
+                tiny_config(m=160),
+                variants=("naive.pruned", "fast.pruned"),
+            )
+
+
 class TestReportFormats:
+    REPORT = BenchReport(
+        config=tiny_config(),
+        summaries={
+            "naive.not.pruned": TimingSummary(
+                0.000123456789, 0.0002, 0.00025, 0.0003, 0.0004, 0.0125, 7
+            ),
+            "fast.pruned": TimingSummary(
+                1.5e-06, 2e-06, 2.25e-06, 2.5e-06, 3e-06, 1.234567891, 7
+            ),
+        },
+        region_count=7,
+        pruned_region_count=4,
+    )
+
+    def test_csv_text(self):
+        assert bench_csv(self.REPORT) == (
+            "expr,min,lq,mean,median,uq,max,neval\n"
+            "naive.not.pruned,0.000123457,0.000200000,0.000250000,"
+            "0.000300000,0.000400000,0.012500000,7\n"
+            "fast.pruned,0.000001500,0.000002000,0.000002250,"
+            "0.000002500,0.000003000,1.234567891,7\n"
+        )
+
+    def test_table_text(self):
+        assert bench_table(self.REPORT) == (
+            "expr                    min         lq       mean     median"
+            "         uq        max  neval\n"
+            "naive.not.pruned  0.0001235  0.0002000  0.0002500  0.0003000"
+            "  0.0004000  0.0125000      7\n"
+            "fast.pruned       0.0000015  0.0000020  0.0000023  0.0000025"
+            "  0.0000030  1.2345679      7\n"
+        )
+
     def test_csv_shape(self):
         report = fb.run_scenario(tiny_config(n_repl=3))
         lines = bench_csv(report).strip().splitlines()
