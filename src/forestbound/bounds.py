@@ -4,12 +4,22 @@
 discoveries in a selection set, as a bottom-up sweep over the forest levels:
 each region's value is its own capped budget ``zeta & |S ∩ R|``, further
 capped by the sum of its children's values, and the answer is the sum over
-the roots.  The sweep reads the selection as prefix counts per atom and
-runs over the family's row table.  From NUMPY_MIN_ATOMS atoms up, the
-selection is sorted as one array and counted with ``searchsorted`` from the
-smaller side, each member finding its atom or each atom end finding its
-place among the members, in O(|S| log |S| + min(|S| log N, N log |S|) + |K|)
-per call; below, a Python loop counts it, in O(|S| + N + |K|).
+the roots.  Below NUMPY_MIN_ATOMS atoms a Python loop counts the selection
+per atom and sweeps every row, in O(|S| + N + K) for N atoms and K rows.
+
+From NUMPY_MIN_ATOMS atoms up the sweep runs over the I non-atom rows
+alone: in a complete family an atom has no children, so its value is
+``min(zeta, count)`` and it saves only when the selection puts more than
+zeta members in it.  The selection is sorted as one array and read from the
+smaller side.  A small selection finds each member's atom with
+``searchsorted``; a member ranked zeta or more in its atom lowers the
+atom's parent by one, and the non-atom rows are counted by two
+``searchsorted`` of their bounds among the members, in
+O(|S| log |S| + |S| log N + I log |S|) per call, however large N is.  A
+large one finds each atom end's place among the members and reads every
+count from these prefix counts, in O(|S| log |S| + N log |S|).  Between
+the two, and wherever the non-atom rows are many, the members' atoms are
+counted with ``bincount``, in O(|S| log N + N).
 
 Hypothesis indices from callers have one array reader, ``_index_array``: it
 reads vstar's selection from NUMPY_MIN_ATOMS up, the path of both curve
@@ -22,6 +32,7 @@ curves, and a per-entry scan for the writers.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_right
 from itertools import accumulate
 from typing import Collection, Sequence
 
@@ -74,13 +85,6 @@ def _require_complete(family: ForestFamily) -> None:
         )
 
 
-def _sweep(family: ForestFamily, hc: Sequence[int]) -> list[int] | np.ndarray:
-    """The bottom-up sweep's accumulator, from the engine the size suits."""
-    if family.n_atoms >= NUMPY_MIN_ATOMS:
-        return _sweep_np(family, hc)
-    return _sweep_py(family, hc)
-
-
 def _sweep_py(family: ForestFamily, hc: Sequence[int]) -> list[int]:
     """The bottom-up sweep over plain lists; returns its accumulator.
 
@@ -107,21 +111,29 @@ def _sweep_py(family: ForestFamily, hc: Sequence[int]) -> list[int]:
     return acc
 
 
-def _sweep_np(family: ForestFamily, hc: Sequence[int]) -> np.ndarray:
-    # _sweep_py's sweep and accumulator, one depth level at a time.  A row
-    # whose selected count is within its budget, with only such rows below
-    # it, saves nothing, so the sweep starts at the deepest level that has a
-    # row over its budget, and skips every level when none has one.  That
-    # pays only where deep budgets are vacuous, as with zeta_trivial.
-    hc = np.asarray(hc, dtype=np.int64)
-    slack = family._zeta - (hc[family._right] - hc[family._left - 1])
-    acc = np.zeros(len(slack) + 1, dtype=np.int64)
-    acc[-1] = hc[-1]
-    levels = family._levels.tolist()
-    over = np.flatnonzero(np.minimum.reduceat(slack, levels[:-1]) < 0)
+def _sweep_np(
+    family: ForestFamily, counts: np.ndarray, acc: np.ndarray
+) -> np.ndarray:
+    """_sweep_py's sweep over the non-atom rows alone, one depth level at a
+    time; returns its accumulator.
+
+    An atom has no children, so its saving is ``min(zeta - count, 0)``,
+    which is not 0 only for an atom holding more than zeta members; the
+    caller adds the atoms' savings to their parent slots of ``acc``, whose
+    last slot holds |S| and ends as the bound.  ``counts`` holds the
+    selected count of every non-atom row.  The result equals _sweep_py's
+    accumulator at the non-atom rows and the last slot.  A row within its
+    budget, with no saving below it, saves nothing, so the sweep starts at
+    the deepest level holding a row whose saving is not 0, and skips every
+    level when none has one.  That pays only where deep budgets are
+    vacuous, as with zeta_trivial.
+    """
+    slack = family._sweep_budgets.zeta - counts
+    over = np.flatnonzero(np.minimum(slack, acc[:-1]) < 0)
     if over.size:
-        deepest = int(over[-1]) + 1
-        parent = family._parent
+        view = family._sweep_rows
+        levels, parent = view.levels, view.parent
+        deepest = bisect_right(levels, int(over[-1]))
         for a, b in zip(levels[deepest - 1 : 0 : -1], levels[deepest:1:-1]):
             np.add.at(acc, parent[a:b], np.minimum(slack[a:b], acc[a:b]))
         # Every root's parent slot is the last one: a sum, not a scatter.
@@ -130,22 +142,64 @@ def _sweep_np(family: ForestFamily, hc: Sequence[int]) -> np.ndarray:
     return acc
 
 
-def _prefix_counts(
-    family: ForestFamily, selection: Collection[int]
-) -> list[int] | np.ndarray:
-    """The sweep's prefix counts of ``selection``, which is checked as
-    :func:`atom_hit_counts` checks it.
+def _from_members(
+    family: ForestFamily, members: np.ndarray, atoms: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """_sweep_np's counts and accumulator from sorted distinct members and
+    their atoms, in O(|S| + I log |S|) for I non-atom rows.
 
-    From NUMPY_MIN_ATOMS atoms up, a selection that :func:`_index_array`
-    reads is sorted once and counted up to each atom's end: a selection
-    smaller than the offsets looks up each member's atom among them and
-    counts the atoms with ``bincount``, a larger one looks up each atom's end
-    among the members; nothing of size m is built and no Python loop runs
-    over the members.  Any other selection, and one with a repeat, goes to
-    :func:`atom_hit_counts`.
+    A member is an excess member when its rank in its atom reaches the
+    atom's budget zeta, that is when the member zeta places before it lies
+    in the same atom; each lowers its atom's parent slot by one.  A
+    non-atom row's count is the number of members up to its last
+    hypothesis less those before its first.
     """
-    if family.n_atoms < NUMPY_MIN_ATOMS:
-        return list(accumulate(atom_hit_counts(family, selection)))
+    view, budgets = family._sweep_rows, family._sweep_budgets
+    # Entry k of the padded atoms is the atom of member k - 1; entry 0, the
+    # pad, is no atom, and stands for every place before the first member.
+    back = np.arange(1, members.size + 1) - budgets.atom_zeta[atoms]
+    np.maximum(back, 0, out=back)
+    excess = atoms[np.concatenate(([0], atoms))[back] == atoms]
+    acc = np.bincount(view.atom_parent[excess], minlength=len(view.rows) + 1)
+    np.negative(acc, out=acc)
+    acc[-1] += members.size
+    ends = members.searchsorted(view.bounds, "right")
+    return ends[1] - ends[0], acc
+
+
+def _from_prefix_counts(
+    family: ForestFamily, hc: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """_sweep_np's counts and accumulator from the prefix counts of every
+    atom, in O(T + I) for T tight atoms: only those can save, and their
+    savings go to their parent slots."""
+    view, budgets = family._sweep_rows, family._sweep_budgets
+    acc = np.zeros(len(view.rows) + 1, dtype=np.int64)
+    acc[-1] = hc[-1]
+    if budgets.tight_zeta.size:
+        ends = hc[budgets.tight_spans]
+        saved = np.minimum(budgets.tight_zeta - (ends[1] - ends[0]), 0)
+        np.add.at(acc, budgets.tight_parent, saved)
+    ends = hc[view.spans]
+    return ends[1] - ends[0], acc
+
+
+def _sweep_inputs(
+    family: ForestFamily, selection: Collection[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """_sweep_np's counts and accumulator of ``selection``, which is checked
+    as :func:`atom_hit_counts` checks it.
+
+    A selection that :func:`_index_array` reads is sorted once.  One of at
+    least half as many members as there are atoms finds each atom end's
+    place among the members.  A smaller one finds each member's atom among
+    the offsets, and goes through its members (:func:`_from_members`) when
+    4 (|S| + 2 I) < N + 1, or else counts the atoms with ``bincount``; on
+    the posthoc-2e17 shape (N = 8192) each way was the fastest of the three
+    on its own side of these switches.  Nothing of size m is built and no
+    Python loop runs over the members.  Any other selection, and one with a
+    repeat, goes to :func:`atom_hit_counts`.
+    """
     if not isinstance(selection, (Sequence, np.ndarray)):
         selection = list(selection)  # sets and one-shot iterables
     members = _index_array(family.m, selection)
@@ -153,12 +207,18 @@ def _prefix_counts(
         members = np.sort(members)
         if not (members[1:] == members[:-1]).any():
             offsets = family._offsets
-            if members.size < offsets.size:  # each member finds its atom
-                hits = offsets.searchsorted(members)
-                hits = np.bincount(hits, minlength=offsets.size)
-                return hits.cumsum(out=hits)
-            return np.searchsorted(members, offsets, side="right")
-    return np.cumsum(atom_hit_counts(family, selection))
+            if 2 * members.size >= offsets.size:
+                hc = np.searchsorted(members, offsets, side="right")
+            else:
+                atoms = offsets.searchsorted(members)
+                inner = len(family._sweep_rows.rows)
+                if 4 * (members.size + 2 * inner) < offsets.size:
+                    return _from_members(family, members, atoms)
+                hits = np.bincount(atoms, minlength=offsets.size)
+                hc = hits.cumsum(out=hits)
+            return _from_prefix_counts(family, hc)
+    hc = np.cumsum(atom_hit_counts(family, selection))
+    return _from_prefix_counts(family, hc)
 
 
 def vstar(family: ForestFamily, selection: Collection[int]) -> int:
@@ -171,7 +231,10 @@ def vstar(family: ForestFamily, selection: Collection[int]) -> int:
     partition-realizing region subsets of the summed capped budgets.
     """
     _require_complete(family)
-    return int(_sweep(family, _prefix_counts(family, selection))[-1])
+    if family.n_atoms < NUMPY_MIN_ATOMS:
+        hc = list(accumulate(atom_hit_counts(family, selection)))
+        return _sweep_py(family, hc)[-1]
+    return int(_sweep_np(family, *_sweep_inputs(family, selection))[-1])
 
 
 def validate_path(m: int, path: Sequence[int]) -> tuple[int, ...]:

@@ -151,6 +151,33 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
+class _SweepRows(NamedTuple):
+    """The numpy sweep runs over the I non-atom rows alone, numbered 0..I-1
+    in row order; slot I collects the roots.  In a complete family an atom
+    has no children, so it enters the sweep only through its parent's slot.
+    Atom arrays are indexed by atom number; their entry 0 is padding."""
+
+    rows: np.ndarray  # the row of each non-atom region
+    spans: np.ndarray  # 2 x I: i - 1 and j, the prefix counts that bracket it
+    bounds: np.ndarray  # the spans in hypotheses
+    parent: np.ndarray  # the parent slot of each non-atom row
+    levels: tuple[int, ...]  # rows levels[h-1]:levels[h] have depth h, or none
+    atom_parent: np.ndarray  # the parent slot of each atom
+    atoms: np.ndarray  # the row of each atom
+
+
+class _SweepBudgets(NamedTuple):
+    """The budgets of :class:`_SweepRows`.  A *tight* atom has a budget
+    below its size; only a tight atom can hold more selected members than
+    its budget."""
+
+    zeta: np.ndarray  # of each non-atom row
+    atom_zeta: np.ndarray  # of each atom
+    tight_spans: np.ndarray  # 2 x T: n - 1 and n of each tight atom n
+    tight_zeta: np.ndarray
+    tight_parent: np.ndarray
+
+
 class ForestFamily:
     """An immutable reference family with a forest interval structure.
 
@@ -167,7 +194,10 @@ class ForestFamily:
     have depth h.  Every other view is a cached property; the budget check
     builds ``_sizes``, each row's hypothesis count.  The sweeps of
     :mod:`forestbound.bounds` and the curve engine of
-    :mod:`forestbound.curve` read ancestry only from ``_parent``.
+    :mod:`forestbound.curve` read ancestry only from ``_parent``, the numpy
+    sweep through ``_sweep_rows``, which numbers the non-atom rows apart
+    from the atoms; ``_sweep_budgets`` and ``_row_lists`` hold budgets, so
+    a budget copy builds its own.
 
     Construction checks m, the atom sizes and the columns i, j and zeta
     whole: columns of exact ints become int64 arrays, and only when a column
@@ -281,7 +311,8 @@ class ForestFamily:
         and the views that hold no budget are shared with this family."""
         family = ForestFamily.__new__(ForestFamily)
         family.__dict__.update(self.__dict__)
-        family.__dict__.pop("_row_lists", None)  # it holds the budgets' list
+        for view in ("_row_lists", "_sweep_budgets"):  # they hold the budgets
+            family.__dict__.pop(view, None)
         family._zeta = self._checked(np.array(zeta, dtype=np.int64))
         return family
 
@@ -404,6 +435,45 @@ class ForestFamily:
         lists of Python ints, for the Python sweep."""
         columns = (self._zeta, self._left, self._right, self._parent)
         return tuple(c.tolist() for c in columns)
+
+    @cached_property
+    def _sweep_rows(self) -> _SweepRows:
+        """The structure the numpy sweep of vstar and prune reads.
+        Complete families only."""
+        left, right = self._left, self._right
+        rows = np.flatnonzero(left != right)
+        # A row's parent slot is its parent's number among the non-atom
+        # rows; a root's parent, -1, reads the last entry, I.
+        slot = np.full(len(self) + 1, len(rows), dtype=np.int64)
+        slot[rows] = np.arange(len(rows))
+        slot = slot[self._parent]
+        atom_rows = np.flatnonzero(left == right)
+        atoms = np.zeros(self.n_atoms + 1, dtype=np.int64)
+        atoms[left[atom_rows]] = atom_rows
+        spans = np.array((left[rows] - 1, right[rows]))
+        # Rows are in depth order, so the non-atom rows of depth <= h are
+        # those before the first row of depth h + 1.
+        levels = tuple(rows.searchsorted(self._levels).tolist())
+        columns = (rows, spans, self._offsets[spans], slot[rows])
+        return _SweepRows(
+            *map(_frozen, columns), levels, _frozen(slot[atoms]), _frozen(atoms)
+        )
+
+    @cached_property
+    def _sweep_budgets(self) -> _SweepBudgets:
+        """The budgets the numpy sweep of vstar and prune reads.  Complete
+        families only."""
+        view, offsets = self._sweep_rows, self._offsets
+        atom_zeta = self._zeta[view.atoms]
+        tight = np.flatnonzero(atom_zeta[1:] < offsets[1:] - offsets[:-1]) + 1
+        columns = (
+            self._zeta[view.rows],
+            atom_zeta,
+            np.array((tight - 1, tight)),
+            atom_zeta[tight],
+            view.atom_parent[tight],
+        )
+        return _SweepBudgets(*map(_frozen, columns))
 
     @cached_property
     def _atom_of(self) -> list[int]:

@@ -16,7 +16,13 @@ from itertools import repeat
 
 import numpy as np
 
-from .bounds import _require_complete, _sweep
+from .bounds import (
+    NUMPY_MIN_ATOMS,
+    _from_prefix_counts,
+    _require_complete,
+    _sweep_np,
+    _sweep_py,
+)
 from .forest import ForestFamily, RegionKey
 
 
@@ -42,11 +48,17 @@ def prune(family: ForestFamily) -> PruneResult:
     # On the full set the prefix counts are the atom offsets and a row's
     # count is its size; the sizes of a non-atom's children add up to its
     # own, so it is dominated exactly when its budget is at least the summed
-    # values of its children.
-    acc = _sweep(family, family._offsets)
+    # values of its children, its size plus its accumulator.
     left, right, zeta = family._left, family._right, family._zeta
-    children = family._sizes + np.asarray(acc[:-1], dtype=np.int64)
-    dominated = (left != right) & (zeta >= children)
+    if family.n_atoms < NUMPY_MIN_ATOMS:
+        acc = _sweep_py(family, family._offsets)
+        children = family._sizes + np.asarray(acc[:-1], dtype=np.int64)
+        dominated = (left != right) & (zeta >= children)
+    else:
+        acc = _sweep_np(family, *_from_prefix_counts(family, family._offsets))
+        rows = family._sweep_rows.rows
+        dominated = np.zeros(len(family), dtype=bool)
+        dominated[rows] = zeta[rows] >= family._sizes[rows] + acc[:-1]
     # RegionKey._make without a Python call per region.
     pairs = zip(left[dominated].tolist(), right[dominated].tolist())
     removed = frozenset(map(tuple.__new__, repeat(RegionKey), pairs))

@@ -192,6 +192,8 @@ def _prepare(
     unknown = set(chosen) - set(VARIANTS)
     if unknown:
         raise ValueError(f"unknown variants: {sorted(unknown)}")
+    if not chosen:
+        raise ValueError(f"variants must name at least one of {list(VARIANTS)}")
     pvalues = gen_pvalues(cfg)
     family = _scenario_family(cfg, pvalues)
     pruned = prune(family).pruned_family

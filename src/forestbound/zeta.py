@@ -176,35 +176,48 @@ def _level_null_counts(
 def apply_zetas(
     family: ForestFamily, estimates: Mapping[RegionKey, int]
 ) -> ForestFamily:
-    """Attach raw budget estimates, clamping them into 0..|R|.
+    """Attach raw budget estimates, rounded down to integers and clamped
+    into 0..|R|.
 
-    Entry point for third-party estimation strategies; emits a warning when
-    any estimate had to be clamped (the shipped estimators stay in range by
-    construction).  Regions absent from ``estimates`` keep their budget.
-    An estimate that is a boolean or not a finite number raises
+    Entry point for third-party estimation strategies; emits one warning
+    when any estimate had to be clamped and another when any in-range
+    estimate was rounded down (the shipped estimators give integers in
+    range by construction).  Regions absent from ``estimates`` keep their
+    budget.  An estimate that is a boolean or not a finite number raises
     ZetaRangeError.
     """
     sizes = family._sizes.tolist()
     zeta = family._zeta.copy()
     clamped_keys = []
+    rounded_keys = []
     for key, z in estimates.items():
         r = family._row(key)
         size = sizes[r]
         try:
-            clamped = min(max(int(z), 0), size)
+            value = int(z)
+            if value > z:  # int() truncates toward zero; a count rounds down
+                value -= 1
         except (TypeError, ValueError, OverflowError):
-            clamped = None
-        if clamped is None or isinstance(z, (bool, np.bool_)):
+            value = None
+        if value is None or isinstance(z, (bool, np.bool_)):
             raise ZetaRangeError(
                 f"zeta estimate {z!r} for region {key} is not a finite number"
             )
-        if clamped != z:
+        if value < 0 or z > size:
             clamped_keys.append(key)
-        zeta[r] = clamped
+        elif value != z:
+            rounded_keys.append(key)
+        zeta[r] = min(max(value, 0), size)
     if clamped_keys:
         warnings.warn(
             f"clamped {len(clamped_keys)} zeta estimate(s) into the "
             "structural range 0..|R|",
+            stacklevel=2,
+        )
+    if rounded_keys:
+        warnings.warn(
+            f"rounded {len(rounded_keys)} non-integer zeta estimate(s) down "
+            "to an integer",
             stacklevel=2,
         )
     return family._with_zetas(zeta)

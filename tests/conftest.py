@@ -94,6 +94,24 @@ def random_family(
     return fb.build_family(sum(sizes), sizes, triples)
 
 
+def budget_mix_family(
+    rng: random.Random, atoms: int, keep: float = 1.0
+) -> fb.ForestFamily:
+    """A complete random family of ``atoms`` atoms of 1-3 hypotheses that
+    keeps each non-atom region of :func:`random_family` with probability
+    ``keep``; every budget is 0, vacuous or uniform, a third of the regions
+    each, so atoms and non-atoms alike overrun, save nothing or bind."""
+    fam = random_family(rng, min_atoms=atoms, max_atoms=atoms, complete=True)
+    triples = []
+    for key in fam.keys():
+        if key.i != key.j and rng.random() >= keep:
+            continue
+        size = fam.region_size(key)
+        zeta = rng.choice((0, size, rng.randint(0, size)))
+        triples.append((key.i, key.j, zeta))
+    return fb.build_family(fam.m, fam.atom_sizes, triples)
+
+
 # Defines ``loosen(family)``, a copy of ``family`` whose root (1, 4) has a
 # budget of 2, and ``fam``, the loosened 4-atom family ``source``.  On the
 # path [3, 1] every curve of ``fam`` reaches V_2 = 2, past the root's budget

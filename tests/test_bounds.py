@@ -17,6 +17,8 @@ from forestbound import (
 )
 from forestbound.bounds import (
     NUMPY_MIN_ATOMS,
+    _from_members,
+    _from_prefix_counts,
     _sweep_np,
     _sweep_py,
     atom_hit_counts,
@@ -26,6 +28,8 @@ from forestbound.bounds import (
 import test_curve
 from conftest import (
     EXAMPLE_CURVE,
+    budget_mix_family,
+    definition_removed_set,
     EXAMPLE_PATH,
     ORACLE_MAX_ATOMS,
     ORACLE_MAX_M,
@@ -40,10 +44,21 @@ from conftest import (
 
 def both_engines(family, selection):
     """The bound from each sweep engine, whatever the family's size, after
-    checking that the two accumulators agree row by row."""
+    checking that the two accumulators agree at every non-atom row and at
+    the roots' slot, with the numpy engine fed from either side.  Atoms have
+    no children, so _sweep_py's accumulator is 0 at every atom row."""
     hc = list(accumulate(atom_hit_counts(family, selection)))
-    py, vec = _sweep_py(family, hc), _sweep_np(family, hc)
-    assert py == vec.tolist()
+    py = _sweep_py(family, hc)
+    atoms = family._left == family._right
+    assert not any(np.array(py[:-1])[atoms])
+    expected = [py[r] for r in family._sweep_rows.rows.tolist()] + [py[-1]]
+    members = np.sort(np.array(list(selection), dtype=np.int64))
+    for inputs in (
+        _from_prefix_counts(family, np.array(hc)),
+        _from_members(family, members, family._offsets.searchsorted(members)),
+    ):
+        vec = _sweep_np(family, *inputs)
+        assert vec.tolist() == expected
     return py[-1], int(vec[-1])
 
 
@@ -200,6 +215,94 @@ class TestLargeSideSelections:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+
+class TestSwitchPoints:
+    # From NUMPY_MIN_ATOMS atoms up, a selection of s distinct members goes
+    # one of three ways: through the atom ends' places among the members
+    # when 2 s >= N + 1; below that, through its members when
+    # 4 (s + 2 I) < N + 1, for I non-atom rows, and through a bincount of
+    # its members' atoms otherwise.  Each way is checked on both sides of
+    # its switch.
+    @staticmethod
+    def way(fam, size):
+        n, inner = fam.n_atoms, len(fam._sweep_rows.rows)
+        if 2 * size >= n + 1:
+            return "ends"
+        return "members" if 4 * (size + 2 * inner) < n + 1 else "bincount"
+
+    @staticmethod
+    def sizes(fam):
+        n, inner = fam.n_atoms, len(fam._sweep_rows.rows)
+        points = (-(-(n + 1) // 4) - 2 * inner, -(-(n + 1) // 2))
+        sizes = {0, 1, n, n + 1, fam.m}
+        sizes.update(p + d for p in points for d in (-1, 0, 1))
+        return sorted(s for s in sizes if 0 <= s <= fam.m)
+
+    @staticmethod
+    def families():
+        rng = random.Random(29)
+        for atoms, keep in (
+            (NUMPY_MIN_ATOMS, 1.0),
+            (NUMPY_MIN_ATOMS, 0.04),
+            (4 * NUMPY_MIN_ATOMS, 0.02),
+            (4 * NUMPY_MIN_ATOMS, 0.3),
+        ):
+            for _ in range(2):
+                fam = budget_mix_family(rng, atoms, keep)
+                yield rng, fam
+                yield rng, fb.prune(fam).pruned_family
+
+    def test_engines_and_oracle(self, monkeypatch):
+        from forestbound import bounds
+
+        through_members = []
+        real = bounds._from_members
+        monkeypatch.setattr(
+            bounds,
+            "_from_members",
+            lambda *a: through_members.append(1) or real(*a),
+        )
+        ways = []
+        for rng, fam in self.families():
+            for size in self.sizes(fam):
+                members = rng.sample(range(1, fam.m + 1), size)
+                hc = list(accumulate(atom_hit_counts(fam, members)))
+                expected = _sweep_py(fam, hc)[-1]
+                assert both_engines(fam, members) == (expected, expected)
+                for form in (list, set, np.array):
+                    assert fb.vstar(fam, form(members)) == expected
+                    ways.append(self.way(fam, size))
+                if size <= 8:
+                    assert oracle_vstar_sets(fam, members) == expected
+        assert set(ways) == {"ends", "members", "bincount"}
+        assert len(through_members) == ways.count("members")
+
+    def test_prune(self):
+        for _, fam in self.families():
+            result = fb.prune(fam)
+            assert result.removed == definition_removed_set(fam)
+            assert result.vstar_full == _sweep_py(fam, fam._offsets)[-1]
+
+
+class TestCostFollowsTheSelection:
+    def test_one_member_allocates_no_table_of_the_atoms(self):
+        # 2**15 atoms under 257 non-atom regions: a one-member vstar touches
+        # one atom and the non-atom rows, so it allocates nothing of size N.
+        n = 2**15
+        atoms = [(a, a, a % 2) for a in range(1, n + 1)]
+        blocks = [(i, i + 127, 10) for i in range(1, n + 1, 128)]
+        result = fb.prune(fb.build_family(n, (1,) * n, [(1, n, 100), *blocks, *atoms]))
+        assert result.removed == frozenset()
+        fam = result.pruned_family
+        assert fb.vstar(fam, [1]) == 1  # builds the cached views
+        tracemalloc.start()
+        try:
+            assert fb.vstar(fam, [3]) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**10
 
 
 @pytest.mark.parametrize("atoms", [16, NUMPY_MIN_ATOMS])

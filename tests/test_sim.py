@@ -270,6 +270,24 @@ class TestVariantCrossCheck:
             )
 
 
+class TestEmptyVariants:
+    # An empty choice is refused before any family is built.
+    @pytest.fixture
+    def nothing_built(self, monkeypatch):
+        def refuse(cfg):
+            raise AssertionError("p-values drawn for an empty variant choice")
+
+        monkeypatch.setattr(sim, "gen_pvalues", refuse)
+
+    def test_run_scenario(self, nothing_built):
+        with pytest.raises(ValueError, match="at least one"):
+            fb.run_scenario(tiny_config(), variants=())
+
+    def test_scaling_check(self, nothing_built):
+        with pytest.raises(ValueError, match="at least one"):
+            fb.scaling_check(tiny_config(), tiny_config(m=160), variants=[])
+
+
 class TestReportFormats:
     REPORT = BenchReport(
         config=tiny_config(),

@@ -194,6 +194,27 @@ class TestApplyZetas:
         assert out.zeta((7, 7)) == 0
         assert out.zeta((2, 3)) == 1  # untouched regions keep budgets
 
+    def test_rounds_down_and_says_so(self, example_family):
+        with pytest.warns(UserWarning) as record:
+            out = fb.apply_zetas(example_family, {fb.RegionKey(1, 5): 2.5})
+        assert out.zeta((1, 5)) == 2
+        (message,) = [str(w.message) for w in record]
+        assert "rounded 1 non-integer" in message and "clamped" not in message
+
+    def test_out_of_range_fractions_are_clamped(self, example_family):
+        with pytest.warns(UserWarning, match="clamped 2 ") as record:
+            out = fb.apply_zetas(
+                example_family, {fb.RegionKey(1, 5): 20.5, fb.RegionKey(7, 7): -0.5}
+            )
+        assert len(record) == 1
+        assert out.zeta((1, 5)) == 20
+        assert out.zeta((7, 7)) == 0
+
+    def test_string_estimate_is_a_zeta_error(self, example_family):
+        # int("3") reads it, but a string is no number to round or clamp.
+        with pytest.raises(fb.ZetaRangeError):
+            fb.apply_zetas(example_family, {fb.RegionKey(1, 5): "3"})
+
     def test_in_range_estimates_pass_silently(self, example_family):
         import warnings
 
