@@ -31,21 +31,11 @@ from .forest import (
     complete_family,
 )
 from .pruning import PruneResult, compact, prune
-from .sim import (
-    BenchReport,
-    ScalingReport,
-    ScenarioConfig,
-    TimingSummary,
-    gen_pvalues,
-    run_scenario,
-    scaling_check,
-)
 from .zeta import ZetaEstimator, apply_zetas, zeta_dkwm, zeta_trivial
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BenchReport",
     "BoundCurve",
     "DuplicateRegionError",
     "ForestError",
@@ -59,10 +49,7 @@ __all__ = [
     "PruneResult",
     "Region",
     "RegionKey",
-    "ScalingReport",
-    "ScenarioConfig",
     "SizeMismatchError",
-    "TimingSummary",
     "UnknownRegionError",
     "ZetaEstimator",
     "ZetaRangeError",
@@ -75,11 +62,8 @@ __all__ = [
     "curve_from_pvalues",
     "fast_curve",
     "fdp_curve",
-    "gen_pvalues",
     "naive_curve",
     "prune",
-    "run_scenario",
-    "scaling_check",
     "vstar",
     "zeta_dkwm",
     "zeta_trivial",

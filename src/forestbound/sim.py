@@ -1,5 +1,9 @@
 """Scenario generation and timing harness for the curve algorithms.
 
+This is the scenario module behind ``forestbound bench`` and acceptance
+criteria 6-8.  The package does not import it, so ``import forestbound``
+loads neither it nor scipy; callers write ``from forestbound import sim``.
+
 Scenarios test one-sided Gaussian means on a dyadic forest: hypotheses in
 designated signal atoms get a positive shift, the rest are null, and
 p-values come from the standard normal survival function.  The harness times
@@ -29,7 +33,7 @@ import numpy as np
 from .curve import BoundCurve, _pvalue_path, fast_curve, naive_curve
 from .forest import DYADIC_MAX_M, ForestFamily, _as_count, build_dyadic
 from .pruning import prune
-from .zeta import ZETA_METHODS, ZetaEstimator, _check_alpha
+from .zeta import ZetaEstimator
 
 VARIANTS = (
     "naive.not.pruned",
@@ -74,7 +78,16 @@ class ScenarioConfig:
         # allocated arrays of m floats.
         if self.m > DYADIC_MAX_M:
             raise ValueError(f"m={self.m} exceeds {DYADIC_MAX_M}")
-        for leaf in self.signal_leaves:
+        # Read once, as a generator is empty on a second pass.  The leaves are
+        # checked before a set is built, where True would merge into a 1.
+        try:
+            leaves = tuple(self.signal_leaves)
+        except TypeError:
+            raise ValueError(
+                f"signal leaves must be an iterable of integers in 1..{n_atoms}, "
+                f"got {self.signal_leaves!r}"
+            ) from None
+        for leaf in leaves:
             try:
                 ok = 1 <= operator.index(leaf) <= n_atoms and leaf is not True
             except TypeError:
@@ -83,6 +96,7 @@ class ScenarioConfig:
                 raise ValueError(
                     f"signal leaves must be integers in 1..{n_atoms}, got {leaf!r}"
                 )
+        object.__setattr__(self, "signal_leaves", frozenset(leaves))
         if self.n_repl < 1:
             raise ValueError("n_repl must be >= 1")
         if self.seed < 0:
@@ -94,9 +108,7 @@ class ScenarioConfig:
             raise ValueError(
                 f"order_by_pvalue must be a bool, got {self.order_by_pvalue!r}"
             )
-        if self.zeta_method not in ZETA_METHODS:
-            raise ValueError(f"unknown zeta method {self.zeta_method!r}")
-        _check_alpha(self.alpha)
+        ZetaEstimator(self.zeta_method, self.alpha)  # refuses either field
 
     @property
     def atom_size(self) -> int:
@@ -188,6 +200,8 @@ def _prepare(
 ) -> tuple[dict[str, Callable[[], BoundCurve]], int, int]:
     """A scenario's chosen runners, warmed up and cross-checked, and the
     region counts of its family and of the pruned twin."""
+    if isinstance(variants, str):
+        raise ValueError(f"variants must be a sequence of names, got {variants!r}")
     chosen = VARIANTS if variants is None else tuple(variants)
     unknown = set(chosen) - set(VARIANTS)
     if unknown:

@@ -13,6 +13,7 @@ import time
 import pytest
 
 import forestbound as fb
+from forestbound import sim
 
 from conftest import (
     EXAMPLE_ATOMS,
@@ -40,13 +41,13 @@ def _report(num, name, ok, detail=""):
 
 @pytest.fixture(scope="module")
 def scaling_reports():
-    cfg_small = fb.ScenarioConfig(
+    cfg_small = sim.ScenarioConfig(
         m=1024, tree_height=10, n_repl=6, seed=SEED
     )
-    cfg_large = fb.ScenarioConfig(
+    cfg_large = sim.ScenarioConfig(
         m=10240, tree_height=10, n_repl=3, seed=SEED
     )
-    return fb.scaling_check(
+    return sim.scaling_check(
         cfg_small,
         cfg_large,
         variants=("naive.not.pruned", "fast.not.pruned"),
@@ -55,8 +56,8 @@ def scaling_reports():
 
 @pytest.fixture(scope="module")
 def fast_large_report():
-    cfg = fb.ScenarioConfig(m=10240, tree_height=10, n_repl=10, seed=SEED)
-    return fb.run_scenario(cfg, variants=("fast.not.pruned", "fast.pruned"))
+    cfg = sim.ScenarioConfig(m=10240, tree_height=10, n_repl=10, seed=SEED)
+    return sim.run_scenario(cfg, variants=("fast.not.pruned", "fast.pruned"))
 
 
 def test_criterion_1_golden_worked_example():
@@ -266,8 +267,8 @@ def test_criterion_8_pruned_size_determinism():
     size = len(fb.prune(trivial).pruned_family)
     dkwm_sizes = {}
     for m, atom in ((1024, 2), (10240, 20)):
-        cfg = fb.ScenarioConfig(m=m, tree_height=10, zeta_method="dkwm", seed=SEED)
-        p = fb.gen_pvalues(cfg)
+        cfg = sim.ScenarioConfig(m=m, tree_height=10, zeta_method="dkwm", seed=SEED)
+        p = sim.gen_pvalues(cfg)
         fam = fb.zeta_dkwm(fb.build_dyadic(10, atom), p, cfg.alpha)
         dkwm_sizes[m] = len(fb.prune(fam).pruned_family)
     _report(

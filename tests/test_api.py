@@ -2,9 +2,9 @@
 
 import forestbound as fb
 import forestbound.bounds
+from forestbound import sim
 
 PUBLIC = [
-    "BenchReport",
     "BoundCurve",
     "DuplicateRegionError",
     "ForestError",
@@ -18,10 +18,7 @@ PUBLIC = [
     "PruneResult",
     "Region",
     "RegionKey",
-    "ScalingReport",
-    "ScenarioConfig",
     "SizeMismatchError",
-    "TimingSummary",
     "UnknownRegionError",
     "ZetaEstimator",
     "ZetaRangeError",
@@ -34,14 +31,22 @@ PUBLIC = [
     "curve_from_pvalues",
     "fast_curve",
     "fdp_curve",
-    "gen_pvalues",
     "naive_curve",
     "prune",
-    "run_scenario",
-    "scaling_check",
     "vstar",
     "zeta_dkwm",
     "zeta_trivial",
+]
+
+# The scenario and timing names live in forestbound.sim alone.
+SIM = [
+    "BenchReport",
+    "ScalingReport",
+    "ScenarioConfig",
+    "TimingSummary",
+    "gen_pvalues",
+    "run_scenario",
+    "scaling_check",
 ]
 
 # The brute-force references live in tests/conftest.py, not in the package.
@@ -55,10 +60,13 @@ TEST_ONLY = [
 
 
 def test_public_names():
-    assert len(PUBLIC) == 38
+    assert len(PUBLIC) == 31
     assert sorted(fb.__all__) == PUBLIC
     for name in PUBLIC:
         assert getattr(fb, name) is not None, name
     for name in TEST_ONLY:
         assert not hasattr(fb, name), name
         assert not hasattr(forestbound.bounds, name), name
+    for name in SIM:
+        assert hasattr(sim, name), name
+        assert not hasattr(fb, name), name

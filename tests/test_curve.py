@@ -13,6 +13,7 @@ from forestbound import (
     IncompleteFamilyError,
     InvalidProbabilityError,
     NotAPermutationError,
+    sim,
 )
 from forestbound.bounds import NUMPY_MIN_ATOMS, _path_array, validate_path
 
@@ -314,10 +315,10 @@ class TestCurveFromPvalues:
         assert curve == fb.fast_curve(fam, list(range(1, m + 1)))
 
     def test_matches_naive_on_generated_pvalues(self):
-        cfg = fb.ScenarioConfig(
+        cfg = sim.ScenarioConfig(
             m=32, tree_height=4, signal_leaves=frozenset({1, 3}), n_repl=1, seed=5
         )
-        p = fb.gen_pvalues(cfg)
+        p = sim.gen_pvalues(cfg)
         fam = fb.zeta_dkwm(fb.build_dyadic(4, 4), p, 0.1)
         order = sorted(range(1, 33), key=lambda i: (p[i - 1], i))
         assert fb.curve_from_pvalues(fam, p) == fb.naive_curve(fam, order)

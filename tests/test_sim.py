@@ -30,14 +30,18 @@ def tiny_config(**kw):
         seed=3,
     )
     defaults.update(kw)
-    return fb.ScenarioConfig(**defaults)
+    return sim.ScenarioConfig(**defaults)
 
 
 def test_import_leaves_scipy_unloaded():
-    # Only the scenario p-values need scipy.special; importing the package,
-    # and so every CLI command but bench, skips its import time.
+    # Only the scenario p-values need scipy.special, and only bench needs
+    # sim; importing the package, and so every other CLI command, skips both.
     src = os.path.dirname(os.path.dirname(fb.__file__))
-    script = 'import forestbound; import sys; assert "scipy" not in sys.modules'
+    script = (
+        "import forestbound; import sys\n"
+        'assert "scipy" not in sys.modules\n'
+        'assert "forestbound.sim" not in sys.modules\n'
+    )
     done = subprocess.run(
         [sys.executable, "-c", script],
         env=dict(os.environ, PYTHONPATH=src),
@@ -65,19 +69,19 @@ class TestPvalueTransform:
 class TestGenPvalues:
     def test_reproducible_and_in_range(self):
         cfg = tiny_config()
-        a = fb.gen_pvalues(cfg)
-        b = fb.gen_pvalues(cfg)
+        a = sim.gen_pvalues(cfg)
+        b = sim.gen_pvalues(cfg)
         assert np.array_equal(a, b)
         assert a.shape == (16,)
         assert np.all((a >= 0) & (a <= 1))
 
     def test_different_seeds_differ(self):
         assert not np.array_equal(
-            fb.gen_pvalues(tiny_config(seed=1)), fb.gen_pvalues(tiny_config(seed=2))
+            sim.gen_pvalues(tiny_config(seed=1)), sim.gen_pvalues(tiny_config(seed=2))
         )
 
     def test_signal_atoms_get_small_pvalues(self):
-        cfg = fb.ScenarioConfig(
+        cfg = sim.ScenarioConfig(
             m=4096,
             tree_height=2,
             signal_leaves=frozenset({1}),
@@ -85,21 +89,21 @@ class TestGenPvalues:
             n_repl=1,
             seed=7,
         )
-        p = fb.gen_pvalues(cfg)
+        p = sim.gen_pvalues(cfg)
         signal, null = p[:2048], p[2048:]
         assert np.median(signal) < 0.01
         assert 0.4 < np.median(null) < 0.6
 
     def test_null_mean_monte_carlo(self):
         # mean of 1e5 uniform draws stays within 3 sigma of 1/2
-        cfg = fb.ScenarioConfig(
+        cfg = sim.ScenarioConfig(
             m=100_000,
             tree_height=1,
             signal_leaves=frozenset(),
             n_repl=1,
             seed=11,
         )
-        p = fb.gen_pvalues(cfg)
+        p = sim.gen_pvalues(cfg)
         tol = 3.0 * math.sqrt(1.0 / 12.0) / math.sqrt(p.size)
         assert abs(float(p.mean()) - 0.5) < tol
 
@@ -110,32 +114,42 @@ class TestScenarioConfig:
 
     def test_m_must_divide(self):
         with pytest.raises(ValueError):
-            fb.ScenarioConfig(m=10, tree_height=3, signal_leaves=frozenset())
+            sim.ScenarioConfig(m=10, tree_height=3, signal_leaves=frozenset())
 
     def test_m_within_dyadic_limit(self):
         # Refused before gen_pvalues allocates m floats, as build_dyadic would.
-        fb.ScenarioConfig(m=2**30, tree_height=5)
+        sim.ScenarioConfig(m=2**30, tree_height=5)
         with pytest.raises(ValueError, match="exceeds"):
-            fb.ScenarioConfig(m=2**31, tree_height=5)
+            sim.ScenarioConfig(m=2**31, tree_height=5)
 
     def test_signal_leaves_bounds(self):
         with pytest.raises(ValueError):
-            fb.ScenarioConfig(m=8, tree_height=2, signal_leaves=frozenset({3}))
+            sim.ScenarioConfig(m=8, tree_height=2, signal_leaves=frozenset({3}))
 
     def test_signal_leaves_are_integer_atoms(self):
         # True would act as leaf 1 and 5.0 would fail later in gen_pvalues.
         for bad in (True, 5.0, 0):
             with pytest.raises(ValueError, match=f"1..8, got {bad!r}"):
-                fb.ScenarioConfig(m=16, tree_height=4, signal_leaves=frozenset({bad}))
-        cfg = fb.ScenarioConfig(
+                sim.ScenarioConfig(m=16, tree_height=4, signal_leaves=frozenset({bad}))
+        cfg = sim.ScenarioConfig(
             m=16, tree_height=4, signal_leaves=frozenset({np.int64(8)})
         )
-        assert fb.gen_pvalues(cfg).shape == (16,)
+        assert sim.gen_pvalues(cfg).shape == (16,)
+
+    def test_signal_leaves_read_once(self):
+        cfg = sim.ScenarioConfig(
+            m=32, tree_height=5, seed=7, signal_leaves=iter([1, 2])
+        )
+        twin = sim.ScenarioConfig(
+            m=32, tree_height=5, seed=7, signal_leaves=frozenset({1, 2})
+        )
+        assert cfg == twin
+        assert np.array_equal(sim.gen_pvalues(cfg), sim.gen_pvalues(twin))
 
     def test_signal_leaves_checked_without_an_atom_set(self):
         tracemalloc.start()
         try:
-            fb.ScenarioConfig(m=2**20, tree_height=21)
+            sim.ScenarioConfig(m=2**20, tree_height=21)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -157,6 +171,14 @@ class TestScenarioConfig:
             ({"mu": math.nan}, "mu must be a real number other than NaN, got nan"),
             ({"order_by_pvalue": 1}, "order_by_pvalue must be a bool, got 1"),
             ({"tree_height": 33}, "tree height must be <= 32, got 33"),
+            (
+                {"signal_leaves": 5},
+                "signal leaves must be an iterable of integers in 1..4, got 5",
+            ),
+            (
+                {"signal_leaves": None},
+                "signal leaves must be an iterable of integers in 1..4, got None",
+            ),
         ],
     )
     def test_malformed_fields_refused(self, fields, message):
@@ -166,7 +188,7 @@ class TestScenarioConfig:
 
     def test_numpy_scalars_accepted(self):
         cfg = tiny_config(m=np.int64(16), seed=np.int64(3), mu=np.float64(4.0))
-        assert np.array_equal(fb.gen_pvalues(cfg), fb.gen_pvalues(tiny_config()))
+        assert np.array_equal(sim.gen_pvalues(cfg), sim.gen_pvalues(tiny_config()))
 
     def test_n_repl_positive(self):
         with pytest.raises(ValueError):
@@ -179,16 +201,16 @@ class TestScenarioConfig:
 
 class TestRunScenario:
     def test_single_replication_min_equals_max(self):
-        cfg = fb.ScenarioConfig(
+        cfg = sim.ScenarioConfig(
             m=2, tree_height=1, signal_leaves=frozenset({1}), n_repl=1, seed=1
         )
-        report = fb.run_scenario(cfg)
+        report = sim.run_scenario(cfg)
         for summary in report.summaries.values():
             assert summary.min == summary.max == summary.median
             assert summary.neval == 1
 
     def test_summary_ordering_invariants(self):
-        report = fb.run_scenario(tiny_config(n_repl=5))
+        report = sim.run_scenario(tiny_config(n_repl=5))
         assert set(report.summaries) == set(VARIANTS)
         for s in report.summaries.values():
             assert s.min <= s.lq <= s.median <= s.uq <= s.max
@@ -196,25 +218,25 @@ class TestRunScenario:
             assert s.neval == 5
 
     def test_variant_subset(self):
-        report = fb.run_scenario(tiny_config(), variants=("fast.pruned",))
+        report = sim.run_scenario(tiny_config(), variants=("fast.pruned",))
         assert list(report.summaries) == ["fast.pruned"]
         with pytest.raises(ValueError):
-            fb.run_scenario(tiny_config(), variants=("fast.cached",))
+            sim.run_scenario(tiny_config(), variants=("fast.cached",))
 
     def test_region_counts(self):
-        report = fb.run_scenario(tiny_config(), variants=("fast.pruned",))
+        report = sim.run_scenario(tiny_config(), variants=("fast.pruned",))
         assert report.region_count == 7
         assert report.pruned_region_count == 4  # trivial budgets keep atoms only
 
     def test_dkwm_scenario_runs(self):
-        report = fb.run_scenario(
+        report = sim.run_scenario(
             tiny_config(zeta_method="dkwm", alpha=0.1),
             variants=("fast.not.pruned", "naive.not.pruned"),
         )
         assert report.pruned_region_count <= report.region_count
 
     def test_pvalue_order_runs(self):
-        report = fb.run_scenario(
+        report = sim.run_scenario(
             tiny_config(order_by_pvalue=True),
             variants=("fast.not.pruned", "naive.not.pruned"),
         )
@@ -225,11 +247,11 @@ class TestScalingCheck:
     def test_preconditions(self):
         small = tiny_config()
         with pytest.raises(ValueError):
-            fb.scaling_check(small, tiny_config(m=32))
+            sim.scaling_check(small, tiny_config(m=32))
         with pytest.raises(ValueError):
-            fb.scaling_check(
+            sim.scaling_check(
                 small,
-                fb.ScenarioConfig(
+                sim.ScenarioConfig(
                     m=160,
                     tree_height=4,
                     signal_leaves=frozenset({1}),
@@ -241,7 +263,7 @@ class TestScalingCheck:
     def test_produces_ratios(self):
         small = tiny_config(n_repl=3)
         large = tiny_config(m=160, n_repl=3)
-        result = fb.scaling_check(small, large, variants=("fast.not.pruned",))
+        result = sim.scaling_check(small, large, variants=("fast.not.pruned",))
         assert set(result.ratios) == {"fast.not.pruned"}
         assert result.ratios["fast.not.pruned"] > 0
         assert result.small.summaries["fast.not.pruned"].neval == 3
@@ -259,11 +281,11 @@ class TestVariantCrossCheck:
 
     def test_run_scenario_refuses_a_disagreeing_variant(self, off_by_one):
         with pytest.raises(RuntimeError, match="variant fast.not.pruned disagrees"):
-            fb.run_scenario(tiny_config())
+            sim.run_scenario(tiny_config())
 
     def test_scaling_check_refuses_a_disagreeing_variant(self, off_by_one):
         with pytest.raises(RuntimeError, match="variant fast.pruned disagrees"):
-            fb.scaling_check(
+            sim.scaling_check(
                 tiny_config(),
                 tiny_config(m=160),
                 variants=("naive.pruned", "fast.pruned"),
@@ -271,7 +293,7 @@ class TestVariantCrossCheck:
 
 
 class TestEmptyVariants:
-    # An empty choice is refused before any family is built.
+    # An empty choice, or a bare string, is refused before any family is built.
     @pytest.fixture
     def nothing_built(self, monkeypatch):
         def refuse(cfg):
@@ -281,11 +303,15 @@ class TestEmptyVariants:
 
     def test_run_scenario(self, nothing_built):
         with pytest.raises(ValueError, match="at least one"):
-            fb.run_scenario(tiny_config(), variants=())
+            sim.run_scenario(tiny_config(), variants=())
 
     def test_scaling_check(self, nothing_built):
         with pytest.raises(ValueError, match="at least one"):
-            fb.scaling_check(tiny_config(), tiny_config(m=160), variants=[])
+            sim.scaling_check(tiny_config(), tiny_config(m=160), variants=[])
+
+    def test_a_bare_string(self, nothing_built):
+        with pytest.raises(ValueError, match="got 'fast.pruned'$"):
+            sim.run_scenario(tiny_config(), variants="fast.pruned")
 
 
 class TestReportFormats:
@@ -323,7 +349,7 @@ class TestReportFormats:
         )
 
     def test_csv_shape(self):
-        report = fb.run_scenario(tiny_config(n_repl=3))
+        report = sim.run_scenario(tiny_config(n_repl=3))
         lines = bench_csv(report).strip().splitlines()
         assert lines[0] == "expr,min,lq,mean,median,uq,max,neval"
         assert len(lines) == 1 + len(VARIANTS)
@@ -334,7 +360,7 @@ class TestReportFormats:
             assert all(float(c) >= 0 for c in cells[1:-1])
 
     def test_table_aligned(self):
-        report = fb.run_scenario(tiny_config(n_repl=3))
+        report = sim.run_scenario(tiny_config(n_repl=3))
         lines = bench_table(report).splitlines()
         assert lines[0].split() == [
             "expr", "min", "lq", "mean", "median", "uq", "max", "neval",

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import forestbound as fb
-from forestbound import InvalidProbabilityError
+from forestbound import InvalidProbabilityError, sim
 from forestbound.zeta import upper_null_count
 
 from conftest import random_family
@@ -296,7 +296,7 @@ def test_one_alpha_check(example_family, alpha):
     with pytest.raises(InvalidProbabilityError, match=message):
         fb.ZetaEstimator("dkwm", alpha)
     with pytest.raises(InvalidProbabilityError, match=message):
-        fb.ScenarioConfig(m=16, tree_height=3, signal_leaves=frozenset(), alpha=alpha)
+        sim.ScenarioConfig(m=16, tree_height=3, signal_leaves=frozenset(), alpha=alpha)
     if alpha == "0.1":  # a value that is no real number is shown by repr
         with pytest.raises(InvalidProbabilityError, match=r"got '0\.1'$"):
             fb.zeta_dkwm(example_family, [0.5] * 25, alpha)
