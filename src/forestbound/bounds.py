@@ -32,19 +32,19 @@ curves, and a per-entry scan for the writers.
 from __future__ import annotations
 
 import operator
-from bisect import bisect_right
+from collections.abc import MappingView, Set as AbstractSet
 from itertools import accumulate
 from typing import Collection, Sequence
 
 import numpy as np
 
 from .errors import IncompleteFamilyError, IndexOutOfRangeError, NotAPermutationError
-from .forest import ForestFamily
+from .forest import ForestFamily, _SweepView
 
-# Families with at least this many atoms go through the vectorized sweep of
-# vstar and prune; below it, plain lists beat the per-call overhead (on a
-# 2-vCPU x86 host, the numpy sweep took 1.3-1.6x the Python time at 64
-# atoms, 0.8-1.2x at 128).
+# Families with at least this many atoms go through vstar's vectorized
+# sweep; below it, plain lists beat the per-call overhead (on a 2-vCPU x86
+# host, the numpy sweep took 1.3-1.6x the Python time at 64 atoms, 0.8-1.2x
+# at 128).
 NUMPY_MIN_ATOMS = 128
 
 
@@ -112,29 +112,27 @@ def _sweep_py(family: ForestFamily, hc: Sequence[int]) -> list[int]:
 
 
 def _sweep_np(
-    family: ForestFamily, counts: np.ndarray, acc: np.ndarray
+    levels: np.ndarray, parent: np.ndarray, slack: np.ndarray, acc: np.ndarray
 ) -> np.ndarray:
-    """_sweep_py's sweep over the non-atom rows alone, one depth level at a
-    time; returns its accumulator.
+    """_sweep_py's sweep over a row table, one depth level at a time; sums
+    into ``acc`` in place and returns it.  It reads no family.
 
-    An atom has no children, so its saving is ``min(zeta - count, 0)``,
-    which is not 0 only for an atom holding more than zeta members; the
-    caller adds the atoms' savings to their parent slots of ``acc``, whose
-    last slot holds |S| and ends as the bound.  ``counts`` holds the
-    selected count of every non-atom row.  The result equals _sweep_py's
-    accumulator at the non-atom rows and the last slot.  A row within its
-    budget, with no saving below it, saves nothing, so the sweep starts at
-    the deepest level holding a row whose saving is not 0, and skips every
-    level when none has one.  That pays only where deep budgets are
-    vacuous, as with zeta_trivial.
+    Rows ``levels[h-1]:levels[h]`` have depth h.  ``slack`` holds each
+    row's budget less its selected count, so row r saves
+    ``min(slack[r], acc[r])``, which it adds to slot ``parent[r]``; the
+    roots add theirs to the last slot, which ends as the bound.  ``acc``
+    starts with the savings known before the sweep.  prune sweeps every
+    row and passes zeros with m in the last slot.  vstar's table leaves out
+    the atoms, so it passes their savings in their parents' slots and |S|
+    in the last.  A row within its budget, with no saving below it, saves
+    nothing, so the sweep starts at the deepest level holding a row whose
+    saving is not 0, and skips every level when none has one.  That pays
+    only where deep budgets are vacuous, as with zeta_trivial.
     """
-    slack = family._sweep_budgets.zeta - counts
     over = np.flatnonzero(np.minimum(slack, acc[:-1]) < 0)
     if over.size:
-        view = family._sweep_rows
-        levels, parent = view.levels, view.parent
-        deepest = bisect_right(levels, int(over[-1]))
-        for a, b in zip(levels[deepest - 1 : 0 : -1], levels[deepest:1:-1]):
+        levels = levels[: levels.searchsorted(over[-1], "right") + 1].tolist()
+        for a, b in zip(levels[-2:0:-1], levels[:1:-1]):
             np.add.at(acc, parent[a:b], np.minimum(slack[a:b], acc[a:b]))
         # Every root's parent slot is the last one: a sum, not a scatter.
         roots = levels[1]
@@ -143,10 +141,11 @@ def _sweep_np(
 
 
 def _from_members(
-    family: ForestFamily, members: np.ndarray, atoms: np.ndarray
+    view: _SweepView, members: np.ndarray, atoms: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """_sweep_np's counts and accumulator from sorted distinct members and
-    their atoms, in O(|S| + I log |S|) for I non-atom rows.
+    """The slack and accumulator of vstar's numpy sweep from sorted
+    distinct members and their atoms, in O(|S| + I log |S|) for I non-atom
+    rows.
 
     A member is an excess member when its rank in its atom reaches the
     atom's budget zeta, that is when the member zeta places before it lies
@@ -154,41 +153,39 @@ def _from_members(
     non-atom row's count is the number of members up to its last
     hypothesis less those before its first.
     """
-    view, budgets = family._sweep_rows, family._sweep_budgets
     # Entry k of the padded atoms is the atom of member k - 1; entry 0, the
     # pad, is no atom, and stands for every place before the first member.
-    back = np.arange(1, members.size + 1) - budgets.atom_zeta[atoms]
+    back = np.arange(1, members.size + 1) - view.atom_zeta[atoms]
     np.maximum(back, 0, out=back)
     excess = atoms[np.concatenate(([0], atoms))[back] == atoms]
     acc = np.bincount(view.atom_parent[excess], minlength=len(view.rows) + 1)
     np.negative(acc, out=acc)
     acc[-1] += members.size
     ends = members.searchsorted(view.bounds, "right")
-    return ends[1] - ends[0], acc
+    return view.zeta - ends[1] + ends[0], acc
 
 
 def _from_prefix_counts(
-    family: ForestFamily, hc: np.ndarray
+    view: _SweepView, hc: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """_sweep_np's counts and accumulator from the prefix counts of every
-    atom, in O(T + I) for T tight atoms: only those can save, and their
-    savings go to their parent slots."""
-    view, budgets = family._sweep_rows, family._sweep_budgets
+    """The slack and accumulator of vstar's numpy sweep from the prefix
+    counts of every atom, in O(T + I) for T tight atoms: only those can
+    save, and their savings go to their parent slots."""
     acc = np.zeros(len(view.rows) + 1, dtype=np.int64)
     acc[-1] = hc[-1]
-    if budgets.tight_zeta.size:
-        ends = hc[budgets.tight_spans]
-        saved = np.minimum(budgets.tight_zeta - (ends[1] - ends[0]), 0)
-        np.add.at(acc, budgets.tight_parent, saved)
+    if view.tight_zeta.size:
+        ends = hc[view.tight_spans]
+        saved = np.minimum(view.tight_zeta - (ends[1] - ends[0]), 0)
+        np.add.at(acc, view.tight_parent, saved)
     ends = hc[view.spans]
-    return ends[1] - ends[0], acc
+    return view.zeta - ends[1] + ends[0], acc
 
 
 def _sweep_inputs(
     family: ForestFamily, selection: Collection[int]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """_sweep_np's counts and accumulator of ``selection``, which is checked
-    as :func:`atom_hit_counts` checks it.
+    """The slack and accumulator of vstar's numpy sweep for ``selection``,
+    which is checked as :func:`atom_hit_counts` checks it.
 
     A selection that :func:`_index_array` reads is sorted once.  One of at
     least half as many members as there are atoms finds each atom end's
@@ -202,6 +199,7 @@ def _sweep_inputs(
     """
     if not isinstance(selection, (Sequence, np.ndarray)):
         selection = list(selection)  # sets and one-shot iterables
+    view = family._sweep_view
     members = _index_array(family.m, selection)
     if members is not None:
         members = np.sort(members)
@@ -211,14 +209,13 @@ def _sweep_inputs(
                 hc = np.searchsorted(members, offsets, side="right")
             else:
                 atoms = offsets.searchsorted(members)
-                inner = len(family._sweep_rows.rows)
-                if 4 * (members.size + 2 * inner) < offsets.size:
-                    return _from_members(family, members, atoms)
+                if 4 * (members.size + 2 * len(view.rows)) < offsets.size:
+                    return _from_members(view, members, atoms)
                 hits = np.bincount(atoms, minlength=offsets.size)
                 hc = hits.cumsum(out=hits)
-            return _from_prefix_counts(family, hc)
+            return _from_prefix_counts(view, hc)
     hc = np.cumsum(atom_hit_counts(family, selection))
-    return _from_prefix_counts(family, hc)
+    return _from_prefix_counts(view, hc)
 
 
 def vstar(family: ForestFamily, selection: Collection[int]) -> int:
@@ -234,11 +231,20 @@ def vstar(family: ForestFamily, selection: Collection[int]) -> int:
     if family.n_atoms < NUMPY_MIN_ATOMS:
         hc = list(accumulate(atom_hit_counts(family, selection)))
         return _sweep_py(family, hc)[-1]
-    return int(_sweep_np(family, *_sweep_inputs(family, selection))[-1])
+    view = family._sweep_view
+    slack, acc = _sweep_inputs(family, selection)
+    return int(_sweep_np(view.levels, view.parent, slack, acc)[-1])
 
 
 def validate_path(m: int, path: Sequence[int]) -> tuple[int, ...]:
-    """Check that ``path`` is a prefix of a permutation of 1..m (no booleans)."""
+    """Check that ``path`` is a prefix of a permutation of 1..m (no booleans).
+
+    A set has no order, so it is refused, not listed in hash order; a
+    dict's keys keep the order they were inserted in."""
+    if isinstance(path, AbstractSet) and not isinstance(path, MappingView):
+        raise NotAPermutationError(
+            f"path must be ordered, got a {type(path).__name__}"
+        )
     try:
         if not isinstance(path, (Sequence, np.ndarray)):
             path = list(path)  # a one-shot iterable: the boolean check indexes it

@@ -186,6 +186,8 @@ def _cmd_gen_dyadic(args) -> int:
 
 
 def _cmd_zeta(args) -> int:
+    if args.zeta == "dkwm" and args.pvalues is None:
+        raise _UsageError("zeta --zeta dkwm needs --pvalues")
     family = formats.parse_forest(_read_text(args.infile))
     estimator = ZetaEstimator(method=args.zeta, alpha=args.alpha)
     pvalues = None

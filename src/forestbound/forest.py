@@ -151,28 +151,22 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
-class _SweepRows(NamedTuple):
-    """The numpy sweep runs over the I non-atom rows alone, numbered 0..I-1
-    in row order; slot I collects the roots.  In a complete family an atom
-    has no children, so it enters the sweep only through its parent's slot.
-    Atom arrays are indexed by atom number; their entry 0 is padding."""
+class _SweepView(NamedTuple):
+    """What vstar's numpy sweep reads: it runs over the I non-atom rows
+    alone, numbered 0..I-1 in row order, and slot I collects the roots.  In
+    a complete family an atom has no children, so it enters the sweep only
+    through its parent's slot.  Atom arrays are indexed by atom number;
+    their entry 0 is padding.  A *tight* atom has a budget below its size;
+    only a tight atom can hold more selected members than its budget."""
 
     rows: np.ndarray  # the row of each non-atom region
     spans: np.ndarray  # 2 x I: i - 1 and j, the prefix counts that bracket it
     bounds: np.ndarray  # the spans in hypotheses
     parent: np.ndarray  # the parent slot of each non-atom row
-    levels: tuple[int, ...]  # rows levels[h-1]:levels[h] have depth h, or none
+    levels: np.ndarray  # rows levels[h-1]:levels[h] have depth h, or none
+    zeta: np.ndarray  # the budget of each non-atom row
     atom_parent: np.ndarray  # the parent slot of each atom
-    atoms: np.ndarray  # the row of each atom
-
-
-class _SweepBudgets(NamedTuple):
-    """The budgets of :class:`_SweepRows`.  A *tight* atom has a budget
-    below its size; only a tight atom can hold more selected members than
-    its budget."""
-
-    zeta: np.ndarray  # of each non-atom row
-    atom_zeta: np.ndarray  # of each atom
+    atom_zeta: np.ndarray  # the budget of each atom
     tight_spans: np.ndarray  # 2 x T: n - 1 and n of each tight atom n
     tight_zeta: np.ndarray
     tight_parent: np.ndarray
@@ -194,10 +188,10 @@ class ForestFamily:
     have depth h.  Every other view is a cached property; the budget check
     builds ``_sizes``, each row's hypothesis count.  The sweeps of
     :mod:`forestbound.bounds` and the curve engine of
-    :mod:`forestbound.curve` read ancestry only from ``_parent``, the numpy
-    sweep through ``_sweep_rows``, which numbers the non-atom rows apart
-    from the atoms; ``_sweep_budgets`` and ``_row_lists`` hold budgets, so
-    a budget copy builds its own.
+    :mod:`forestbound.curve` read ancestry only from ``_parent``; ``prune``
+    sweeps this table itself, and vstar's two engines read it through
+    ``_row_lists`` and ``_sweep_view``.  Those two hold budgets, so a budget
+    copy builds its own.
 
     Construction checks m, the atom sizes and the columns i, j and zeta
     whole: columns of exact ints become int64 arrays, and only when a column
@@ -311,7 +305,7 @@ class ForestFamily:
         and the views that hold no budget are shared with this family."""
         family = ForestFamily.__new__(ForestFamily)
         family.__dict__.update(self.__dict__)
-        for view in ("_row_lists", "_sweep_budgets"):  # they hold the budgets
+        for view in ("_row_lists", "_sweep_view"):  # they hold the budgets
             family.__dict__.pop(view, None)
         family._zeta = self._checked(np.array(zeta, dtype=np.int64))
         return family
@@ -437,10 +431,9 @@ class ForestFamily:
         return tuple(c.tolist() for c in columns)
 
     @cached_property
-    def _sweep_rows(self) -> _SweepRows:
-        """The structure the numpy sweep of vstar and prune reads.
-        Complete families only."""
-        left, right = self._left, self._right
+    def _sweep_view(self) -> _SweepView:
+        """What vstar's numpy sweep reads.  Complete families only."""
+        left, right, offsets = self._left, self._right, self._offsets
         rows = np.flatnonzero(left != right)
         # A row's parent slot is its parent's number among the non-atom
         # rows; a root's parent, -1, reads the last entry, I.
@@ -450,30 +443,26 @@ class ForestFamily:
         atom_rows = np.flatnonzero(left == right)
         atoms = np.zeros(self.n_atoms + 1, dtype=np.int64)
         atoms[left[atom_rows]] = atom_rows
+        atom_parent, atom_zeta = slot[atoms], self._zeta[atoms]
+        tight = np.flatnonzero(atom_zeta[1:] < offsets[1:] - offsets[:-1]) + 1
         spans = np.array((left[rows] - 1, right[rows]))
         # Rows are in depth order, so the non-atom rows of depth <= h are
         # those before the first row of depth h + 1.
-        levels = tuple(rows.searchsorted(self._levels).tolist())
-        columns = (rows, spans, self._offsets[spans], slot[rows])
-        return _SweepRows(
-            *map(_frozen, columns), levels, _frozen(slot[atoms]), _frozen(atoms)
-        )
-
-    @cached_property
-    def _sweep_budgets(self) -> _SweepBudgets:
-        """The budgets the numpy sweep of vstar and prune reads.  Complete
-        families only."""
-        view, offsets = self._sweep_rows, self._offsets
-        atom_zeta = self._zeta[view.atoms]
-        tight = np.flatnonzero(atom_zeta[1:] < offsets[1:] - offsets[:-1]) + 1
+        levels = rows.searchsorted(self._levels)
         columns = (
-            self._zeta[view.rows],
+            rows,
+            spans,
+            offsets[spans],
+            slot[rows],
+            levels,
+            self._zeta[rows],
+            atom_parent,
             atom_zeta,
             np.array((tight - 1, tight)),
             atom_zeta[tight],
-            view.atom_parent[tight],
+            atom_parent[tight],
         )
-        return _SweepBudgets(*map(_frozen, columns))
+        return _SweepView(*map(_frozen, columns))
 
     @cached_property
     def _atom_of(self) -> list[int]:

@@ -3,10 +3,10 @@
 A non-atom region is redundant whenever some chain of family members tiles
 its atom interval with budgets summing to no more than its own: such a region
 can never be the binding term of the bound, so dropping it leaves every bound
-value unchanged while shrinking the family.  The detection reuses the
-bottom-up sweep of the single-evaluation bound on the full selection set,
-where each region's capped budget is just its budget: a region is dominated
-exactly when its budget is at least the summed values of its children.
+value unchanged while shrinking the family.  The detection is one bottom-up
+sweep of the family's own row table on the full selection set, where each
+region's capped budget is just its budget: a region is dominated exactly
+when its budget is at least the summed values of its children.
 """
 
 from __future__ import annotations
@@ -16,13 +16,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .bounds import (
-    NUMPY_MIN_ATOMS,
-    _from_prefix_counts,
-    _require_complete,
-    _sweep_np,
-    _sweep_py,
-)
+from .bounds import _require_complete, _sweep_np
 from .forest import ForestFamily, RegionKey
 
 
@@ -45,20 +39,16 @@ def prune(family: ForestFamily) -> PruneResult:
     nothing.
     """
     _require_complete(family)
-    # On the full set the prefix counts are the atom offsets and a row's
-    # count is its size; the sizes of a non-atom's children add up to its
-    # own, so it is dominated exactly when its budget is at least the summed
-    # values of its children, its size plus its accumulator.
+    # On the full set a row's count is its size, and the sizes of a
+    # non-atom's children add up to its own, so it is dominated exactly when
+    # its budget is at least the summed values of its children, its size
+    # plus its accumulator: when its slack is at least its accumulator.
     left, right, zeta = family._left, family._right, family._zeta
-    if family.n_atoms < NUMPY_MIN_ATOMS:
-        acc = _sweep_py(family, family._offsets)
-        children = family._sizes + np.asarray(acc[:-1], dtype=np.int64)
-        dominated = (left != right) & (zeta >= children)
-    else:
-        acc = _sweep_np(family, *_from_prefix_counts(family, family._offsets))
-        rows = family._sweep_rows.rows
-        dominated = np.zeros(len(family), dtype=bool)
-        dominated[rows] = zeta[rows] >= family._sizes[rows] + acc[:-1]
+    slack = zeta - family._sizes
+    acc = np.zeros(len(family) + 1, dtype=np.int64)
+    acc[-1] = family.m
+    _sweep_np(family._levels, family._parent, slack, acc)
+    dominated = (left != right) & (slack >= acc[:-1])
     # RegionKey._make without a Python call per region.
     pairs = zip(left[dominated].tolist(), right[dominated].tolist())
     removed = frozenset(map(tuple.__new__, repeat(RegionKey), pairs))

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import InvalidProbabilityError, ZetaRangeError
+from .errors import FormatError, InvalidProbabilityError, ZetaRangeError
 from .forest import ForestFamily, RegionKey
 
 # Names of the shipped estimators, as ZetaEstimator and the CLI accept them.
@@ -184,8 +184,13 @@ def apply_zetas(
     estimate was rounded down (the shipped estimators give integers in
     range by construction).  Regions absent from ``estimates`` keep their
     budget.  An estimate that is a boolean or not a finite number raises
-    ZetaRangeError.
+    ZetaRangeError, and an ``estimates`` with no ``items()`` FormatError.
     """
+    if not callable(getattr(estimates, "items", None)):
+        raise FormatError(
+            "zeta estimates must be a mapping of region keys to budgets, "
+            f"got a {type(estimates).__name__}"
+        )
     sizes = family._sizes.tolist()
     zeta = family._zeta.copy()
     clamped_keys = []

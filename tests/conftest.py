@@ -112,6 +112,27 @@ def budget_mix_family(
     return fb.build_family(fam.m, fam.atom_sizes, triples)
 
 
+def edge_budget_families(rng: random.Random, atoms: int) -> Iterator[ForestFamily]:
+    """Complete families of ``atoms`` atoms at the edges of the sweep: atoms
+    alone (height 1), every budget 0, every budget vacuous, and vacuous
+    budgets but for the one root's, below its size, so that the only row
+    over its budget is a root."""
+    fam = random_family(rng, min_atoms=atoms, max_atoms=atoms, complete=True)
+    keys = {*fam.keys(), RegionKey(1, atoms)}
+    offsets = list(accumulate(fam.atom_sizes, initial=0))
+
+    def budgets(zeta):
+        sizes = (offsets[k.j] - offsets[k.i - 1] for k in keys)
+        triples = [(k.i, k.j, zeta(k, size)) for k, size in zip(keys, sizes)]
+        return fb.build_family(fam.m, fam.atom_sizes, triples)
+
+    atoms_only = [(a, a, rng.randint(0, s)) for a, s in enumerate(fam.atom_sizes, 1)]
+    yield fb.build_family(fam.m, fam.atom_sizes, atoms_only)
+    yield budgets(lambda k, size: 0)
+    yield budgets(lambda k, size: size)
+    yield budgets(lambda k, size: size - 1 if k == (1, atoms) else size)
+
+
 # Defines ``loosen(family)``, a copy of ``family`` whose root (1, 4) has a
 # budget of 2, and ``fam``, the loosened 4-atom family ``source``.  On the
 # path [3, 1] every curve of ``fam`` reaches V_2 = 2, past the root's budget

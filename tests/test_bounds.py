@@ -30,6 +30,7 @@ from conftest import (
     EXAMPLE_CURVE,
     budget_mix_family,
     definition_removed_set,
+    edge_budget_families,
     EXAMPLE_PATH,
     ORACLE_MAX_ATOMS,
     ORACLE_MAX_M,
@@ -51,13 +52,14 @@ def both_engines(family, selection):
     py = _sweep_py(family, hc)
     atoms = family._left == family._right
     assert not any(np.array(py[:-1])[atoms])
-    expected = [py[r] for r in family._sweep_rows.rows.tolist()] + [py[-1]]
+    view = family._sweep_view
+    expected = [py[r] for r in view.rows.tolist()] + [py[-1]]
     members = np.sort(np.array(list(selection), dtype=np.int64))
     for inputs in (
-        _from_prefix_counts(family, np.array(hc)),
-        _from_members(family, members, family._offsets.searchsorted(members)),
+        _from_prefix_counts(view, np.array(hc)),
+        _from_members(view, members, family._offsets.searchsorted(members)),
     ):
-        vec = _sweep_np(family, *inputs)
+        vec = _sweep_np(view.levels, view.parent, *inputs)
         assert vec.tolist() == expected
     return py[-1], int(vec[-1])
 
@@ -226,14 +228,14 @@ class TestSwitchPoints:
     # its switch.
     @staticmethod
     def way(fam, size):
-        n, inner = fam.n_atoms, len(fam._sweep_rows.rows)
+        n, inner = fam.n_atoms, len(fam._sweep_view.rows)
         if 2 * size >= n + 1:
             return "ends"
         return "members" if 4 * (size + 2 * inner) < n + 1 else "bincount"
 
     @staticmethod
     def sizes(fam):
-        n, inner = fam.n_atoms, len(fam._sweep_rows.rows)
+        n, inner = fam.n_atoms, len(fam._sweep_view.rows)
         points = (-(-(n + 1) // 4) - 2 * inner, -(-(n + 1) // 2))
         sizes = {0, 1, n, n + 1, fam.m}
         sizes.update(p + d for p in points for d in (-1, 0, 1))
@@ -279,7 +281,13 @@ class TestSwitchPoints:
         assert len(through_members) == ways.count("members")
 
     def test_prune(self):
-        for _, fam in self.families():
+        rng = random.Random(31)
+        edges = [
+            fam
+            for atoms in (16, NUMPY_MIN_ATOMS, 4 * NUMPY_MIN_ATOMS)
+            for fam in edge_budget_families(rng, atoms)
+        ]
+        for fam in [fam for _, fam in self.families()] + edges:
             result = fb.prune(fam)
             assert result.removed == definition_removed_set(fam)
             assert result.vstar_full == _sweep_py(fam, fam._offsets)[-1]

@@ -479,6 +479,15 @@ class TestRoundTripCommands:
         )
         assert code == 0
 
+    def test_zeta_dkwm_without_pvalues_is_a_usage_error(
+        self, tmp_path, family_file, capsys
+    ):
+        out = tmp_path / "zeta.forest"
+        argv = ["zeta", "--in", str(family_file), "--out", str(out), "--zeta", "dkwm"]
+        assert main(argv) == 1
+        assert "needs --pvalues" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_vstar_command(self, tmp_path, family_file, capsys):
         sel = tmp_path / "sel.csv"
         sel.write_text(dump_path_csv([11, 17, 12, 13, 18, 3]))

@@ -226,8 +226,10 @@ class TestLargeSidePathCheck:
         lambda m: [None],
         lambda m: np.array(5),
     ]
+    # A set is a selection but no path: it has no order.
+    UNORDERED = [lambda m: {2, 1}, lambda m: frozenset({1})]
 
-    @pytest.mark.parametrize("bad", BAD)
+    @pytest.mark.parametrize("bad", BAD + UNORDERED)
     def test_refusals_match_validate_path(self, large_family, example_family, bad):
         for family in (large_family, example_family):
             m = family.m

@@ -6,10 +6,11 @@ import pytest
 
 import forestbound as fb
 from forestbound import IncompleteFamilyError, RegionKey
-from forestbound.bounds import NUMPY_MIN_ATOMS
+from forestbound.bounds import NUMPY_MIN_ATOMS, _sweep_py
 
 from conftest import (
     definition_removed_set,
+    edge_budget_families,
     random_family,
     random_path,
     random_selection,
@@ -63,8 +64,8 @@ class TestPruneProperties:
                 assert fb.vstar(fam, sel) == fb.vstar(pruned, sel)
 
     def test_matches_definition_checker(self):
-        # Small families run the Python sweep, those from NUMPY_MIN_ATOMS
-        # atoms up the numpy one.
+        # Families of every size run one sweep of their row table; vstar's
+        # engine changes at NUMPY_MIN_ATOMS, so both sides are checked.
         rng = random.Random(59)
         for _ in range(200):
             fam = fb.complete_family(random_family(rng, max_atoms=8))
@@ -78,6 +79,23 @@ class TestPruneProperties:
             result = fb.prune(fam)
             assert result.removed == definition_removed_set(fam)
             assert result.vstar_full == fb.vstar(fam, set(range(1, fam.m + 1)))
+        for atoms in (8, NUMPY_MIN_ATOMS):
+            for fam in edge_budget_families(rng, atoms):
+                result = fb.prune(fam)
+                assert result.removed == definition_removed_set(fam)
+                assert result.vstar_full == _sweep_py(fam, fam._offsets)[-1]
+                full = range(1, fam.m + 1)
+                assert fb.vstar(result.pruned_family, full) == result.vstar_full
+
+    @pytest.mark.parametrize("atoms", [16, NUMPY_MIN_ATOMS * 4])
+    def test_builds_no_view_of_vstar(self, atoms):
+        m = 4 * atoms
+        pvalues = [(h + 0.5) / m for h in range(m)]
+        fam = fb.zeta_dkwm(fb.build_dyadic(atoms.bit_length(), 4), pvalues, 0.05)
+        state = set(vars(fam))
+        fb.prune(fam)
+        assert set(vars(fam)) == state
+        assert not {"_row_lists", "_sweep_view"} & state
 
     def test_removed_and_kept_partition_the_region_set(self):
         rng = random.Random(61)

@@ -570,16 +570,17 @@ class TestBudgetsAreACopy:
         assert not atom_rows.flags.writeable
         assert atom_rows[1:].tolist() == [fam._row((n, n)) for n in fam._atom_of[1:]]
         row_lists = fam._row_lists
-        budgets = fam._sweep_budgets
+        sweep_view = fam._sweep_view
         for est in _estimates(fam):
-            for name in ("_atom_rows", "_atom_of", "_rows", "_sweep_rows"):
+            for name in ("_atom_rows", "_atom_of", "_rows"):
                 assert getattr(est, name) is getattr(fam, name), name
-            # The numpy sweep's budget view is rebuilt from the copy's budgets.
-            assert est._sweep_budgets is not budgets
-            view, sweep_budgets = est._sweep_rows, est._sweep_budgets
-            assert sweep_budgets.zeta.tolist() == est._zeta[view.rows].tolist()
-            atom_zeta = est._zeta[view.atoms[1:]].tolist()
-            assert sweep_budgets.atom_zeta[1:].tolist() == atom_zeta
+            # The numpy sweep's view holds budgets, so a copy builds its own,
+            # which holds the copy's budgets.
+            assert est._sweep_view is not sweep_view
+            view = est._sweep_view
+            assert view.zeta.tolist() == est._zeta[view.rows].tolist()
+            atom_zeta = [est.zeta((n, n)) for n in range(1, est.n_atoms + 1)]
+            assert view.atom_zeta[1:].tolist() == atom_zeta
             for name in STRUCTURE:
                 assert getattr(est, name) is getattr(fam, name), name
             assert est._zeta is not fam._zeta
@@ -592,10 +593,8 @@ class TestBudgetsAreACopy:
             assert not column.flags.writeable, name
             with pytest.raises(ValueError):
                 column[0] = 0
-        views = [*fam._sweep_rows, *budgets]
-        for column in views:
-            if isinstance(column, np.ndarray):
-                assert not column.flags.writeable
+        for column in sweep_view:
+            assert not column.flags.writeable
 
     def test_derived_families_share_the_offsets(self):
         fam = fb.build_dyadic(4, 3)

@@ -215,6 +215,13 @@ class TestApplyZetas:
         with pytest.raises(fb.ZetaRangeError):
             fb.apply_zetas(example_family, {fb.RegionKey(1, 5): "3"})
 
+    @pytest.mark.parametrize(
+        "estimates, name", [(None, "NoneType"), ([((1, 1), 1)], "list")]
+    )
+    def test_no_mapping_is_a_format_error(self, example_family, estimates, name):
+        with pytest.raises(fb.FormatError, match=f"got a {name}$"):
+            fb.apply_zetas(example_family, estimates)
+
     def test_in_range_estimates_pass_silently(self, example_family):
         import warnings
 
