@@ -131,10 +131,8 @@ def dump_pvalues_csv(pvalues: Sequence[float]) -> str:
     (finite, in [0, 1], no boolean)."""
     if not isinstance(pvalues, (Sequence, np.ndarray)):
         pvalues = list(pvalues)  # one-shot iterables
-    lines = ["p_value"]
-    if len(pvalues):  # the check reads no empty vector
-        checked = _check_pvalues(len(pvalues), pvalues)
-        lines.extend(format(p, ".17g") for p in checked.tolist())
+    checked = _check_pvalues(len(pvalues), pvalues)
+    lines = ["p_value", *(format(p, ".17g") for p in checked.tolist())]
     return "\n".join(lines) + "\n"
 
 

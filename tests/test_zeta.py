@@ -1,13 +1,14 @@
 """Budget estimators: trivial and DKW-based."""
 
 import random
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 import forestbound as fb
-from forestbound import InvalidProbabilityError, sim
+from forestbound import InvalidProbabilityError, sim, zeta
 from forestbound.zeta import upper_null_count
 
 from conftest import random_family
@@ -83,6 +84,29 @@ class TestUpperNullCount:
 
     def test_empty_region(self):
         assert upper_null_count(np.array([]), 0.05) == 0
+        assert upper_null_count([], 0.05) == 0
+
+    def test_takes_a_list(self):
+        p = [0.0, 0.01, 0.02, 0.5]
+        assert upper_null_count(p, 0.05) == upper_null_count(np.array(p), 0.05)
+
+    @pytest.mark.parametrize(
+        "p, alpha",
+        [
+            (np.array([0.1, np.nan]), 0.05),
+            (np.array([0.1, 1.5]), 0.05),
+            (np.array([0.1, -np.inf]), 0.05),
+            (np.full((2, 2), 0.5), 0.05),
+            (0.5, 0.05),
+            ([0.1, True], 0.05),
+            (np.array([0.1, 0.2]), 2),
+            (np.array([0.1, 0.2]), 0.0),
+            ([], 1.0),
+        ],
+    )
+    def test_refuses_what_zeta_dkwm_refuses(self, p, alpha):
+        with pytest.raises(InvalidProbabilityError):
+            upper_null_count(p, alpha)
 
     def test_all_pvalues_one(self):
         assert upper_null_count(np.ones(8), 0.05) == 8
@@ -154,6 +178,18 @@ class TestZetaDkwmMatchesRegionwise:
 
     @pytest.mark.parametrize("alpha", [1e-6, 0.05, 0.5])
     def test_random_laminar_families(self, alpha):
+        # The shipped block bound gathers every level of these small
+        # families into one block.
+        self.assert_random_families(alpha)
+
+    # 1 groups every level alone; 7 and 64 mix lone levels with blocks.
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    @pytest.mark.parametrize("alpha", [1e-6, 0.05, 0.5])
+    def test_random_laminar_families_small_blocks(self, alpha, block, monkeypatch):
+        monkeypatch.setattr(zeta, "_BLOCK", block)
+        self.assert_random_families(alpha)
+
+    def assert_random_families(self, alpha):
         rng = random.Random(151)
         nprng = np.random.default_rng(23)
         partial_levels = 0
@@ -167,8 +203,94 @@ class TestZetaDkwmMatchesRegionwise:
                     reg.key
                 )
             partial_levels += any(size < fam.m for size in depths.values())
-            self.assert_regionwise(fam, self.draw_pvalues(nprng, fam, k % 4), alpha)
+            p = self.draw_pvalues(nprng, fam, k % 4)
+            self.assert_regionwise(fam, p, alpha)
+            if k % 4 == 1:  # heavy ties, at the union calibration alpha / K
+                self.assert_regionwise(fam, p, alpha / max(len(fam), 1))
         assert partial_levels > 50  # levels that leave hypotheses uncovered
+
+    def test_small_partial_levels_share_one_block(self):
+        # Ten nested partial levels on the left and three on the right.
+        regions = [(1, j, 0) for j in range(1, 11)]
+        regions += [(13, 20, 0), (14, 20, 0), (14, 15, 0), (17, 18, 0)]
+        fam = fb.build_family(60, [3] * 20, regions)
+        levels = fam._levels.tolist()
+        entries = np.add.reduceat(fam._sizes, levels[:-1]).tolist()
+        assert len(levels) == 11 and max(entries) < fam.m  # all partial
+        assert zeta._groups(levels, entries, fam.m, zeta._BLOCK) == [
+            (0, len(fam), False)
+        ]
+        nprng = np.random.default_rng(37)
+        for kind in range(4):
+            p = self.draw_pvalues(nprng, fam, kind)
+            for alpha in (1e-6, 0.05, 0.5):
+                self.assert_regionwise(fam, p, alpha)
+
+    @pytest.mark.parametrize("block", [1, 64, zeta._BLOCK])
+    def test_tie_order_changes_no_budget(self, block, monkeypatch):
+        # The p-value sort may put tied hypotheses in any order; here it puts
+        # them in decreasing and in random order instead of numpy's.
+        monkeypatch.setattr(zeta, "_BLOCK", block)
+        argsort = np.argsort
+        nprng = np.random.default_rng(41)
+        rng = random.Random(43)
+        for k in range(60):
+            fam = random_family(
+                rng, max_atoms=12, max_atom_size=8, complete=k % 2 == 0
+            )
+            p = self.draw_pvalues(nprng, fam, 1 + k % 2)
+            expected = fb.zeta_dkwm(fam, p, 0.05)
+            for tiebreak in (-np.arange(fam.m), nprng.random(fam.m)):
+
+                def tied_argsort(a, *args, kind=None, _t=tiebreak, **kw):
+                    if kind is None and a.shape == _t.shape:
+                        return np.lexsort((_t, a))
+                    return argsort(a, *args, kind=kind, **kw)
+
+                monkeypatch.setattr(np, "argsort", tied_argsort)
+                assert fb.zeta_dkwm(fam, p, 0.05) == expected
+                monkeypatch.setattr(np, "argsort", argsort)
+            self.assert_regionwise(fam, p, 0.05)
+
+    def test_lone_level_closes_the_pending_block(self):
+        # Entries never grow with depth in a family, so a level that fills a
+        # block after smaller ones is reached here, from level lists alone.
+        levels = [0, 3, 5, 6, 9, 10]
+        assert zeta._groups(levels, [5, 4, 20, 3, 8], 100, 10) == [
+            (0, 5, False),
+            (5, 6, True),
+            (6, 9, False),
+            (9, 10, False),
+        ]
+        assert zeta._groups(levels, [10, 9, 1, 1, 1], 100, 10) == [
+            (0, 3, True),
+            (3, 6, False),
+            (6, 10, False),
+        ]
+
+    @pytest.mark.parametrize(
+        "m", [1, 2, 512, 2**13, 2**40, 2**50, 2**50 + 1, 2**51, 2**62, 2**63 - 1]
+    )
+    @pytest.mark.parametrize("block", [1, 7, zeta._BLOCK])
+    def test_block_keys_stay_below_2_to_63(self, m, block):
+        # Any level lists a family of m hypotheses can give: rows hold at
+        # least one entry each, and a level at most m entries.
+        rng = random.Random(m ^ block)
+        shift = (m - 1).bit_length()
+        for _ in range(40):
+            rows = [min(m, rng.choice([1, 2, 5, 3000, 20000])) for _ in range(12)]
+            entries = [min(m, r * rng.choice([1, 2, 9])) for r in rows]
+            levels = np.concatenate(([0], np.cumsum(rows))).tolist()
+            groups = zeta._groups(levels, entries, m, block)
+            assert [g[0] for g in groups] == [0] + [g[1] for g in groups[:-1]]
+            assert groups[-1][1] == levels[-1]
+            for a, b, alone in groups:
+                first, end = levels.index(a), levels.index(b)
+                if alone:
+                    assert end == first + 1
+                else:
+                    assert ((b - a - 1) << shift | (m - 1)) < 2**63
+                    assert sum(entries[first:end]) <= block
 
     @pytest.mark.parametrize("alpha", [1e-6, 0.05, 0.5])
     def test_dyadic_and_constant_pvalues(self, alpha):
@@ -182,6 +304,19 @@ class TestZetaDkwmMatchesRegionwise:
     def test_family_without_regions(self):
         fam = fb.build_family(3, (1, 2), [])
         assert fb.zeta_dkwm(fam, [0.1, 0.2, 0.3], 0.05) == fam
+
+    def test_peak_memory_is_linear_in_m(self):
+        # About 46 bytes per hypothesis at m = 2**17; one key sort over every
+        # row of this 14-level family would hold some 110 on its own.
+        fam = fb.build_dyadic(14, 16)
+        p = np.random.default_rng(47).random(fam.m)
+        tracemalloc.start()
+        try:
+            fb.zeta_dkwm(fam, p, 0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * fam.m
 
 
 class TestApplyZetas:
