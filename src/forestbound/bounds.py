@@ -9,17 +9,13 @@ per atom and sweeps every row, in O(|S| + N + K) for N atoms and K rows.
 
 From NUMPY_MIN_ATOMS atoms up the sweep runs over the I non-atom rows
 alone: in a complete family an atom has no children, so its value is
-``min(zeta, count)`` and it saves only when the selection puts more than
-zeta members in it.  The selection is sorted as one array and read from the
-smaller side.  A small selection finds each member's atom with
-``searchsorted``; a member ranked zeta or more in its atom lowers the
-atom's parent by one, and the non-atom rows are counted by two
-``searchsorted`` of their bounds among the members, in
-O(|S| log |S| + |S| log N + I log |S|) per call, however large N is.  A
-large one finds each atom end's place among the members and reads every
-count from these prefix counts, in O(|S| log |S| + N log |S|).  Between
-the two, and wherever the non-atom rows are many, the members' atoms are
-counted with ``bincount``, in O(|S| log N + N).
+``min(zeta, count)`` and it saves only when it is tight (zeta below its
+size) and the selection puts more than zeta members in it.  The selection is
+sorted once; the non-atom rows are counted by ``searchsorted`` of their
+bounds among the members, and the T tight atoms by placing the smaller of
+two sorted runs, their bounds and the members, in the larger.  A call costs
+O(|S| log |S| + I log |S| + min(|S|, T) log max(|S|, T)), however large N
+and m are.
 
 Hypothesis indices from callers have one array reader, ``_index_array``: it
 reads vstar's selection from NUMPY_MIN_ATOMS up, the path of both curve
@@ -32,7 +28,7 @@ curves, and a per-entry scan for the writers.
 from __future__ import annotations
 
 import operator
-from collections.abc import MappingView, Set as AbstractSet
+from collections.abc import Iterable, MappingView, Set as AbstractSet
 from itertools import accumulate
 from typing import Collection, Sequence
 
@@ -43,8 +39,8 @@ from .forest import ForestFamily, _SweepView
 
 # Families with at least this many atoms go through vstar's vectorized
 # sweep; below it, plain lists beat the per-call overhead (on a 2-vCPU x86
-# host, the numpy sweep took 1.3-1.6x the Python time at 64 atoms, 0.8-1.2x
-# at 128).
+# host, with DKWM budgets and |S| from 1 to m, the numpy sweep took
+# 0.9-1.6x the Python time at 64 atoms, 0.7-1.0x at 128).
 NUMPY_MIN_ATOMS = 128
 
 
@@ -123,10 +119,11 @@ def _sweep_np(
     roots add theirs to the last slot, which ends as the bound.  ``acc``
     starts with the savings known before the sweep.  prune sweeps every
     row and passes zeros with m in the last slot.  vstar's table leaves out
-    the atoms, so it passes their savings in their parents' slots and |S|
-    in the last.  A row within its budget, with no saving below it, saves
-    nothing, so the sweep starts at the deepest level holding a row whose
-    saving is not 0, and skips every level when none has one.  That pays
+    the atoms, so it passes the tight atoms' savings in their parents'
+    slots and |S| in the last.  A row within its budget, with no saving
+    below it, saves nothing, so the sweep starts at the deepest level
+    holding a row whose saving is not 0, and skips every level when none
+    has one.  That pays
     only where deep budgets are vacuous, as with zeta_trivial.
     """
     over = np.flatnonzero(np.minimum(slack, acc[:-1]) < 0)
@@ -140,82 +137,65 @@ def _sweep_np(
     return acc
 
 
-def _from_members(
-    view: _SweepView, members: np.ndarray, atoms: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The slack and accumulator of vstar's numpy sweep from sorted
-    distinct members and their atoms, in O(|S| + I log |S|) for I non-atom
-    rows.
+def _members(family: ForestFamily, selection: Collection[int]) -> np.ndarray:
+    """``selection`` as sorted distinct int64, checked as
+    :func:`atom_hit_counts` checks it.
 
-    A member is an excess member when its rank in its atom reaches the
-    atom's budget zeta, that is when the member zeta places before it lies
-    in the same atom; each lowers its atom's parent slot by one.  A
-    non-atom row's count is the number of members up to its last
-    hypothesis less those before its first.
+    A selection that :func:`_index_array` reads is sorted once, and nothing
+    of size m or N is built.  Any other selection, and one with a repeat,
+    goes to :func:`atom_hit_counts`, which raises the refusal; one that
+    passes there, such as an object array of ints, is read member by member.
     """
-    # Entry k of the padded atoms is the atom of member k - 1; entry 0, the
-    # pad, is no atom, and stands for every place before the first member.
-    back = np.arange(1, members.size + 1) - view.atom_zeta[atoms]
-    np.maximum(back, 0, out=back)
-    excess = atoms[np.concatenate(([0], atoms))[back] == atoms]
-    acc = np.bincount(view.atom_parent[excess], minlength=len(view.rows) + 1)
-    np.negative(acc, out=acc)
-    acc[-1] += members.size
-    ends = members.searchsorted(view.bounds, "right")
-    return view.zeta - ends[1] + ends[0], acc
-
-
-def _from_prefix_counts(
-    view: _SweepView, hc: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The slack and accumulator of vstar's numpy sweep from the prefix
-    counts of every atom, in O(T + I) for T tight atoms: only those can
-    save, and their savings go to their parent slots."""
-    acc = np.zeros(len(view.rows) + 1, dtype=np.int64)
-    acc[-1] = hc[-1]
-    if view.tight_zeta.size:
-        ends = hc[view.tight_spans]
-        saved = np.minimum(view.tight_zeta - (ends[1] - ends[0]), 0)
-        np.add.at(acc, view.tight_parent, saved)
-    ends = hc[view.spans]
-    return view.zeta - ends[1] + ends[0], acc
-
-
-def _sweep_inputs(
-    family: ForestFamily, selection: Collection[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """The slack and accumulator of vstar's numpy sweep for ``selection``,
-    which is checked as :func:`atom_hit_counts` checks it.
-
-    A selection that :func:`_index_array` reads is sorted once.  One of at
-    least half as many members as there are atoms finds each atom end's
-    place among the members.  A smaller one finds each member's atom among
-    the offsets, and goes through its members (:func:`_from_members`) when
-    4 (|S| + 2 I) < N + 1, or else counts the atoms with ``bincount``; on
-    the posthoc-2e17 shape (N = 8192) each way was the fastest of the three
-    on its own side of these switches.  Nothing of size m is built and no
-    Python loop runs over the members.  Any other selection, and one with a
-    repeat, goes to :func:`atom_hit_counts`.
-    """
-    if not isinstance(selection, (Sequence, np.ndarray)):
+    if not isinstance(selection, (Sequence, np.ndarray)) and isinstance(
+        selection, Iterable
+    ):
         selection = list(selection)  # sets and one-shot iterables
-    view = family._sweep_view
     members = _index_array(family.m, selection)
     if members is not None:
         members = np.sort(members)
         if not (members[1:] == members[:-1]).any():
-            offsets = family._offsets
-            if 2 * members.size >= offsets.size:
-                hc = np.searchsorted(members, offsets, side="right")
-            else:
-                atoms = offsets.searchsorted(members)
-                if 4 * (members.size + 2 * len(view.rows)) < offsets.size:
-                    return _from_members(view, members, atoms)
-                hits = np.bincount(atoms, minlength=offsets.size)
-                hc = hits.cumsum(out=hits)
-            return _from_prefix_counts(view, hc)
-    hc = np.cumsum(atom_hit_counts(family, selection))
-    return _from_prefix_counts(view, hc)
+            return members
+    atom_hit_counts(family, selection)
+    return np.sort(np.fromiter(map(operator.index, selection), np.int64))
+
+
+def _sweep_inputs(
+    view: _SweepView, members: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The slack and accumulator of vstar's numpy sweep from sorted
+    distinct members.
+
+    A non-atom row's count is the number of members up to its last
+    hypothesis less those up to the one before its first.  Only the T tight
+    atoms can save, and their bounds and the members are two sorted runs;
+    the smaller is placed in the larger.  With at least 2T members, each
+    tight atom's count comes from its bounds' places among the members, and
+    its saving ``min(zeta - count, 0)`` goes to its parent slot.  With
+    fewer, each member's place among the bounds is odd, 2k + 1, when it lies
+    in tight atom k; it is an excess member when the member zeta_k places
+    before it lies in the same atom, and each lowers its atom's parent slot
+    by one.
+    """
+    tight = view.tight
+    if members.size >= tight.size:
+        ends = members.searchsorted(tight, "right")
+        saved = np.minimum(view.tight_zeta - (ends[1::2] - ends[::2]), 0)
+        acc = np.zeros(view.zeta.size + 1, dtype=np.int64)
+        np.add.at(acc, view.tight_parent, saved)
+    else:
+        places = tight.searchsorted(members)
+        atoms = places[(places & 1) == 1] >> 1
+        # Entry k of the padded atoms is the atom of the k-th member in a
+        # tight atom; entry 0, the pad, is no atom, and stands for every
+        # place before the first.
+        back = np.arange(1, atoms.size + 1) - view.tight_zeta[atoms]
+        np.maximum(back, 0, out=back)
+        excess = atoms[np.concatenate(([-1], atoms))[back] == atoms]
+        acc = np.bincount(view.tight_parent[excess], minlength=view.zeta.size + 1)
+        np.negative(acc, out=acc)
+    acc[-1] += members.size
+    ends = members.searchsorted(view.bounds, "right")
+    return view.zeta - ends[1] + ends[0], acc
 
 
 def vstar(family: ForestFamily, selection: Collection[int]) -> int:
@@ -231,8 +211,9 @@ def vstar(family: ForestFamily, selection: Collection[int]) -> int:
     if family.n_atoms < NUMPY_MIN_ATOMS:
         hc = list(accumulate(atom_hit_counts(family, selection)))
         return _sweep_py(family, hc)[-1]
+    members = _members(family, selection)
     view = family._sweep_view
-    slack, acc = _sweep_inputs(family, selection)
+    slack, acc = _sweep_inputs(view, members)
     return int(_sweep_np(view.levels, view.parent, slack, acc)[-1])
 
 

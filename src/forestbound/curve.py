@@ -58,6 +58,12 @@ class BoundCurve:
         wraps = array.dtype.kind == "u" and array.size and array.max() >= 2**63
         if array.ndim != 1 or (array.size and array.dtype.kind not in "iu") or wraps:
             raise TypeError("a curve is a flat sequence of integers")
+        # numpy reads a boolean among integers as 0 or 1; only an array of
+        # another kind can hold one.
+        if not isinstance(values, np.ndarray):
+            bits = np.flatnonzero((array == 0) | (array == 1)).tolist()
+            if any(isinstance(values[i], (bool, np.bool_)) for i in bits):
+                raise TypeError("a curve is a flat sequence of integers")
         array = array.astype(np.int64, copy=False)
         array.flags.writeable = False
         object.__setattr__(self, "_array", array)

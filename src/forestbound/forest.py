@@ -155,19 +155,15 @@ class _SweepView(NamedTuple):
     """What vstar's numpy sweep reads: it runs over the I non-atom rows
     alone, numbered 0..I-1 in row order, and slot I collects the roots.  In
     a complete family an atom has no children, so it enters the sweep only
-    through its parent's slot.  Atom arrays are indexed by atom number;
-    their entry 0 is padding.  A *tight* atom has a budget below its size;
-    only a tight atom can hold more selected members than its budget."""
+    through its parent's slot, and only a *tight* atom, one with a budget
+    below its size, can hold more selected members than its budget.  Tight
+    atoms are disjoint, so their hypothesis bounds form one sorted run."""
 
-    rows: np.ndarray  # the row of each non-atom region
-    spans: np.ndarray  # 2 x I: i - 1 and j, the prefix counts that bracket it
-    bounds: np.ndarray  # the spans in hypotheses
+    bounds: np.ndarray  # 2 x I: the hypotheses before each row and up to its end
+    zeta: np.ndarray  # the budget of each non-atom row
     parent: np.ndarray  # the parent slot of each non-atom row
     levels: np.ndarray  # rows levels[h-1]:levels[h] have depth h, or none
-    zeta: np.ndarray  # the budget of each non-atom row
-    atom_parent: np.ndarray  # the parent slot of each atom
-    atom_zeta: np.ndarray  # the budget of each atom
-    tight_spans: np.ndarray  # 2 x T: n - 1 and n of each tight atom n
+    tight: np.ndarray  # 2T: lo_0, hi_0, lo_1, hi_1, ..., as bounds holds them
     tight_zeta: np.ndarray
     tight_parent: np.ndarray
 
@@ -190,8 +186,8 @@ class ForestFamily:
     :mod:`forestbound.bounds` and the curve engine of
     :mod:`forestbound.curve` read ancestry only from ``_parent``; ``prune``
     sweeps this table itself, and vstar's two engines read it through
-    ``_row_lists`` and ``_sweep_view``.  Those two hold budgets, so a budget
-    copy builds its own.
+    ``_row_lists`` and ``_sweep_view``, the non-atom rows and the tight
+    atoms.  Those two hold budgets, so a budget copy builds its own.
 
     Construction checks m, the atom sizes and the columns i, j and zeta
     whole: columns of exact ints become int64 arrays, and only when a column
@@ -440,27 +436,22 @@ class ForestFamily:
         slot = np.full(len(self) + 1, len(rows), dtype=np.int64)
         slot[rows] = np.arange(len(rows))
         slot = slot[self._parent]
-        atom_rows = np.flatnonzero(left == right)
-        atoms = np.zeros(self.n_atoms + 1, dtype=np.int64)
-        atoms[left[atom_rows]] = atom_rows
-        atom_parent, atom_zeta = slot[atoms], self._zeta[atoms]
-        tight = np.flatnonzero(atom_zeta[1:] < offsets[1:] - offsets[:-1]) + 1
-        spans = np.array((left[rows] - 1, right[rows]))
+        # Atom rows in atom order: tight atoms come out sorted.
+        atoms = np.flatnonzero(left == right)
+        atoms = atoms[left[atoms].argsort()]
+        tight = atoms[self._zeta[atoms] < self._sizes[atoms]]
+        n = left[tight]
         # Rows are in depth order, so the non-atom rows of depth <= h are
         # those before the first row of depth h + 1.
         levels = rows.searchsorted(self._levels)
         columns = (
-            rows,
-            spans,
-            offsets[spans],
+            offsets[np.array((left[rows] - 1, right[rows]))],
+            self._zeta[rows],
             slot[rows],
             levels,
-            self._zeta[rows],
-            atom_parent,
-            atom_zeta,
-            np.array((tight - 1, tight)),
-            atom_zeta[tight],
-            atom_parent[tight],
+            offsets[np.column_stack((n - 1, n)).ravel()],
+            self._zeta[tight],
+            slot[tight],
         )
         return _SweepView(*map(_frozen, columns))
 

@@ -17,8 +17,8 @@ from forestbound import (
 )
 from forestbound.bounds import (
     NUMPY_MIN_ATOMS,
-    _from_members,
-    _from_prefix_counts,
+    _members,
+    _sweep_inputs,
     _sweep_np,
     _sweep_py,
     atom_hit_counts,
@@ -46,21 +46,17 @@ from conftest import (
 def both_engines(family, selection):
     """The bound from each sweep engine, whatever the family's size, after
     checking that the two accumulators agree at every non-atom row and at
-    the roots' slot, with the numpy engine fed from either side.  Atoms have
-    no children, so _sweep_py's accumulator is 0 at every atom row."""
+    the roots' slot.  Atoms have no children, so _sweep_py's accumulator is
+    0 at every atom row."""
     hc = list(accumulate(atom_hit_counts(family, selection)))
     py = _sweep_py(family, hc)
     atoms = family._left == family._right
     assert not any(np.array(py[:-1])[atoms])
     view = family._sweep_view
-    expected = [py[r] for r in view.rows.tolist()] + [py[-1]]
-    members = np.sort(np.array(list(selection), dtype=np.int64))
-    for inputs in (
-        _from_prefix_counts(view, np.array(hc)),
-        _from_members(view, members, family._offsets.searchsorted(members)),
-    ):
-        vec = _sweep_np(view.levels, view.parent, *inputs)
-        assert vec.tolist() == expected
+    expected = [py[r] for r in np.flatnonzero(~atoms).tolist()] + [py[-1]]
+    inputs = _sweep_inputs(view, _members(family, selection))
+    vec = _sweep_np(view.levels, view.parent, *inputs)
+    assert vec.tolist() == expected
     return py[-1], int(vec[-1])
 
 
@@ -187,6 +183,11 @@ class TestLargeSideSelections:
         lambda m: np.array([True]),
         lambda m: (3, 3),
         lambda m: (5, 2, 5),
+        # Not collections at all.
+        lambda m: None,
+        lambda m: 5,
+        lambda m: 2.5,
+        lambda m: object(),
     ]
 
     @pytest.mark.parametrize("bad", BAD)
@@ -220,25 +221,23 @@ class TestLargeSideSelections:
 
 
 class TestSwitchPoints:
-    # From NUMPY_MIN_ATOMS atoms up, a selection of s distinct members goes
-    # one of three ways: through the atom ends' places among the members
-    # when 2 s >= N + 1; below that, through its members when
-    # 4 (s + 2 I) < N + 1, for I non-atom rows, and through a bincount of
-    # its members' atoms otherwise.  Each way is checked on both sides of
-    # its switch.
-    @staticmethod
-    def way(fam, size):
-        n, inner = fam.n_atoms, len(fam._sweep_view.rows)
-        if 2 * size >= n + 1:
-            return "ends"
-        return "members" if 4 * (size + 2 * inner) < n + 1 else "bincount"
+    # From NUMPY_MIN_ATOMS atoms up, vstar counts the T tight atoms (budget
+    # below size) from their 2T bounds' places among the members when it
+    # has at least 2T members, and from the members' places among the
+    # bounds otherwise.  Both ways are checked on both sides of the switch,
+    # on families with no tight atom, with every atom tight, and mixed.
+    FORMS = [
+        list,
+        set,
+        np.array,
+        lambda s: np.array(s, dtype=object),
+        lambda s: (x for x in s),
+    ]
 
     @staticmethod
     def sizes(fam):
-        n, inner = fam.n_atoms, len(fam._sweep_view.rows)
-        points = (-(-(n + 1) // 4) - 2 * inner, -(-(n + 1) // 2))
-        sizes = {0, 1, n, n + 1, fam.m}
-        sizes.update(p + d for p in points for d in (-1, 0, 1))
+        tight = fam._sweep_view.tight.size
+        sizes = {0, 1, tight - 1, tight, tight + 1, fam.n_atoms, fam.m}
         return sorted(s for s in sizes if 0 <= s <= fam.m)
 
     @staticmethod
@@ -254,31 +253,27 @@ class TestSwitchPoints:
                 fam = budget_mix_family(rng, atoms, keep)
                 yield rng, fam
                 yield rng, fb.prune(fam).pruned_family
+        for atoms in (NUMPY_MIN_ATOMS, 4 * NUMPY_MIN_ATOMS):
+            # Every budget 0 (T = N), and every budget vacuous (T = 0).
+            edges = list(edge_budget_families(rng, atoms))[1:3]
+            assert [e._sweep_view.tight.size for e in edges] == [2 * atoms, 0]
+            for fam in edges:
+                yield rng, fam
 
-    def test_engines_and_oracle(self, monkeypatch):
-        from forestbound import bounds
-
-        through_members = []
-        real = bounds._from_members
-        monkeypatch.setattr(
-            bounds,
-            "_from_members",
-            lambda *a: through_members.append(1) or real(*a),
-        )
-        ways = []
+    def test_engines_and_oracle(self):
+        ways = set()
         for rng, fam in self.families():
             for size in self.sizes(fam):
                 members = rng.sample(range(1, fam.m + 1), size)
                 hc = list(accumulate(atom_hit_counts(fam, members)))
                 expected = _sweep_py(fam, hc)[-1]
                 assert both_engines(fam, members) == (expected, expected)
-                for form in (list, set, np.array):
+                for form in self.FORMS:
                     assert fb.vstar(fam, form(members)) == expected
-                    ways.append(self.way(fam, size))
+                ways.add(size >= fam._sweep_view.tight.size)
                 if size <= 8:
                     assert oracle_vstar_sets(fam, members) == expected
-        assert set(ways) == {"ends", "members", "bincount"}
-        assert len(through_members) == ways.count("members")
+        assert ways == {True, False}
 
     def test_prune(self):
         rng = random.Random(31)

@@ -447,6 +447,9 @@ class TestBoundCurve:
             ((0, 1), (1, 2)),
             3,
             np.array([0, 2**63], dtype=np.uint64),  # would wrap to -2**63
+            [0, True],
+            (0, 1, True),
+            [0, np.True_],
         ],
     )
     def test_refuses_what_is_not_a_flat_integer_sequence(self, values):
