@@ -7,27 +7,34 @@ capped by the sum of its children's values, and the answer is the sum over
 the roots.  Below NUMPY_MIN_ATOMS atoms a Python loop counts the selection
 per atom and sweeps every row, in O(|S| + N + K) for N atoms and K rows.
 
-From NUMPY_MIN_ATOMS atoms up the sweep runs over the I non-atom rows
-alone: in a complete family an atom has no children, so its value is
-``min(zeta, count)`` and it saves only when it is tight (zeta below its
-size) and the selection puts more than zeta members in it.  The selection is
-sorted once; the non-atom rows are counted by ``searchsorted`` of their
-bounds among the members, and the T tight atoms by placing the smaller of
-two sorted runs, their bounds and the members, in the larger.  A call costs
-O(|S| log |S| + I log |S| + min(|S|, T) log max(|S|, T)), however large N
-and m are.
+From NUMPY_MIN_ATOMS atoms up the sweep runs over the I *binding* rows
+alone, the non-atom rows with a budget below their size.  A row whose budget
+is its size never holds more selected members than its budget, so it passes
+its children's savings up unchanged, and they go straight to its nearest
+binding ancestor; this leaves out most rows of an unpruned DKWM family and
+every non-atom row under zeta_trivial.  In a complete family an atom has no
+children, so its value is ``min(zeta, count)`` and it saves only when it is
+tight (zeta below its size) and the selection puts more than zeta members
+in it.  The selection is sorted once; the binding rows are counted by
+``searchsorted`` of their bounds among the members, and the T tight atoms
+by placing the smaller of two sorted runs, their bounds and the members, in
+the larger.  A call costs O(|S| log |S| + I log |S| + min(|S|, T) log
+max(|S|, T)), however large N and m are.
 
 Hypothesis indices from callers have one array reader, ``_index_array``: it
 reads vstar's selection from NUMPY_MIN_ATOMS up, the path of both curve
-functions and the path column of the CSV writers.  Whatever it does not
-read, each caller hands to its own Python validator, which raises the
-refusal: :func:`atom_hit_counts` for vstar, :func:`validate_path` for the
-curves, and a per-entry scan for the writers.
+functions and the path column of the CSV writers.  A Python sequence goes
+to int64 in one strict C-level conversion, ``struct.pack``, which refuses
+every entry that is no integer, so no dtype is guessed; an ndarray is read
+as it is.  Whatever it does not read, each caller hands to its own Python
+validator, which raises the refusal: :func:`atom_hit_counts` for vstar,
+:func:`validate_path` for the curves, and a per-entry scan for the writers.
 """
 
 from __future__ import annotations
 
 import operator
+import struct
 from collections.abc import Iterable, MappingView, Set as AbstractSet
 from itertools import accumulate
 from typing import Collection, Sequence
@@ -118,13 +125,14 @@ def _sweep_np(
     ``min(slack[r], acc[r])``, which it adds to slot ``parent[r]``; the
     roots add theirs to the last slot, which ends as the bound.  ``acc``
     starts with the savings known before the sweep.  prune sweeps every
-    row and passes zeros with m in the last slot.  vstar's table leaves out
-    the atoms, so it passes the tight atoms' savings in their parents'
-    slots and |S| in the last.  A row within its budget, with no saving
-    below it, saves nothing, so the sweep starts at the deepest level
-    holding a row whose saving is not 0, and skips every level when none
-    has one.  That pays
-    only where deep budgets are vacuous, as with zeta_trivial.
+    row and passes zeros with m in the last slot.  vstar's table holds the
+    binding rows alone, so it passes the tight atoms' savings in the slots
+    of their nearest binding ancestors and |S| in the last.  A row within
+    its budget, with no saving below it, saves nothing, so the sweep starts
+    at the deepest level holding a row whose saving is not 0, and skips
+    every level when none has one.  That pays for prune where deep budgets
+    are vacuous, as with zeta_trivial, and for vstar when the selection
+    puts no deep row over its budget.
     """
     over = np.flatnonzero(np.minimum(slack, acc[:-1]) < 0)
     if over.size:
@@ -141,20 +149,19 @@ def _members(family: ForestFamily, selection: Collection[int]) -> np.ndarray:
     """``selection`` as sorted distinct int64, checked as
     :func:`atom_hit_counts` checks it.
 
-    A selection that :func:`_index_array` reads is sorted once, and nothing
-    of size m or N is built.  Any other selection, and one with a repeat,
-    goes to :func:`atom_hit_counts`, which raises the refusal; one that
-    passes there, such as an object array of ints, is read member by member.
+    A selection that :func:`_index_array` reads is sorted once, its sorted
+    ends give its range, and nothing of size m or N is built.  Any other
+    selection, and one with a repeat, goes to :func:`atom_hit_counts`,
+    which raises the refusal; one that passes there, such as an object
+    array of ints, is read member by member.
     """
     if not isinstance(selection, (Sequence, np.ndarray)) and isinstance(
         selection, Iterable
     ):
         selection = list(selection)  # sets and one-shot iterables
-    members = _index_array(family.m, selection)
-    if members is not None:
-        members = np.sort(members)
-        if not (members[1:] == members[:-1]).any():
-            return members
+    members = _index_array(family.m, selection, sort=True)
+    if members is not None and not np.count_nonzero(members[1:] == members[:-1]):
+        return members
     atom_hit_counts(family, selection)
     return np.sort(np.fromiter(map(operator.index, selection), np.int64))
 
@@ -165,7 +172,7 @@ def _sweep_inputs(
     """The slack and accumulator of vstar's numpy sweep from sorted
     distinct members.
 
-    A non-atom row's count is the number of members up to its last
+    A binding row's count is the number of members up to its last
     hypothesis less those up to the one before its first.  Only the T tight
     atoms can save, and their bounds and the members are two sorted runs;
     the smaller is placed in the larger.  With at least 2T members, each
@@ -254,39 +261,56 @@ def validate_path(m: int, path: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _index_array(bound: int, values) -> np.ndarray | None:
+def _index_array(bound: int, values, sort: bool = False) -> np.ndarray | None:
     """The one array check of caller-supplied hypothesis indices: ``values``
-    as int64 when numpy reads it as a 1-D integer array of entries in
-    1..bound, with no boolean among those equal to 1 (numpy reads True as 1);
-    otherwise None, and the caller's Python validator raises the refusal.
-    Repeats are the caller's to find."""
-    if not isinstance(values, (Sequence, np.ndarray)):
-        return None
-    try:
-        array = np.asarray(values)
-    except (TypeError, ValueError, OverflowError):  # ragged or exotic
-        return None
-    if array.ndim != 1:
+    as int64, sorted when ``sort``, when it is a 1-D integer array or a
+    sequence of integers, each entry in 1..bound and no entry equal to 1 a
+    boolean; otherwise None, and the caller's Python validator raises the
+    refusal.  Repeats are the caller's to find.
+
+    A sequence is packed in one C-level conversion, ``struct.pack``, which
+    reads each entry through ``__index__`` and so refuses what is no
+    integer (a float, numpy's floats and booleans, a string, None, a nested
+    sequence) and ints outside int64; it reads True as 1, hence the look at
+    the entries equal to 1.  It reads bytes entry by entry, as small ints,
+    like the validators.  The range is read from the sorted ends when
+    ``sort``, else from ``min`` and ``max``."""
+    if isinstance(values, np.ndarray):
+        if values.ndim != 1 or (values.size and values.dtype.kind not in "iu"):
+            return None
+        array = values
+    elif isinstance(values, Sequence):
+        try:
+            packed = struct.pack(f"{len(values)}q", *values)
+        except (struct.error, TypeError):
+            return None
+        array = np.frombuffer(packed, np.int64)
+    else:
         return None
     if not array.size:
         return array.astype(np.int64)
-    if array.dtype.kind not in "iu":
-        return None
-    lo = array.min()
-    if lo < 1 or array.max() > bound:
+    if sort:
+        out = np.sort(array)
+        lo, hi = out[0], out[-1]
+    else:
+        out = array
+        lo, hi = array.min(), array.max()
+    if lo < 1 or hi > bound:
         return None
     if lo == 1 and not isinstance(values, np.ndarray):
-        ones = np.flatnonzero(array == 1).tolist()
-        if any(isinstance(values[i], (bool, np.bool_)) for i in ones):
+        # A sorted caller refuses a repeated 1, so it is the first 1 that
+        # needs the look.
+        ones = [array.argmin()] if sort else np.flatnonzero(array == 1).tolist()
+        if any(values[i] is True for i in ones):
             return None
-    return array.astype(np.int64, copy=False)
+    return out.astype(np.int64, copy=False)
 
 
 def _path_array(m: int, path: Sequence[int]) -> np.ndarray:
     """:func:`validate_path` as one array: the path as int64, repeats found
     by ``bincount``; a path refused or repeating goes to validate_path."""
     steps = _index_array(m, path)
-    if steps is None or np.bincount(steps).max(initial=0) > 1:
+    if steps is None or np.count_nonzero(np.bincount(steps)) < steps.size:
         return np.array(validate_path(m, path), dtype=np.int64)
     return steps
 

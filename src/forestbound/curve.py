@@ -20,9 +20,14 @@ re-keys the kept keys to the parent row and sorts and truncates only the
 keys so handed up, at most the sum of min(zeta, |R ∩ S_T|) over the child
 rows R; an atom's keys are never sorted again.  A level whose budgets are
 all vacuous keeps every key and needs no sort.  No Python loop runs over
-the steps.  The curve it returns holds V_0..V_T as the int64 array of the
-counts' running sum; the CSV writer renders that array, and only a caller
-of :attr:`BoundCurve.values` turns it into Python ints.
+the steps.  What does not change between calls on one family (the row
+numbers, each row's distance to its parent, the level starts and which
+levels bind) is read from the family's cached ``_curve_view``, so a call
+pays only for its own path: the path is read with one C-level conversion
+(:func:`forestbound.bounds._index_array`), and the curve it returns holds
+V_0..V_T as the int64 array of the counts' running sum, taken over without
+a copy; the CSV writer renders that array, and only a caller of
+:attr:`BoundCurve.values` turns it into Python ints.
 
 :func:`naive_curve` evaluates vstar(S_t) afresh on every prefix S_t; it is
 quadratic in m and is the reference to compare a curve with.
@@ -68,6 +73,15 @@ class BoundCurve:
         array.flags.writeable = False
         object.__setattr__(self, "_array", array)
         object.__setattr__(self, "_values", None)
+
+    @classmethod
+    def _over(cls, array: np.ndarray) -> "BoundCurve":
+        # A curve over a fresh 1-D int64 array, which it takes without a copy.
+        array.flags.writeable = False
+        curve = object.__new__(cls)
+        object.__setattr__(curve, "_array", array)
+        object.__setattr__(curve, "_values", None)
+        return curve
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to BoundCurve.{name}")
@@ -163,17 +177,16 @@ def _curve_np(family: ForestFamily, steps: np.ndarray) -> BoundCurve:
     keys <<= shift
     keys += seq[1:]
     keys.sort()
-    rows = np.arange(len(family) + 1)
-    bounds = rows << shift  # rows r..q own the keys bounds[r]:bounds[q + 1]
-    rekey = (family._parent - rows[:-1]) << shift
-    zeta, levels = family._zeta, family._levels.tolist()
+    view = family._curve_view
+    bounds = view.rows << shift  # rows r..q own the keys bounds[r]:bounds[q + 1]
+    rekey = view.rekey << shift
+    zeta, levels, binds = family._zeta, view.levels, view.binds
     # Only a level with a budget below its region's size can refuse a key;
     # the budgets of zeta_trivial, the default of forestbound bench, never do.
-    binds = np.logical_or.reduceat(zeta < family._sizes, levels[:-1]).tolist()
     if any(binds):
         keys = _first_keys(keys, bounds, zeta, seq)
     # keys[cut[h - 1]:cut[h]] are the kept steps in the atoms of depth h.
-    cut = keys.searchsorted(bounds[family._levels]).tolist()
+    cut = keys.searchsorted(family._levels << shift).tolist()
     # The deepest level holds atoms only.
     here = keys[cut[-2] :]
     for h in range(len(levels) - 2, 0, -1):
@@ -185,9 +198,12 @@ def _curve_np(family: ForestFamily, steps: np.ndarray) -> BoundCurve:
             up.sort()
             a, b = levels[h - 1], levels[h]
             up = _first_keys(up, bounds[a : b + 1], zeta[a:b], seq)
-        here = np.concatenate((up, keys[cut[h - 1] : cut[h]]))
+        # The level's atoms, if they kept keys, add theirs.
+        if cut[h - 1] < cut[h]:
+            up = np.concatenate((up, keys[cut[h - 1] : cut[h]]))
+        here = up
     values = np.bincount(here & ((1 << shift) - 1), minlength=n_steps + 1)
-    return BoundCurve(values.cumsum(out=values))
+    return BoundCurve._over(np.add.accumulate(values, out=values))
 
 
 def _first_keys(

@@ -152,20 +152,36 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 
 
 class _SweepView(NamedTuple):
-    """What vstar's numpy sweep reads: it runs over the I non-atom rows
-    alone, numbered 0..I-1 in row order, and slot I collects the roots.  In
-    a complete family an atom has no children, so it enters the sweep only
-    through its parent's slot, and only a *tight* atom, one with a budget
-    below its size, can hold more selected members than its budget.  Tight
-    atoms are disjoint, so their hypothesis bounds form one sorted run."""
+    """What vstar's numpy sweep reads: it runs over the I *binding* rows,
+    the non-atom rows with a budget below their size, numbered 0..I-1 in
+    row order, and slot I collects the roots.  A row whose budget is its
+    size never has more selected members than its budget, so it passes its
+    children's savings up unchanged, and they go straight to the slot of
+    its nearest binding ancestor.  In a complete family an atom has no
+    children, so it enters the sweep only through that slot, and only a
+    *tight* atom, one with a budget below its size, can hold more selected
+    members than its budget.  Tight atoms are disjoint, so their hypothesis
+    bounds form one sorted run."""
 
     bounds: np.ndarray  # 2 x I: the hypotheses before each row and up to its end
-    zeta: np.ndarray  # the budget of each non-atom row
-    parent: np.ndarray  # the parent slot of each non-atom row
+    zeta: np.ndarray  # the budget of each binding row
+    parent: np.ndarray  # the slot of each binding row's nearest binding ancestor
     levels: np.ndarray  # rows levels[h-1]:levels[h] have depth h, or none
     tight: np.ndarray  # 2T: lo_0, hi_0, lo_1, hi_1, ..., as bounds holds them
     tight_zeta: np.ndarray
     tight_parent: np.ndarray
+
+
+class _CurveView(NamedTuple):
+    """What the curve engine reads beside the row table, the same at every
+    call: rows ``levels[h-1]:levels[h]`` have depth h, and ``binds[h-1]``
+    says whether a budget of depth h is below its region's size, the only
+    way a level can refuse a key."""
+
+    rows: np.ndarray  # 0..K: shifted, the least key each row owns
+    rekey: np.ndarray  # parent - row: shifted, it moves a key to its parent
+    levels: list[int]
+    binds: list[bool]
 
 
 class ForestFamily:
@@ -186,8 +202,10 @@ class ForestFamily:
     :mod:`forestbound.bounds` and the curve engine of
     :mod:`forestbound.curve` read ancestry only from ``_parent``; ``prune``
     sweeps this table itself, and vstar's two engines read it through
-    ``_row_lists`` and ``_sweep_view``, the non-atom rows and the tight
-    atoms.  Those two hold budgets, so a budget copy builds its own.
+    ``_row_lists`` and ``_sweep_view``, the binding rows and the tight
+    atoms; the curve engine reads its per-family constants from
+    ``_curve_view``.  Those three hold budgets, so a budget copy builds its
+    own.
 
     Construction checks m, the atom sizes and the columns i, j and zeta
     whole: columns of exact ints become int64 arrays, and only when a column
@@ -301,7 +319,8 @@ class ForestFamily:
         and the views that hold no budget are shared with this family."""
         family = ForestFamily.__new__(ForestFamily)
         family.__dict__.update(self.__dict__)
-        for view in ("_row_lists", "_sweep_view"):  # they hold the budgets
+        # These views hold the budgets.
+        for view in ("_row_lists", "_sweep_view", "_curve_view"):
             family.__dict__.pop(view, None)
         family._zeta = self._checked(np.array(zeta, dtype=np.int64))
         return family
@@ -430,18 +449,23 @@ class ForestFamily:
     def _sweep_view(self) -> _SweepView:
         """What vstar's numpy sweep reads.  Complete families only."""
         left, right, offsets = self._left, self._right, self._offsets
-        rows = np.flatnonzero(left != right)
-        # A row's parent slot is its parent's number among the non-atom
-        # rows; a root's parent, -1, reads the last entry, I.
-        slot = np.full(len(self) + 1, len(rows), dtype=np.int64)
-        slot[rows] = np.arange(len(rows))
-        slot = slot[self._parent]
+        binding = (left != right) & (self._zeta < self._sizes)
+        rows = np.flatnonzero(binding)
+        # to[r] is the slot that r's children send their savings to: r's own
+        # number when it binds, else its parent's to; the roots' parent, -1,
+        # reads the last entry, I.  Parents come before their children.
+        to = np.full(len(self) + 1, len(rows), dtype=np.int64)
+        to[rows] = np.arange(len(rows))
+        starts = self._levels.tolist()
+        for a, b in zip(starts, starts[1:]):
+            to[a:b] = np.where(binding[a:b], to[a:b], to[self._parent[a:b]])
+        slot = to[self._parent]
         # Atom rows in atom order: tight atoms come out sorted.
         atoms = np.flatnonzero(left == right)
         atoms = atoms[left[atoms].argsort()]
         tight = atoms[self._zeta[atoms] < self._sizes[atoms]]
         n = left[tight]
-        # Rows are in depth order, so the non-atom rows of depth <= h are
+        # Rows are in depth order, so the binding rows of depth <= h are
         # those before the first row of depth h + 1.
         levels = rows.searchsorted(self._levels)
         columns = (
@@ -454,6 +478,16 @@ class ForestFamily:
             slot[tight],
         )
         return _SweepView(*map(_frozen, columns))
+
+    @cached_property
+    def _curve_view(self) -> _CurveView:
+        """What the curve engine reads beside the row table."""
+        rows = np.arange(len(self) + 1)
+        levels = self._levels.tolist()
+        binds = np.logical_or.reduceat(self._zeta < self._sizes, levels[:-1])
+        return _CurveView(
+            _frozen(rows), _frozen(self._parent - rows[:-1]), levels, binds.tolist()
+        )
 
     @cached_property
     def _atom_of(self) -> list[int]:

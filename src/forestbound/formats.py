@@ -13,7 +13,7 @@ All numeric rendering is locale-independent.
 from __future__ import annotations
 
 import json
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -199,18 +199,20 @@ def _index_column(path: Sequence[int]) -> np.ndarray:
         raise FormatError(
             "path must be a flat sequence of hypothesis indices"
         ) from None
+    # An integer is what operator.index reads, as for _index_array's
+    # conversion and validate_path, but no boolean.
     for x in entries:
-        if (
-            isinstance(x, (bool, np.bool_))
-            or not isinstance(x, (int, np.integer))
-            or not 1 <= x <= _INT64_MAX
-        ):
+        try:
+            ok = not isinstance(x, (bool, np.bool_)) and 1 <= index(x) <= _INT64_MAX
+        except TypeError:
+            ok = False
+        if not ok:
             raise FormatError(f"path entry {x!r} is not a hypothesis index")
     if not isinstance(path, (Sequence, np.ndarray)):  # the scan consumed it
         raise FormatError("path must be a flat sequence of hypothesis indices")
     # The entries just checked, e.g. of an object array or of bytes, which
     # np.array would read as one value.
-    return np.fromiter(path, np.int64, len(path))
+    return np.fromiter(map(index, path), np.int64, len(path))
 
 
 def _ndigits(x: np.ndarray) -> np.ndarray:

@@ -45,15 +45,16 @@ from conftest import (
 
 def both_engines(family, selection):
     """The bound from each sweep engine, whatever the family's size, after
-    checking that the two accumulators agree at every non-atom row and at
-    the roots' slot.  Atoms have no children, so _sweep_py's accumulator is
-    0 at every atom row."""
+    checking that the two accumulators agree at every binding row (no atom,
+    budget below size) and at the roots' slot.  Atoms have no children, so
+    _sweep_py's accumulator is 0 at every atom row."""
     hc = list(accumulate(atom_hit_counts(family, selection)))
     py = _sweep_py(family, hc)
     atoms = family._left == family._right
     assert not any(np.array(py[:-1])[atoms])
     view = family._sweep_view
-    expected = [py[r] for r in np.flatnonzero(~atoms).tolist()] + [py[-1]]
+    binding = ~atoms & (family._zeta < family._sizes)
+    expected = [py[r] for r in np.flatnonzero(binding).tolist()] + [py[-1]]
     inputs = _sweep_inputs(view, _members(family, selection))
     vec = _sweep_np(view.levels, view.parent, *inputs)
     assert vec.tolist() == expected
@@ -318,6 +319,28 @@ def test_copy_with_new_budgets_sweeps_them(atoms):
     tight = est._with_zetas(np.zeros(len(est), dtype=np.int64))
     assert fb.vstar(tight, selection) == 0
     assert fb.vstar(est, selection) == len(selection)
+
+
+def test_sweep_table_holds_the_binding_rows():
+    # A region whose budget is its size passes its children's savings up
+    # unchanged, so vstar's numpy table leaves it out: on zeta_trivial it
+    # holds no row, and on an unpruned DKWM family it holds what pruning
+    # keeps of the non-atom rows, and no less.
+    base = fb.build_dyadic(8, 4)
+    m = base.m
+    pvalues = [(h + 0.5) / m if h % 64 < 24 else 0.9 for h in range(m)]
+    rng = random.Random(37)
+    trivial, dkwm = fb.zeta_trivial(base), fb.zeta_dkwm(base, pvalues, 0.05)
+    assert trivial._sweep_view.zeta.size == 0
+    binding = (dkwm._left != dkwm._right) & (dkwm._zeta < dkwm._sizes)
+    assert 0 < dkwm._sweep_view.zeta.size == np.count_nonzero(binding)
+    assert dkwm._sweep_view.zeta.size < np.count_nonzero(dkwm._left != dkwm._right)
+    pruned = fb.prune(dkwm).pruned_family
+    for size in (0, 1, 7, 64, m // 2, m):
+        members = rng.sample(range(1, m + 1), size)
+        assert fb.vstar(trivial, members) == size
+        expected = both_engines(dkwm, members)[0]
+        assert fb.vstar(dkwm, members) == expected == fb.vstar(pruned, members)
 
 
 def test_one_completeness_check(partial_family):

@@ -115,6 +115,42 @@ class TestEquivalence:
             assert fast == fb.naive_curve(fam, path)
             assert fast == fb.fast_curve(fb.prune(fam).pruned_family, path)
 
+    def test_budget_copies_build_their_own_curve_view(self):
+        # The engine caches its per-family constants, which binds holds the
+        # budgets of, on the family; each budget copy must read its own.
+        rng = random.Random(223)
+        base = fb.build_dyadic(8, 3)  # 128 atoms, m = 384
+        m = base.m
+        pvalues = [(h + 0.5) / m if h < m // 4 else 0.9 for h in range(m)]
+        path = random_path(rng, m)
+        dkwm = fb.zeta_dkwm(base, pvalues, 0.05)
+        assert any(dkwm._curve_view.binds)
+        lowered = {key: 0 for key in list(base.keys())[::7]}
+        for source in (base, dkwm):
+            view = source._curve_view
+            fb.fast_curve(source, path)
+            copies = [
+                fb.zeta_dkwm(source, pvalues, 0.05),
+                fb.zeta_trivial(source),
+                fb.apply_zetas(source, lowered),
+            ]
+            for family in copies:
+                assert "_curve_view" not in vars(family)
+                curve = fb.fast_curve(family, path)
+                assert curve == reference_walk(family, path)
+                assert curve == fb.naive_curve(family, path)
+                assert family._curve_view is not view
+                assert family._curve_view.binds == (
+                    np.logical_or.reduceat(
+                        family._zeta < family._sizes, family._levels[:-1]
+                    ).tolist()
+                )
+            assert copies[0] == dkwm and copies[1] == base
+            for family in (source, *copies):
+                clone = pickle.loads(pickle.dumps(family))
+                assert clone == family
+                assert fb.fast_curve(clone, path) == fb.fast_curve(family, path)
+
     def test_audit_sees_walk_faults(self):
         # With the root's budget loosened from 1 to 2, the second step counts
         # past the budget of the family as read.  The naive curve on the
