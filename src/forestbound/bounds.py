@@ -54,13 +54,15 @@ NUMPY_MIN_ATOMS = 128
 def atom_hit_counts(family: ForestFamily, selection: Collection[int]) -> list[int]:
     """How many selected hypotheses fall in each atom; entry 0 is padding.
 
-    Interval sums of this vector give the selection overlap of any region.
-    Rejects duplicate, non-integer (boolean included), and out-of-range
-    members.
+    vstar's check of a selection, and its Python engine's counter; no
+    public name.  Interval sums of this vector give the selection overlap
+    of any region.  Rejects duplicate, non-integer (boolean included), and
+    out-of-range members.
     """
     distinct = isinstance(selection, (set, frozenset))
     atom_of = family._atom_of
     hits = [0] * (family.n_atoms + 1)
+    items = None  # stays None for a selection that is no collection
     try:
         # A selection that is no collection, such as a 0-d array, and an
         # unhashable member, such as a list, raise TypeError here.
@@ -72,11 +74,24 @@ def atom_hit_counts(family: ForestFamily, selection: Collection[int]) -> list[in
             if s <= 1 and (s < 1 or s is True):
                 raise IndexError
             hits[atom_of[s]] += 1
-    except (IndexError, TypeError):
-        raise IndexOutOfRangeError(
-            f"selection members must be integers in 1..{family.m}"
-        ) from None
-    return hits
+    except IndexError:
+        pass
+    except TypeError:
+        # An integer type with __index__ but no ordering fails the compare:
+        # read every member through __index__, booleans refused, and count
+        # the ints again.
+        try:
+            ints = [operator.index(s) for s in items]
+        except TypeError:
+            pass
+        else:
+            if not any(isinstance(s, bool) for s in items):
+                return atom_hit_counts(family, ints)
+    else:
+        return hits
+    raise IndexOutOfRangeError(
+        f"selection members must be integers in 1..{family.m}"
+    )
 
 
 def _require_complete(family: ForestFamily) -> None:

@@ -35,7 +35,6 @@ quadratic in m and is the reference to compare a curve with.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -49,10 +48,10 @@ class BoundCurve:
     """The sequence (V_0, V_1, ..., V_T) of bounds along a path prefix.
 
     The values are kept as one read-only int64 array, which the CSV writer
-    and :func:`fdp_curve` read; :attr:`values` is the tuple of Python ints,
-    built on first access.  Indexing gives a Python int, and two curves are
-    equal when their values are.  A curve is immutable: setting or deleting
-    an attribute raises ``AttributeError``.
+    reads; :attr:`values` is the tuple of Python ints, built on first
+    access.  Indexing gives a Python int, and two curves are equal when
+    their values are.  A curve is immutable: setting or deleting an
+    attribute raises ``AttributeError``.
     """
 
     __slots__ = ("_array", "_values")
@@ -232,9 +231,3 @@ def _pvalue_path(m: int, pvalues: Sequence[float]) -> np.ndarray:
     # CLI's curve CSV.
     return np.argsort(_check_pvalues(m, pvalues), kind="stable") + 1
 
-
-def fdp_curve(curve: BoundCurve) -> list[Fraction]:
-    """Exact proportion bounds V_t / t for t = 1..T."""
-    return [
-        Fraction(v, t) for t, v in enumerate(curve._array[1:].tolist(), start=1)
-    ]

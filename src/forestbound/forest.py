@@ -187,10 +187,12 @@ class _CurveView(NamedTuple):
 class ForestFamily:
     """An immutable reference family with a forest interval structure.
 
-    Build instances through :func:`build_family`, :func:`build_dyadic`, or
-    :func:`complete_family`; the constructor validates every structural
-    invariant (partition sizes, key ranges, distinctness, the
-    disjoint-or-nested law, and budget ranges) and computes region depths.
+    Build instances from (i, j, zeta) triples with
+    ``ForestFamily(m, atom_sizes, regions)``, or through
+    :func:`build_dyadic` or :func:`complete_family`; the constructor
+    validates every structural invariant (partition sizes, key ranges,
+    distinctness, the disjoint-or-nested law, and budget ranges) and
+    computes region depths.
 
     The regions are one row table in (depth, i) order, so children follow
     their parents: read-only int64 arrays ``_left``, ``_right``, ``_zeta``,
@@ -507,15 +509,6 @@ class ForestFamily:
         atom_rows[0] = -1
         atom_rows[1:] = np.repeat(atoms, np.diff(self._offsets))
         return _frozen(atom_rows)
-
-
-def build_family(
-    m: int,
-    atom_sizes: Sequence[int],
-    regions: Iterable[tuple[int, int, int]],
-) -> ForestFamily:
-    """Validate and build a reference family from (i, j, zeta) triples."""
-    return ForestFamily(m, atom_sizes, regions)
 
 
 def complete_family(family: ForestFamily) -> ForestFamily:

@@ -15,7 +15,7 @@ import pytest
 import forestbound as fb
 from forestbound import sim
 
-from conftest import (
+from oracles import (
     EXAMPLE_ATOMS,
     EXAMPLE_CURVE,
     EXAMPLE_M,
@@ -61,7 +61,7 @@ def fast_large_report():
 
 
 def test_criterion_1_golden_worked_example():
-    family = fb.build_family(EXAMPLE_M, EXAMPLE_ATOMS, EXAMPLE_REGIONS)
+    family = fb.ForestFamily(EXAMPLE_M, EXAMPLE_ATOMS, EXAMPLE_REGIONS)
     completed = fb.complete_family(family)
     result = fb.prune(completed)
     removed_ok = result.removed == {fb.RegionKey(6, 7)}

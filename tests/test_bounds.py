@@ -26,7 +26,7 @@ from forestbound.bounds import (
 )
 
 import test_curve
-from conftest import (
+from oracles import (
     EXAMPLE_CURVE,
     budget_mix_family,
     definition_removed_set,
@@ -69,7 +69,7 @@ class TestVstar:
         assert fb.vstar(example_family, set()) == 0
 
     def test_zero_budget_caps_everything(self):
-        fam = fb.build_family(3, (3,), [(1, 1, 0)])
+        fam = fb.ForestFamily(3, (3,), [(1, 1, 0)])
         assert fb.vstar(fam, {1, 2, 3}) == 0
 
     def test_incomplete_family_errors(self, partial_family):
@@ -173,7 +173,7 @@ class TestLargeSideSelections:
     def large_family(self):
         m = 2 * NUMPY_MIN_ATOMS
         atoms = [(a, a, 1) for a in range(1, m + 1)]
-        return fb.build_family(m, (1,) * m, [(1, m, 9), *atoms])
+        return fb.ForestFamily(m, (1,) * m, [(1, m, 9), *atoms])
 
     BAD = test_curve.TestLargeSidePathCheck.BAD + [
         lambda m: {True},
@@ -296,7 +296,7 @@ class TestCostFollowsTheSelection:
         n = 2**15
         atoms = [(a, a, a % 2) for a in range(1, n + 1)]
         blocks = [(i, i + 127, 10) for i in range(1, n + 1, 128)]
-        result = fb.prune(fb.build_family(n, (1,) * n, [(1, n, 100), *blocks, *atoms]))
+        result = fb.prune(fb.ForestFamily(n, (1,) * n, [(1, n, 100), *blocks, *atoms]))
         assert result.removed == frozenset()
         fam = result.pruned_family
         assert fb.vstar(fam, [1]) == 1  # builds the cached views
@@ -412,7 +412,7 @@ class TestOracles:
         for _ in range(30):
             n = rng.randint(1, 6)
             sizes = [rng.randint(1, 3) for _ in range(n)]
-            fam = fb.build_family(
+            fam = fb.ForestFamily(
                 sum(sizes),
                 sizes,
                 [(a, a, rng.randint(0, sizes[a - 1])) for a in range(1, n + 1)],
@@ -508,9 +508,9 @@ class TestNaiveCurve:
         assert curve.values == EXAMPLE_CURVE
 
     def test_single_hypothesis(self):
-        fam = fb.build_family(1, (1,), [(1, 1, 1)])
+        fam = fb.ForestFamily(1, (1,), [(1, 1, 1)])
         assert fb.naive_curve(fam, [1]).values == (0, 1)
-        fam0 = fb.build_family(1, (1,), [(1, 1, 0)])
+        fam0 = fb.ForestFamily(1, (1,), [(1, 1, 0)])
         assert fb.naive_curve(fam0, [1]).values == (0, 0)
 
     def test_path_validation(self, example_family):

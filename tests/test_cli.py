@@ -15,7 +15,7 @@ from forestbound import cli
 from forestbound.cli import main
 from forestbound.formats import dump_forest, dump_path_csv, dump_pvalues_csv
 
-from conftest import (
+from oracles import (
     EXAMPLE_ATOMS,
     EXAMPLE_COMPLETION,
     EXAMPLE_M,
@@ -121,7 +121,7 @@ class TestPrune:
     def test_incomplete_family_exits_2(self, tmp_path):
         f = tmp_path / "partial.forest"
         f.write_text(
-            dump_forest(fb.build_family(EXAMPLE_M, EXAMPLE_ATOMS, EXAMPLE_REGIONS))
+            dump_forest(fb.ForestFamily(EXAMPLE_M, EXAMPLE_ATOMS, EXAMPLE_REGIONS))
         )
         assert main(["prune", "--in", str(f), "--out", str(tmp_path / "x")]) == 2
 
@@ -131,7 +131,7 @@ class TestIncompleteFamily:
     def partial_file(self, tmp_path):
         f = tmp_path / "partial.forest"
         f.write_text(
-            dump_forest(fb.build_family(EXAMPLE_M, EXAMPLE_ATOMS, EXAMPLE_REGIONS))
+            dump_forest(fb.ForestFamily(EXAMPLE_M, EXAMPLE_ATOMS, EXAMPLE_REGIONS))
         )
         return f
 
@@ -214,7 +214,7 @@ class TestCurve:
             pruned = real(family).pruned_family
             kept = [(r.key.i, r.key.j, r.zeta) for r in pruned.regions()]
             kept.remove((2, 3, pruned.zeta((2, 3))))
-            cut = fb.build_family(pruned.m, pruned.atom_sizes, kept)
+            cut = fb.ForestFamily(pruned.m, pruned.atom_sizes, kept)
             return types.SimpleNamespace(pruned_family=cut)
 
         monkeypatch.setattr(cli, "prune", faulty_prune)
@@ -322,7 +322,7 @@ class TestCurve:
         rows = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
         path = sorted(range(1, 26), key=lambda h: (pvals[h - 1], h))
         assert [int(r[1]) for r in rows] == path
-        family = fb.build_family(
+        family = fb.ForestFamily(
             EXAMPLE_M, EXAMPLE_ATOMS, EXAMPLE_REGIONS + EXAMPLE_COMPLETION
         )
         curve = fb.curve_from_pvalues(family, pvals)
@@ -431,7 +431,7 @@ class TestRoundTripCommands:
     def test_complete_command(self, tmp_path):
         f = tmp_path / "partial.forest"
         f.write_text(
-            dump_forest(fb.build_family(EXAMPLE_M, EXAMPLE_ATOMS, EXAMPLE_REGIONS))
+            dump_forest(fb.ForestFamily(EXAMPLE_M, EXAMPLE_ATOMS, EXAMPLE_REGIONS))
         )
         out = tmp_path / "complete.forest"
         assert main(["complete", "--in", str(f), "--out", str(out)]) == 0
@@ -453,7 +453,7 @@ class TestRoundTripCommands:
         from forestbound.formats import parse_forest
 
         assert parse_forest(out.read_text()) == fb.zeta_trivial(
-            fb.build_family(
+            fb.ForestFamily(
                 EXAMPLE_M, EXAMPLE_ATOMS, EXAMPLE_REGIONS + EXAMPLE_COMPLETION
             )
         )

@@ -3,7 +3,6 @@
 import copy
 import pickle
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +16,7 @@ from forestbound import (
 )
 from forestbound.bounds import NUMPY_MIN_ATOMS, _path_array, validate_path
 
-from conftest import (
+from oracles import (
     EXAMPLE_CURVE,
     EXAMPLE_PATH,
     CURVE_FAULT_SCRIPT,
@@ -39,7 +38,7 @@ class TestFastCurveExample:
 
     def test_single_atom_family_counts_up(self):
         m = 7
-        fam = fb.build_family(m, (m,), [(1, 1, m)])
+        fam = fb.ForestFamily(m, (m,), [(1, 1, m)])
         path = random_path(random.Random(1), m)
         assert fb.fast_curve(fam, path).values == tuple(range(m + 1))
 
@@ -237,7 +236,7 @@ class TestLargeSidePathCheck:
     def large_family(self):
         m = self.M
         atoms = [(a, a, 1) for a in range(1, m + 1)]
-        return fb.build_family(m, (1,) * m, [(1, m, 9), *atoms])
+        return fb.ForestFamily(m, (1,) * m, [(1, m, 9), *atoms])
 
     BAD = [
         lambda m: [True],
@@ -341,14 +340,14 @@ class TestWalkWork:
 
 class TestCurveFromPvalues:
     def test_sorts_ascending(self):
-        fam = fb.complete_family(fb.build_family(3, (1, 1, 1), [(1, 3, 3)]))
+        fam = fb.complete_family(fb.ForestFamily(3, (1, 1, 1), [(1, 3, 3)]))
         p = [0.01, 0.5, 0.2]
         curve = fb.curve_from_pvalues(fam, p)
         assert curve == fb.fast_curve(fam, [1, 3, 2])
 
     def test_stable_ties(self):
         m = 6
-        fam = fb.complete_family(fb.build_family(m, (m,), [(1, 1, m)]))
+        fam = fb.complete_family(fb.ForestFamily(m, (m,), [(1, 1, m)]))
         curve = fb.curve_from_pvalues(fam, [0.5] * m)
         assert curve == fb.fast_curve(fam, list(range(1, m + 1)))
 
@@ -381,34 +380,6 @@ class TestConcurrentReads:
         with ThreadPoolExecutor(max_workers=8) as pool:
             got = list(pool.map(lambda p: fb.fast_curve(fam, p), paths))
         assert got == expected
-
-
-class TestFdpCurve:
-    def test_linear_curve(self):
-        curve = fb.BoundCurve((0, 1, 2, 3))
-        assert fb.fdp_curve(curve) == [1, 1, 1]
-
-    def test_example_fractions(self, example_family):
-        curve = fb.fast_curve(example_family, EXAMPLE_PATH)
-        expected = [
-            Fraction(1),
-            Fraction(1),
-            Fraction(1),
-            Fraction(3, 4),
-            Fraction(4, 5),
-            Fraction(5, 6),
-            Fraction(5, 7),
-            Fraction(5, 8),
-            Fraction(5, 9),
-        ]
-        assert fb.fdp_curve(curve) == expected
-
-    def test_all_zero(self):
-        curve = fb.BoundCurve((0, 0, 0))
-        assert fb.fdp_curve(curve) == [0, 0]
-
-    def test_empty(self):
-        assert fb.fdp_curve(fb.BoundCurve((0,))) == []
 
 
 class TestBoundCurve:

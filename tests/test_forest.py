@@ -18,7 +18,7 @@ from forestbound import (
 )
 from forestbound.forest import DYADIC_MAX_M
 
-from conftest import (
+from oracles import (
     EXAMPLE_ATOMS,
     EXAMPLE_COMPLETION,
     EXAMPLE_M,
@@ -66,72 +66,72 @@ class TestBuildFamily:
         assert example_family.is_complete
 
     def test_single_atom_family(self):
-        fam = fb.build_family(1, (1,), [(1, 1, 1)])
+        fam = fb.ForestFamily(1, (1,), [(1, 1, 1)])
         assert fam.height == 1
         assert fam.is_complete
 
     def test_partial_overlap_rejected(self):
         with pytest.raises(OverlapError):
-            fb.build_family(3, (1, 1, 1), [(1, 2, 1), (2, 3, 1)])
+            fb.ForestFamily(3, (1, 1, 1), [(1, 2, 1), (2, 3, 1)])
 
     def test_duplicate_rejected(self):
         with pytest.raises(DuplicateRegionError):
-            fb.build_family(2, (1, 1), [(1, 2, 1), (1, 2, 2)])
+            fb.ForestFamily(2, (1, 1), [(1, 2, 1), (1, 2, 2)])
 
     def test_zeta_range_rejected(self):
         with pytest.raises(ZetaRangeError):
-            fb.build_family(2, (1, 1), [(1, 2, 3)])
+            fb.ForestFamily(2, (1, 1), [(1, 2, 3)])
         with pytest.raises(ZetaRangeError):
-            fb.build_family(2, (1, 1), [(1, 2, -1)])
+            fb.ForestFamily(2, (1, 1), [(1, 2, -1)])
         with pytest.raises(ZetaRangeError):
-            fb.build_family(2, (1, 1), [(1, 2, 2.0)])  # not an integer
+            fb.ForestFamily(2, (1, 1), [(1, 2, 2.0)])  # not an integer
 
     def test_atom_sizes_must_sum_to_m(self):
         with pytest.raises(SizeMismatchError):
-            fb.build_family(5, (2, 2), [(1, 1, 1)])
+            fb.ForestFamily(5, (2, 2), [(1, 1, 1)])
 
     def test_zero_size_family_rejected(self):
         with pytest.raises(SizeMismatchError):
-            fb.build_family(0, (), [])
+            fb.ForestFamily(0, (), [])
 
     def test_nonpositive_atom_rejected(self):
         with pytest.raises(SizeMismatchError):
-            fb.build_family(2, (2, 0), [(1, 1, 1)])
+            fb.ForestFamily(2, (2, 0), [(1, 1, 1)])
 
     def test_booleans_rejected(self):
         with pytest.raises(SizeMismatchError):
-            fb.build_family(True, (1,), [(1, 1, 1)])
+            fb.ForestFamily(True, (1,), [(1, 1, 1)])
         with pytest.raises(SizeMismatchError):
-            fb.build_family(2, (True, 1), [(1, 1, 1)])
+            fb.ForestFamily(2, (True, 1), [(1, 1, 1)])
         with pytest.raises(SizeMismatchError):
-            fb.build_family(2, (1, 1), [(True, 1, 1)])
+            fb.ForestFamily(2, (1, 1), [(True, 1, 1)])
         with pytest.raises(SizeMismatchError):
-            fb.build_family(2, (1, 1), [(1, True, 1)])
+            fb.ForestFamily(2, (1, 1), [(1, True, 1)])
         with pytest.raises(ZetaRangeError):
-            fb.build_family(2, (1, 1), [(1, 1, True)])
+            fb.ForestFamily(2, (1, 1), [(1, 1, True)])
         with pytest.raises(ZetaRangeError):
-            fb.build_family(2, (1, 1), [(1, 1, False)])
+            fb.ForestFamily(2, (1, 1), [(1, 1, False)])
 
     def test_counts_must_fit_int64(self):
         # The row table is int64: m, keys and budgets beyond it are refused.
         with pytest.raises(SizeMismatchError):
-            fb.build_family(2**63, (2**63,), [])
+            fb.ForestFamily(2**63, (2**63,), [])
         with pytest.raises(SizeMismatchError):
-            fb.build_family(2**64, (2**63, 2**63), [])
-        assert fb.build_family(2**63 - 1, (2**63 - 1,), [(1, 1, 2**62)]).m == 2**63 - 1
+            fb.ForestFamily(2**64, (2**63, 2**63), [])
+        assert fb.ForestFamily(2**63 - 1, (2**63 - 1,), [(1, 1, 2**62)]).m == 2**63 - 1
         with pytest.raises(IndexOutOfRangeError):
-            fb.build_family(2, (1, 1), [(1, 2**64, 0)])
+            fb.ForestFamily(2, (1, 1), [(1, 2**64, 0)])
         with pytest.raises(ZetaRangeError):
-            fb.build_family(2, (1, 1), [(1, 2, -(2**64))])
+            fb.ForestFamily(2, (1, 1), [(1, 2, -(2**64))])
 
     def test_region_key_out_of_range(self):
         with pytest.raises(IndexOutOfRangeError):
-            fb.build_family(2, (1, 1), [(1, 3, 0)])
+            fb.ForestFamily(2, (1, 1), [(1, 3, 0)])
         with pytest.raises(IndexOutOfRangeError):
-            fb.build_family(2, (1, 1), [(0, 1, 0)])
+            fb.ForestFamily(2, (1, 1), [(0, 1, 0)])
 
     def test_empty_region_list_is_valid(self):
-        fam = fb.build_family(3, (1, 1, 1), [])
+        fam = fb.ForestFamily(3, (1, 1, 1), [])
         assert len(fam) == 0
         assert not fam.is_complete
         assert fam.height == 0
@@ -147,11 +147,11 @@ class TestDepth:
         assert example_family.region((8, 8)).depth == 1
 
     def test_single_region_depth(self):
-        fam = fb.build_family(4, (4,), [(1, 1, 2)])
+        fam = fb.ForestFamily(4, (4,), [(1, 1, 2)])
         assert fam.region((1, 1)).depth == 1
 
     def test_nested_chain_depth(self):
-        fam = fb.build_family(
+        fam = fb.ForestFamily(
             4, (1, 1, 1, 1), [(1, 4, 2), (1, 2, 1), (1, 1, 1)]
         )
         assert fam.region((1, 1)).depth == 3
@@ -202,7 +202,7 @@ class TestForestLaw:
                 i = rng.randint(1, n)
                 keys.add((i, rng.randint(i, n)))
             try:
-                fam = fb.build_family(n, (1,) * n, [(i, j, 0) for i, j in keys])
+                fam = fb.ForestFamily(n, (1,) * n, [(i, j, 0) for i, j in keys])
             except OverlapError:
                 rejected += 1
                 continue
@@ -257,7 +257,7 @@ class TestCompletion:
         assert twice is once  # complete input returned as-is
 
     def test_empty_family_completion(self):
-        fam = fb.complete_family(fb.build_family(3, (1, 1, 1), []))
+        fam = fb.complete_family(fb.ForestFamily(3, (1, 1, 1), []))
         assert sorted(fam.keys()) == [(1, 1), (2, 2), (3, 3)]
         assert all(fam.zeta(k) == 1 for k in fam.keys())
 
@@ -272,7 +272,7 @@ class TestRegionMembers:
         )
 
     def test_unit_atoms(self):
-        fam = fb.build_family(3, (1, 1, 1), [(2, 2, 1)])
+        fam = fb.ForestFamily(3, (1, 1, 1), [(2, 2, 1)])
         assert list(fam.region_members((2, 2))) == [2]
 
     def test_dyadic_prefix_sums(self):

@@ -25,7 +25,7 @@ from forestbound.formats import (
 )
 from forestbound.formats import _csv_rows
 
-from conftest import (
+from oracles import (
     EXAMPLE_ATOMS,
     EXAMPLE_M,
     EXAMPLE_PATH,
@@ -93,7 +93,7 @@ class TestForestRoundTrip:
     def test_matches_json_encoder(self, example_family, partial_family):
         assert dump_forest(example_family) == reference_dump_forest(example_family)
         assert dump_forest(partial_family) == reference_dump_forest(partial_family)
-        empty = fb.build_family(3, (1, 2), [])
+        empty = fb.ForestFamily(3, (1, 2), [])
         assert dump_forest(empty) == reference_dump_forest(empty)
         rng = random.Random(131)
         for k in range(400):
@@ -152,7 +152,7 @@ class TestForestRoundTrip:
             with pytest.raises(fb.SizeMismatchError):
                 parse_forest(f'{{"m": 1, "atom_sizes": {sizes}, "regions": []}}')
         with pytest.raises(fb.SizeMismatchError):
-            fb.build_family(1, 1, [])
+            fb.ForestFamily(1, 1, [])
 
     @pytest.mark.parametrize(
         "regions, error, message",

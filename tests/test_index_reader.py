@@ -34,7 +34,7 @@ def _family(atom_size: int) -> fb.ForestFamily:
     n = M // atom_size
     atoms = [(a, a, min(2, atom_size)) for a in range(1, n + 1)]
     halves = [(1, n // 2, 5), (n // 2 + 1, n, 7)]
-    return fb.build_family(M, (atom_size,) * n, [(1, n, 9), *halves, *atoms])
+    return fb.ForestFamily(M, (atom_size,) * n, [(1, n, 9), *halves, *atoms])
 
 
 LARGE = _family(1)  # 256 atoms: vstar's numpy side
@@ -65,6 +65,20 @@ class IntLike:
 
     def __repr__(self):
         return f"IntLike({self.value})"
+
+
+class IndexOnly:
+    """An integer by ``__index__`` alone: no ordering, and hashed by
+    identity, so two equal ones are no repeat to a set."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+    def __repr__(self):
+        return f"IndexOnly({self.value})"
 
 
 # Each entry is put between 3 and 2, so it sits neither first nor last.
@@ -178,15 +192,34 @@ def test_curve_csv_reads_the_path_as_the_path_csv_does(path):
         assert got == want
 
 
-INDEX_PROTOCOL = [[3, IntLike(7), 2], (IntLike(7),), [3, IntLike(0)], [IntLike(5), 1.5]]
+INDEX_PROTOCOL = [
+    [3, IntLike(7), 2],
+    (IntLike(7),),
+    [3, IntLike(0)],
+    [IntLike(5), 1.5],
+    [IndexOnly(3), 2],
+    np.array([IndexOnly(3), 2], dtype=object),
+    [3, IndexOnly(7), 1],
+    np.array([3, IndexOnly(7), 1], dtype=object),
+    [IndexOnly(3), IndexOnly(3)],
+    [IndexOnly(5), True],
+    [IndexOnly(5), np.True_],
+    [2, IndexOnly(0)],
+    [IndexOnly(5), 1.5],
+]
 
 
 @pytest.mark.parametrize("path", INDEX_PROTOCOL, ids=_ids)
 def test_index_protocol_integers_are_read_alike(path):
-    # An integer type of another library, read through __index__: vstar and
-    # the curves always read it; the writers read it too, and refuse an
-    # entry below 1 or a float beside it with the same message either way.
+    # An integer type of another library, read through __index__ with or
+    # without an ordering: vstar's two engines and the curves read it, as a
+    # list or an object array; the writers read it too, and refuse an entry
+    # below 1 or a float beside it with the same message either way.
     for family in (LARGE, SMALL):
-        assert _outcome(fb.vstar, family, path) == _outcome(_python_vstar, family, path)
-    assert _outcome(fb.fast_curve, LARGE, path) == _outcome(_python_curve, LARGE, path)
+        want = _outcome(_python_vstar, family, path)
+        assert _outcome(fb.vstar, family, path) == want
+        # An object array reads as the list of its entries does.
+        assert _outcome(fb.vstar, family, list(path)) == want
+    for curve in (fb.fast_curve, fb.naive_curve):
+        assert _outcome(curve, LARGE, path) == _outcome(_python_curve, LARGE, path)
     assert _outcome(dump_path_csv, path) == _outcome(_python_path_csv, path)

@@ -8,7 +8,7 @@ import forestbound as fb
 from forestbound import IncompleteFamilyError, RegionKey
 from forestbound.bounds import NUMPY_MIN_ATOMS, _sweep_py
 
-from conftest import (
+from oracles import (
     definition_removed_set,
     edge_budget_families,
     random_family,
@@ -36,7 +36,7 @@ class TestPruneExample:
         assert pruned.region((7, 7)).depth == 1
 
     def test_atoms_only_family_unchanged(self):
-        fam = fb.build_family(4, (2, 2), [(1, 1, 1), (2, 2, 2)])
+        fam = fb.ForestFamily(4, (2, 2), [(1, 1, 1), (2, 2, 2)])
         result = fb.prune(fam)
         assert result.removed == frozenset()
         assert result.pruned_family == fam
@@ -146,7 +146,7 @@ class TestCompact:
         )
 
     def test_compact_without_removals(self):
-        fam = fb.build_family(4, (2, 2), [(1, 1, 1), (2, 2, 2)])
+        fam = fb.ForestFamily(4, (2, 2), [(1, 1, 1), (2, 2, 2)])
         result = fb.prune(fam)
         assert fb.compact(result) == fam
 

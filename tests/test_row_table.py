@@ -35,7 +35,7 @@ from forestbound.curve import _curve_np
 from forestbound.forest import ForestFamily
 from forestbound.formats import dump_forest
 
-from conftest import (
+from oracles import (
     EXAMPLE_CURVE,
     EXAMPLE_PATH,
     ORACLE_MAX_M,
@@ -251,7 +251,7 @@ class TestAgainstReference:
     @given(laminar_inputs())
     def test_valid_families(self, args):
         m, sizes, table, depths = reference_build(*args)
-        fam = fb.build_family(*args)
+        fam = fb.ForestFamily(*args)
         assert {(r.key, r.zeta, r.depth) for r in fam.regions()} == {
             (k, table[k], depths[k]) for k in table
         }
@@ -262,14 +262,14 @@ class TestAgainstReference:
         assert dump_forest(fam) == reference_dump(m, sizes, table, depths)
         atoms = range(1, len(sizes) + 1)
         missing = [(a, a, sizes[a - 1]) for a in atoms if (a, a) not in table]
-        assert fb.complete_family(fam) == fb.build_family(m, sizes, args[2] + missing)
+        assert fb.complete_family(fam) == fb.ForestFamily(m, sizes, args[2] + missing)
 
     @settings(max_examples=300, deadline=None)
     @given(laminar_inputs())
     def test_parent_column(self, args):
         # reference_build gives no parents, so they are checked against the
         # keys directly; the curve engine re-keys up this column.
-        fam = fb.build_family(*args)
+        fam = fb.ForestFamily(*args)
         check_parent_column(fam)
         check_parent_column(fb.complete_family(fam))
 
@@ -279,7 +279,7 @@ class TestAgainstReference:
         kind, args = corrupted
         expected = raised(reference_build, args)
         assert expected is not None, kind  # the corruption is a fault
-        got = raised(fb.build_family, args)
+        got = raised(fb.ForestFamily, args)
         assert type(got) is type(expected), kind
         if kind == "overlap":  # the same two regions are named
             assert str(got) == str(expected)
@@ -302,7 +302,7 @@ class TestAgainstReference:
         else:
             other = data.draw(laminar_inputs())
         same = reference_build(*args)[:3] == reference_build(*other)[:3]
-        assert (fb.build_family(*args) == fb.build_family(*other)) == same
+        assert (fb.ForestFamily(*args) == fb.ForestFamily(*other)) == same
 
 
 def check_nesting(fam):
@@ -417,13 +417,13 @@ class TestFirstFault:
     )
     def test_class_and_message(self, m, sizes, regions, error, message):
         with pytest.raises(ForestError) as info:
-            fb.build_family(m, sizes, regions)
+            fb.ForestFamily(m, sizes, regions)
         assert type(info.value) is error
         assert str(info.value) == message
 
     def test_row_that_is_no_triple(self):
         with pytest.raises(FormatError) as info:
-            fb.build_family(2, (1, 1), [(1, 1, 0), (1, 2)])
+            fb.ForestFamily(2, (1, 1), [(1, 1, 0), (1, 2)])
         assert str(info.value) == (
             "row 2 of regions is not an (i, j, zeta) triple: (1, 2)"
         )
@@ -447,7 +447,7 @@ class TestFirstFault:
     def test_rows_that_are_no_tuples(self, regions, error, message):
         # Rows are read as the per-value checks read them, once each.
         with pytest.raises(error) as info:
-            fb.build_family(2, (1, 1), regions)
+            fb.ForestFamily(2, (1, 1), regions)
         assert type(info.value) is error
         assert str(info.value) == message
 
@@ -466,20 +466,20 @@ class TestFirstFault:
     )
     def test_regions_that_are_no_triples(self, regions, message):
         with pytest.raises(FormatError) as info:
-            fb.build_family(1, [1], regions)
+            fb.ForestFamily(1, [1], regions)
         assert str(info.value) == message
 
     def test_rows_read_once_build_the_same_family(self):
         rows = [(1, 2, 2), (1, 1, 1), (2, 2, 0)]
-        once = fb.build_family(2, (1, 1), (iter(row) for row in rows))
-        assert once == fb.build_family(2, (1, 1), rows)
+        once = fb.ForestFamily(2, (1, 1), (iter(row) for row in rows))
+        assert once == fb.ForestFamily(2, (1, 1), rows)
 
 
 class TestCurvesOnDrawnFamilies:
     @settings(max_examples=200, deadline=None)
     @given(laminar_inputs(), st.data())
     def test_fast_naive_pruned_and_oracle_agree(self, args, data):
-        drawn = fb.build_family(*args)
+        drawn = fb.ForestFamily(*args)
         fam = fb.complete_family(drawn)
         order = data.draw(st.permutations(range(1, fam.m + 1)))
         path = order[: data.draw(st.integers(0, fam.m))]
@@ -499,7 +499,7 @@ class TestCurvesOnDrawnFamilies:
             for r in fam.regions()
             if r.key not in result.removed
         ]
-        assert result.pruned_family == fb.build_family(fam.m, fam.atom_sizes, kept)
+        assert result.pruned_family == fb.ForestFamily(fam.m, fam.atom_sizes, kept)
         assert result.removed == definition_removed_set(fam)
 
 
@@ -519,7 +519,7 @@ class TestCurveEngine:
     def test_walk_naive_and_oracle_agree(self, args, data):
         # Completion leaves atoms at different depths; budgets favour 0; the
         # path is any prefix of a permutation, the empty one included.
-        fam = fb.complete_family(fb.build_family(*args))
+        fam = fb.complete_family(fb.ForestFamily(*args))
         order = data.draw(st.permutations(range(1, fam.m + 1)))
         path = order[: data.draw(st.integers(0, fam.m))]
         got = _curve_np(fam, _steps(path))
@@ -540,9 +540,9 @@ class TestCurveEngine:
     def test_zero_budget_root_and_atoms(self):
         atoms = [(1, 1, 2), (2, 2, 0), (3, 3, 1)]
         path = [3, 1, 5, 2, 6, 4]
-        fam = fb.build_family(6, (2, 2, 2), [(1, 3, 0), *atoms])
+        fam = fb.ForestFamily(6, (2, 2, 2), [(1, 3, 0), *atoms])
         assert _curve_np(fam, _steps(path)).values == (0,) * 7
-        fam = fb.build_family(6, (2, 2, 2), [(1, 3, 6), *atoms])
+        fam = fb.ForestFamily(6, (2, 2, 2), [(1, 3, 6), *atoms])
         assert _curve_np(fam, _steps(path)) == fb.naive_curve(fam, path)
         assert _curve_np(fam, _steps(path)).values == (0, 0, 1, 2, 3, 3, 3)
 
@@ -601,7 +601,7 @@ class TestBudgetsAreACopy:
     def test_derived_families_share_the_offsets(self):
         fam = fb.build_dyadic(4, 3)
         assert fb.prune(fam).pruned_family._offsets is fam._offsets
-        partial = fb.build_family(6, (1, 2, 3), [(1, 3, 6), (2, 2, 1)])
+        partial = fb.ForestFamily(6, (1, 2, 3), [(1, 3, 6), (2, 2, 1)])
         assert fb.complete_family(partial)._offsets is partial._offsets
 
     def test_fresh_family_holds_arrays_only(self):

@@ -36,11 +36,14 @@ def tiny_config(**kw):
 def test_import_leaves_scipy_unloaded():
     # Only the scenario p-values need scipy.special, and only bench needs
     # sim; importing the package, and so every other CLI command, skips both.
+    # No exact fractions are built either: the curve CSV renders V_t / t
+    # from the int64 array.
     src = os.path.dirname(os.path.dirname(fb.__file__))
     script = (
         "import forestbound; import sys\n"
         'assert "scipy" not in sys.modules\n'
         'assert "forestbound.sim" not in sys.modules\n'
+        'assert "fractions" not in sys.modules\n'
     )
     done = subprocess.run(
         [sys.executable, "-c", script],

@@ -11,7 +11,7 @@ import forestbound as fb
 from forestbound import InvalidProbabilityError, sim, zeta
 from forestbound.zeta import upper_null_count
 
-from conftest import random_family
+from oracles import random_family
 
 
 class TestTrivial:
@@ -213,7 +213,7 @@ class TestZetaDkwmMatchesRegionwise:
         # Ten nested partial levels on the left and three on the right.
         regions = [(1, j, 0) for j in range(1, 11)]
         regions += [(13, 20, 0), (14, 20, 0), (14, 15, 0), (17, 18, 0)]
-        fam = fb.build_family(60, [3] * 20, regions)
+        fam = fb.ForestFamily(60, [3] * 20, regions)
         levels = fam._levels.tolist()
         entries = np.add.reduceat(fam._sizes, levels[:-1]).tolist()
         assert len(levels) == 11 and max(entries) < fam.m  # all partial
@@ -302,7 +302,7 @@ class TestZetaDkwmMatchesRegionwise:
             self.assert_regionwise(fam, np.full(fam.m, value), alpha)
 
     def test_family_without_regions(self):
-        fam = fb.build_family(3, (1, 2), [])
+        fam = fb.ForestFamily(3, (1, 2), [])
         assert fb.zeta_dkwm(fam, [0.1, 0.2, 0.3], 0.05) == fam
 
     def test_peak_memory_is_linear_in_m(self):
