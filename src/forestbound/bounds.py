@@ -19,7 +19,8 @@ in it.  The selection is sorted once; the binding rows are counted by
 ``searchsorted`` of their bounds among the members, and the T tight atoms
 by placing the smaller of two sorted runs, their bounds and the members, in
 the larger.  A call costs O(|S| log |S| + I log |S| + min(|S|, T) log
-max(|S|, T)), however large N and m are.
+max(|S|, T)), however large N and m are.  The loop reads ``_row_lists``
+and the sweep ``_sweep_view``, each kept by ``ForestFamily._view``.
 
 Hypothesis indices from callers have one array reader, ``_index_array``: it
 reads vstar's selection from NUMPY_MIN_ATOMS up, the path of both curve
@@ -37,12 +38,12 @@ import operator
 import struct
 from collections.abc import Iterable, MappingView, Set as AbstractSet
 from itertools import accumulate
-from typing import Collection, Sequence
+from typing import Collection, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import IncompleteFamilyError, IndexOutOfRangeError, NotAPermutationError
-from .forest import ForestFamily, _SweepView
+from .forest import ForestFamily
 
 # Families with at least this many atoms go through vstar's vectorized
 # sweep; below it, plain lists beat the per-call overhead (on a 2-vCPU x86
@@ -59,15 +60,18 @@ def atom_hit_counts(family: ForestFamily, selection: Collection[int]) -> list[in
     of any region.  Rejects duplicate, non-integer (boolean included), and
     out-of-range members.
     """
-    distinct = isinstance(selection, (set, frozenset))
     atom_of = family._atom_of
     hits = [0] * (family.n_atoms + 1)
     items = None  # stays None for a selection that is no collection
     try:
         # A selection that is no collection, such as a 0-d array, and an
-        # unhashable member, such as a list, raise TypeError here.
-        items = selection if distinct else tuple(selection)
-        if not distinct and len(set(items)) != len(items):
+        # unhashable member raise TypeError here.  A set finds repeats by
+        # hash, the value only for ints and what adds to an int as an int:
+        # a selection with any other member is read through __index__.
+        items = selection if isinstance(selection, AbstractSet) else tuple(selection)
+        if type(sum(items)) is not int:
+            raise TypeError
+        if len(set(items)) != len(items):
             raise IndexOutOfRangeError("selection contains duplicate indices")
         for s in items:
             # True indexes like 1; only a member <= 1 needs the second look.
@@ -77,8 +81,7 @@ def atom_hit_counts(family: ForestFamily, selection: Collection[int]) -> list[in
     except IndexError:
         pass
     except TypeError:
-        # An integer type with __index__ but no ordering fails the compare:
-        # read every member through __index__, booleans refused, and count
+        # Read every member through __index__, booleans refused, and count
         # the ints again.
         try:
             ints = [operator.index(s) for s in items]
@@ -103,6 +106,12 @@ def _require_complete(family: ForestFamily) -> None:
         )
 
 
+def _row_lists(family: ForestFamily) -> tuple[list[int], ...]:
+    """The row table's columns as lists of Python ints, for _sweep_py."""
+    columns = (family._zeta, family._left, family._right, family._parent)
+    return tuple(c.tolist() for c in columns)
+
+
 def _sweep_py(family: ForestFamily, hc: Sequence[int]) -> list[int]:
     """The bottom-up sweep over plain lists; returns its accumulator.
 
@@ -117,7 +126,7 @@ def _sweep_py(family: ForestFamily, hc: Sequence[int]) -> list[int]:
     """
     if isinstance(hc, np.ndarray):
         hc = hc.tolist()
-    zeta, left, right, parent = family._row_lists
+    zeta, left, right, parent = family._view(_row_lists)
     acc = [0] * (len(zeta) + 1)
     acc[-1] = hc[-1]
     for r in range(len(zeta) - 1, -1, -1):
@@ -181,6 +190,55 @@ def _members(family: ForestFamily, selection: Collection[int]) -> np.ndarray:
     return np.sort(np.fromiter(map(operator.index, selection), np.int64))
 
 
+class _SweepView(NamedTuple):
+    """The binding rows and tight atoms (see the module docstring) as the
+    numpy sweep reads them: the I binding rows own slots 0..I-1 in row order,
+    the roots slot I, and each row or atom saves into its parent's slot."""
+
+    bounds: np.ndarray  # 2 x I: the hypotheses before each row and up to its end
+    zeta: np.ndarray  # the budget of each binding row
+    parent: np.ndarray  # the slot of each binding row's nearest binding ancestor
+    levels: np.ndarray  # rows levels[h-1]:levels[h] have depth h, or none
+    tight: np.ndarray  # 2T: lo_0, hi_0, lo_1, hi_1, ..., as bounds holds them
+    tight_zeta: np.ndarray
+    tight_parent: np.ndarray
+
+
+def _sweep_view(family: ForestFamily) -> _SweepView:
+    """What vstar's numpy sweep reads, read-only.  Complete families only."""
+    left, right, offsets = family._left, family._right, family._offsets
+    zeta, sizes, parent = family._zeta, family._sizes, family._parent
+    binding = (left != right) & (zeta < sizes)
+    rows = np.flatnonzero(binding)
+    # to[r] is the slot that r's children send their savings to: r's own
+    # number when it binds, else its parent's to; the roots' parent, -1,
+    # reads the last entry, I.  Parents come before their children.
+    to = np.full(len(family) + 1, len(rows), dtype=np.int64)
+    to[rows] = np.arange(len(rows))
+    starts = family._levels.tolist()
+    for a, b in zip(starts, starts[1:]):
+        to[a:b] = np.where(binding[a:b], to[a:b], to[parent[a:b]])
+    slot = to[parent]
+    # Atom rows in atom order: tight atoms come out sorted.
+    atoms = np.flatnonzero(left == right)
+    atoms = atoms[left[atoms].argsort()]
+    tight = atoms[zeta[atoms] < sizes[atoms]]
+    # Rows are in depth order, so the binding rows of depth <= h are those
+    # before the first row of depth h + 1.
+    view = _SweepView(
+        offsets[np.array((left[rows] - 1, right[rows]))],
+        zeta[rows],
+        slot[rows],
+        rows.searchsorted(family._levels),
+        offsets[np.add.outer(left[tight], (-1, 0)).ravel()],
+        zeta[tight],
+        slot[tight],
+    )
+    for column in view:
+        column.flags.writeable = False
+    return view
+
+
 def _sweep_inputs(
     view: _SweepView, members: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -234,7 +292,7 @@ def vstar(family: ForestFamily, selection: Collection[int]) -> int:
         hc = list(accumulate(atom_hit_counts(family, selection)))
         return _sweep_py(family, hc)[-1]
     members = _members(family, selection)
-    view = family._sweep_view
+    view = family._view(_sweep_view)
     slack, acc = _sweep_inputs(view, members)
     return int(_sweep_np(view.levels, view.parent, slack, acc)[-1])
 

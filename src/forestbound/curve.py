@@ -22,12 +22,12 @@ rows R; an atom's keys are never sorted again.  A level whose budgets are
 all vacuous keeps every key and needs no sort.  No Python loop runs over
 the steps.  What does not change between calls on one family (the row
 numbers, each row's distance to its parent, the level starts and which
-levels bind) is read from the family's cached ``_curve_view``, so a call
-pays only for its own path: the path is read with one C-level conversion
-(:func:`forestbound.bounds._index_array`), and the curve it returns holds
-V_0..V_T as the int64 array of the counts' running sum, taken over without
-a copy; the CSV writer renders that array, and only a caller of
-:attr:`BoundCurve.values` turns it into Python ints.
+levels bind) is read from ``_curve_view``, built once per family through
+``ForestFamily._view``, so a call pays only for its own path: the path is
+read with one C-level conversion (:func:`forestbound.bounds._index_array`),
+and the curve it returns holds V_0..V_T as the int64 array of the counts'
+running sum, taken over without a copy; the CSV writer renders that array,
+and only a caller of :attr:`BoundCurve.values` turns it into Python ints.
 
 :func:`naive_curve` evaluates vstar(S_t) afresh on every prefix S_t; it is
 quadratic in m and is the reference to compare a curve with.
@@ -35,7 +35,7 @@ quadratic in m and is the reference to compare a curve with.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -158,6 +158,28 @@ def fast_curve(family: ForestFamily, path: Sequence[int]) -> BoundCurve:
     return _curve_np(family, _path_array(family.m, path))
 
 
+class _CurveView(NamedTuple):
+    """What the curve engine reads beside the row table, the same at every
+    call: rows ``levels[h-1]:levels[h]`` have depth h, and ``binds[h-1]``
+    says whether a budget of depth h is below its region's size, the only
+    way a level can refuse a key."""
+
+    rows: np.ndarray  # 0..K: shifted, the least key each row owns
+    rekey: np.ndarray  # parent - row: shifted, it moves a key to its parent
+    levels: list[int]
+    binds: list[bool]
+
+
+def _curve_view(family: ForestFamily) -> _CurveView:
+    """The curve engine's constants of ``family``, arrays read-only."""
+    rows = np.arange(len(family) + 1)
+    rekey = family._parent - rows[:-1]
+    rows.flags.writeable = rekey.flags.writeable = False
+    levels = family._levels.tolist()
+    binds = np.logical_or.reduceat(family._zeta < family._sizes, levels[:-1])
+    return _CurveView(rows, rekey, levels, binds.tolist())
+
+
 def _curve_np(family: ForestFamily, steps: np.ndarray) -> BoundCurve:
     """The curve from every row's increment times, one depth level at a time.
 
@@ -176,7 +198,7 @@ def _curve_np(family: ForestFamily, steps: np.ndarray) -> BoundCurve:
     keys <<= shift
     keys += seq[1:]
     keys.sort()
-    view = family._curve_view
+    view = family._view(_curve_view)
     bounds = view.rows << shift  # rows r..q own the keys bounds[r]:bounds[q + 1]
     rekey = view.rekey << shift
     zeta, levels, binds = family._zeta, view.levels, view.binds

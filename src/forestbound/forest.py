@@ -22,8 +22,10 @@ searches (see :class:`ForestFamily`).  A refused input names the same first
 fault as a check of one value at a time would.
 
 ForestFamily instances hold read-only int64 arrays, m and a flag, and are
-safe to share across threads.  Views that hold Python objects are cached
-properties built on first read; a race at worst builds one twice.
+safe to share across threads.  Views of the partition and the rows are
+cached properties, which budget copies share; an engine keeps its own views,
+which may hold budgets, through ``ForestFamily._view``, and a budget copy
+starts with none.  A race at worst builds a view twice.
 """
 
 from __future__ import annotations
@@ -151,39 +153,6 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
-class _SweepView(NamedTuple):
-    """What vstar's numpy sweep reads: it runs over the I *binding* rows,
-    the non-atom rows with a budget below their size, numbered 0..I-1 in
-    row order, and slot I collects the roots.  A row whose budget is its
-    size never has more selected members than its budget, so it passes its
-    children's savings up unchanged, and they go straight to the slot of
-    its nearest binding ancestor.  In a complete family an atom has no
-    children, so it enters the sweep only through that slot, and only a
-    *tight* atom, one with a budget below its size, can hold more selected
-    members than its budget.  Tight atoms are disjoint, so their hypothesis
-    bounds form one sorted run."""
-
-    bounds: np.ndarray  # 2 x I: the hypotheses before each row and up to its end
-    zeta: np.ndarray  # the budget of each binding row
-    parent: np.ndarray  # the slot of each binding row's nearest binding ancestor
-    levels: np.ndarray  # rows levels[h-1]:levels[h] have depth h, or none
-    tight: np.ndarray  # 2T: lo_0, hi_0, lo_1, hi_1, ..., as bounds holds them
-    tight_zeta: np.ndarray
-    tight_parent: np.ndarray
-
-
-class _CurveView(NamedTuple):
-    """What the curve engine reads beside the row table, the same at every
-    call: rows ``levels[h-1]:levels[h]`` have depth h, and ``binds[h-1]``
-    says whether a budget of depth h is below its region's size, the only
-    way a level can refuse a key."""
-
-    rows: np.ndarray  # 0..K: shifted, the least key each row owns
-    rekey: np.ndarray  # parent - row: shifted, it moves a key to its parent
-    levels: list[int]
-    binds: list[bool]
-
-
 class ForestFamily:
     """An immutable reference family with a forest interval structure.
 
@@ -199,15 +168,12 @@ class ForestFamily:
     ``_depth`` and ``_parent`` (the row of the tightest strictly containing
     region, -1 for a root).  ``_offsets[n]``, the partition's one record,
     counts the hypotheses in atoms 1..n, and rows ``_levels[h-1]:_levels[h]``
-    have depth h.  Every other view is a cached property; the budget check
-    builds ``_sizes``, each row's hypothesis count.  The sweeps of
-    :mod:`forestbound.bounds` and the curve engine of
-    :mod:`forestbound.curve` read ancestry only from ``_parent``; ``prune``
-    sweeps this table itself, and vstar's two engines read it through
-    ``_row_lists`` and ``_sweep_view``, the binding rows and the tight
-    atoms; the curve engine reads its per-family constants from
-    ``_curve_view``.  Those three hold budgets, so a budget copy builds its
-    own.
+    have depth h.  The views that hold no budget are cached properties,
+    shared by budget copies; the budget check builds ``_sizes``, each row's
+    hypothesis count.  The engines of :mod:`forestbound.bounds` and
+    :mod:`forestbound.curve` read ancestry only from ``_parent``, and each
+    keeps its own views of this table through :meth:`_view`, which a budget
+    copy starts without.
 
     Construction checks m, the atom sizes and the columns i, j and zeta
     whole: columns of exact ints become int64 arrays, and only when a column
@@ -317,13 +283,10 @@ class ForestFamily:
         return self
 
     def _with_zetas(self, zeta) -> "ForestFamily":
-        """A copy with the row-aligned budgets ``zeta``; the structure arrays
-        and the views that hold no budget are shared with this family."""
+        """A copy with the row-aligned budgets ``zeta``; it shares the
+        structure arrays and cached properties, and no view of :meth:`_view`."""
         family = ForestFamily.__new__(ForestFamily)
-        family.__dict__.update(self.__dict__)
-        # These views hold the budgets.
-        for view in ("_row_lists", "_sweep_view", "_curve_view"):
-            family.__dict__.pop(view, None)
+        family.__dict__.update((k, v) for k, v in vars(self).items() if k != "_views")
         family._zeta = self._checked(np.array(zeta, dtype=np.int64))
         return family
 
@@ -430,6 +393,14 @@ class ForestFamily:
 
     # -- derived views (lazy, cached) -------------------------------------
 
+    def _view(self, build):
+        """An engine's view ``build(self)``, which may hold budgets: built
+        once, kept in the dict ``_views``, which budget copies start without."""
+        views = self.__dict__.setdefault("_views", {})
+        if build not in views:
+            views[build] = build(self)
+        return views[build]
+
     @cached_property
     def _sizes(self) -> np.ndarray:
         """Number of hypotheses of every row, read-only int64."""
@@ -439,57 +410,6 @@ class ForestFamily:
     def _rows(self) -> dict[tuple[int, int], int]:
         keys = zip(self._left.tolist(), self._right.tolist())
         return dict(zip(keys, range(len(self))))
-
-    @cached_property
-    def _row_lists(self) -> tuple[list[int], ...]:
-        """The columns ``_zeta``, ``_left``, ``_right`` and ``_parent`` as
-        lists of Python ints, for the Python sweep."""
-        columns = (self._zeta, self._left, self._right, self._parent)
-        return tuple(c.tolist() for c in columns)
-
-    @cached_property
-    def _sweep_view(self) -> _SweepView:
-        """What vstar's numpy sweep reads.  Complete families only."""
-        left, right, offsets = self._left, self._right, self._offsets
-        binding = (left != right) & (self._zeta < self._sizes)
-        rows = np.flatnonzero(binding)
-        # to[r] is the slot that r's children send their savings to: r's own
-        # number when it binds, else its parent's to; the roots' parent, -1,
-        # reads the last entry, I.  Parents come before their children.
-        to = np.full(len(self) + 1, len(rows), dtype=np.int64)
-        to[rows] = np.arange(len(rows))
-        starts = self._levels.tolist()
-        for a, b in zip(starts, starts[1:]):
-            to[a:b] = np.where(binding[a:b], to[a:b], to[self._parent[a:b]])
-        slot = to[self._parent]
-        # Atom rows in atom order: tight atoms come out sorted.
-        atoms = np.flatnonzero(left == right)
-        atoms = atoms[left[atoms].argsort()]
-        tight = atoms[self._zeta[atoms] < self._sizes[atoms]]
-        n = left[tight]
-        # Rows are in depth order, so the binding rows of depth <= h are
-        # those before the first row of depth h + 1.
-        levels = rows.searchsorted(self._levels)
-        columns = (
-            offsets[np.array((left[rows] - 1, right[rows]))],
-            self._zeta[rows],
-            slot[rows],
-            levels,
-            offsets[np.column_stack((n - 1, n)).ravel()],
-            self._zeta[tight],
-            slot[tight],
-        )
-        return _SweepView(*map(_frozen, columns))
-
-    @cached_property
-    def _curve_view(self) -> _CurveView:
-        """What the curve engine reads beside the row table."""
-        rows = np.arange(len(self) + 1)
-        levels = self._levels.tolist()
-        binds = np.logical_or.reduceat(self._zeta < self._sizes, levels[:-1])
-        return _CurveView(
-            _frozen(rows), _frozen(self._parent - rows[:-1]), levels, binds.tolist()
-        )
 
     @cached_property
     def _atom_of(self) -> list[int]:

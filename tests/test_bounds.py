@@ -21,6 +21,7 @@ from forestbound.bounds import (
     _sweep_inputs,
     _sweep_np,
     _sweep_py,
+    _sweep_view,
     atom_hit_counts,
     validate_path,
 )
@@ -52,7 +53,7 @@ def both_engines(family, selection):
     py = _sweep_py(family, hc)
     atoms = family._left == family._right
     assert not any(np.array(py[:-1])[atoms])
-    view = family._sweep_view
+    view = family._view(_sweep_view)
     binding = ~atoms & (family._zeta < family._sizes)
     expected = [py[r] for r in np.flatnonzero(binding).tolist()] + [py[-1]]
     inputs = _sweep_inputs(view, _members(family, selection))
@@ -237,7 +238,7 @@ class TestSwitchPoints:
 
     @staticmethod
     def sizes(fam):
-        tight = fam._sweep_view.tight.size
+        tight = fam._view(_sweep_view).tight.size
         sizes = {0, 1, tight - 1, tight, tight + 1, fam.n_atoms, fam.m}
         return sorted(s for s in sizes if 0 <= s <= fam.m)
 
@@ -257,7 +258,7 @@ class TestSwitchPoints:
         for atoms in (NUMPY_MIN_ATOMS, 4 * NUMPY_MIN_ATOMS):
             # Every budget 0 (T = N), and every budget vacuous (T = 0).
             edges = list(edge_budget_families(rng, atoms))[1:3]
-            assert [e._sweep_view.tight.size for e in edges] == [2 * atoms, 0]
+            assert [e._view(_sweep_view).tight.size for e in edges] == [2 * atoms, 0]
             for fam in edges:
                 yield rng, fam
 
@@ -271,7 +272,7 @@ class TestSwitchPoints:
                 assert both_engines(fam, members) == (expected, expected)
                 for form in self.FORMS:
                     assert fb.vstar(fam, form(members)) == expected
-                ways.add(size >= fam._sweep_view.tight.size)
+                ways.add(size >= fam._view(_sweep_view).tight.size)
                 if size <= 8:
                     assert oracle_vstar_sets(fam, members) == expected
         assert ways == {True, False}
@@ -331,10 +332,11 @@ def test_sweep_table_holds_the_binding_rows():
     pvalues = [(h + 0.5) / m if h % 64 < 24 else 0.9 for h in range(m)]
     rng = random.Random(37)
     trivial, dkwm = fb.zeta_trivial(base), fb.zeta_dkwm(base, pvalues, 0.05)
-    assert trivial._sweep_view.zeta.size == 0
+    assert trivial._view(_sweep_view).zeta.size == 0
     binding = (dkwm._left != dkwm._right) & (dkwm._zeta < dkwm._sizes)
-    assert 0 < dkwm._sweep_view.zeta.size == np.count_nonzero(binding)
-    assert dkwm._sweep_view.zeta.size < np.count_nonzero(dkwm._left != dkwm._right)
+    table = dkwm._view(_sweep_view)
+    assert 0 < table.zeta.size == np.count_nonzero(binding)
+    assert table.zeta.size < np.count_nonzero(dkwm._left != dkwm._right)
     pruned = fb.prune(dkwm).pruned_family
     for size in (0, 1, 7, 64, m // 2, m):
         members = rng.sample(range(1, m + 1), size)

@@ -15,6 +15,8 @@ from forestbound import (
     sim,
 )
 from forestbound.bounds import NUMPY_MIN_ATOMS, _path_array, validate_path
+from forestbound import curve as curve_engine
+from forestbound.curve import _curve_view
 
 from oracles import (
     EXAMPLE_CURVE,
@@ -123,10 +125,10 @@ class TestEquivalence:
         pvalues = [(h + 0.5) / m if h < m // 4 else 0.9 for h in range(m)]
         path = random_path(rng, m)
         dkwm = fb.zeta_dkwm(base, pvalues, 0.05)
-        assert any(dkwm._curve_view.binds)
+        assert any(dkwm._view(_curve_view).binds)
         lowered = {key: 0 for key in list(base.keys())[::7]}
         for source in (base, dkwm):
-            view = source._curve_view
+            view = source._view(_curve_view)
             fb.fast_curve(source, path)
             copies = [
                 fb.zeta_dkwm(source, pvalues, 0.05),
@@ -134,12 +136,12 @@ class TestEquivalence:
                 fb.apply_zetas(source, lowered),
             ]
             for family in copies:
-                assert "_curve_view" not in vars(family)
+                assert "_views" not in vars(family)
                 curve = fb.fast_curve(family, path)
                 assert curve == reference_walk(family, path)
                 assert curve == fb.naive_curve(family, path)
-                assert family._curve_view is not view
-                assert family._curve_view.binds == (
+                assert family._view(_curve_view) is not view
+                assert family._view(_curve_view).binds == (
                     np.logical_or.reduceat(
                         family._zeta < family._sizes, family._levels[:-1]
                     ).tolist()
@@ -336,6 +338,33 @@ class TestWalkWork:
             fam = fb.complete_family(random_family(rng, max_atoms=10))
             self.check(fam, random_path(rng, fam.m))
             self.check(fam, random_path(rng, fam.m, partial=True))
+
+
+class TestEngineWork:
+    # The engine's cost law counted, not timed: along a full path (T = m,
+    # so |R ∩ S_T| = |R|) every truncation by _first_keys gets at most T
+    # keys, and all of them together at most T + the sum of |R ∩ S_T| over
+    # the rows: the atoms' keys once, then each level's keys handed up.
+    @pytest.mark.parametrize("m", [1024, 10240])
+    def test_truncated_keys_within_the_spans(self, m, monkeypatch):
+        counts = []
+        first_keys = curve_engine._first_keys
+
+        def counted(keys, *args):
+            counts.append(keys.size)
+            return first_keys(keys, *args)
+
+        monkeypatch.setattr(curve_engine, "_first_keys", counted)
+        cfg = sim.ScenarioConfig(
+            m=m, tree_height=10, zeta_method="dkwm", seed=20260809
+        )
+        p = sim.gen_pvalues(cfg)
+        fam = fb.zeta_dkwm(fb.build_dyadic(10, cfg.atom_size), p, cfg.alpha)
+        for family in (fam, fb.prune(fam).pruned_family):
+            counts.clear()
+            fb.curve_from_pvalues(family, p)
+            assert counts and max(counts) <= m
+            assert sum(counts) <= m + family._sizes.sum()
 
 
 class TestCurveFromPvalues:

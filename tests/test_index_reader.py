@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import forestbound as fb
-from forestbound import FormatError
+from forestbound import FormatError, IndexOutOfRangeError
 from forestbound.bounds import (
     NUMPY_MIN_ATOMS,
     _sweep_py,
@@ -78,7 +78,19 @@ class IndexOnly:
         return self.value
 
     def __repr__(self):
-        return f"IndexOnly({self.value})"
+        return f"{type(self).__name__}({self.value})"
+
+
+class OrderedIndex(IndexOnly):
+    """An integer by ``__index__`` with an ordering, hashed by identity: the
+    compares of vstar's Python loop pass, and two equal ones are no repeat
+    to a set."""
+
+    def __lt__(self, other):
+        return self.value < other
+
+    def __le__(self, other):
+        return self.value <= other
 
 
 # Each entry is put between 3 and 2, so it sits neither first nor last.
@@ -206,6 +218,8 @@ INDEX_PROTOCOL = [
     [IndexOnly(5), np.True_],
     [2, IndexOnly(0)],
     [IndexOnly(5), 1.5],
+    [OrderedIndex(3), OrderedIndex(3)],
+    [OrderedIndex(3), 2],
 ]
 
 
@@ -223,3 +237,22 @@ def test_index_protocol_integers_are_read_alike(path):
     for curve in (fb.fast_curve, fb.naive_curve):
         assert _outcome(curve, LARGE, path) == _outcome(_python_curve, LARGE, path)
     assert _outcome(dump_path_csv, path) == _outcome(_python_path_csv, path)
+
+
+@pytest.mark.parametrize("height", [9, 5], ids=["numpy-side", "python-side"])
+def test_repeats_are_equal_values_whatever_their_hash(height):
+    # Two members with the value 3 are a repeat on both of vstar's engines,
+    # however they hash, in a list, beside an int, or in a set.
+    family = fb.zeta_trivial(fb.build_dyadic(height, 1))
+    assert (family.n_atoms >= NUMPY_MIN_ATOMS) == (height == 9)
+    for selection in (
+        [3, 3],
+        [OrderedIndex(3), OrderedIndex(3)],
+        [3, OrderedIndex(3)],
+        (OrderedIndex(3), 5, OrderedIndex(3)),
+        {OrderedIndex(3), OrderedIndex(3)},
+    ):
+        with pytest.raises(IndexOutOfRangeError) as refused:
+            fb.vstar(family, selection)
+        assert str(refused.value) == "selection contains duplicate indices"
+    assert fb.vstar(family, [OrderedIndex(3), OrderedIndex(4)]) == 2

@@ -31,7 +31,8 @@ from forestbound import (
     SizeMismatchError,
     ZetaRangeError,
 )
-from forestbound.curve import _curve_np
+from forestbound.bounds import NUMPY_MIN_ATOMS, _row_lists, _sweep_view
+from forestbound.curve import _curve_np, _curve_view
 from forestbound.forest import ForestFamily
 from forestbound.formats import dump_forest
 
@@ -569,15 +570,15 @@ class TestBudgetsAreACopy:
         atom_rows = fam._atom_rows
         assert not atom_rows.flags.writeable
         assert atom_rows[1:].tolist() == [fam._row((n, n)) for n in fam._atom_of[1:]]
-        row_lists = fam._row_lists
-        sweep_view = fam._sweep_view
+        row_lists = fam._view(_row_lists)
+        sweep_view = fam._view(_sweep_view)
         for est in _estimates(fam):
             for name in ("_atom_rows", "_atom_of", "_rows"):
                 assert getattr(est, name) is getattr(fam, name), name
             # The numpy sweep's view holds budgets, so a copy builds its own,
             # which holds the copy's budgets.
-            assert est._sweep_view is not sweep_view
-            view = est._sweep_view
+            assert est._view(_sweep_view) is not sweep_view
+            view = est._view(_sweep_view)
             binding = (est._left != est._right) & (est._zeta < est._sizes)
             assert view.zeta.tolist() == est._zeta[binding].tolist()
             atoms = range(1, est.n_atoms + 1)
@@ -586,9 +587,9 @@ class TestBudgetsAreACopy:
             for name in STRUCTURE:
                 assert getattr(est, name) is getattr(fam, name), name
             assert est._zeta is not fam._zeta
-            assert est._row_lists is not row_lists
-            assert est._row_lists[0] == est._zeta.tolist()
-            assert est._row_lists[1:] == row_lists[1:]
+            assert est._view(_row_lists) is not row_lists
+            assert est._view(_row_lists)[0] == est._zeta.tolist()
+            assert est._view(_row_lists)[1:] == row_lists[1:]
             assert est.is_complete and est.height == fam.height
         for name in STRUCTURE + ("_zeta",):
             column = getattr(fam, name)
@@ -597,6 +598,43 @@ class TestBudgetsAreACopy:
                 column[0] = 0
         for column in sweep_view:
             assert not column.flags.writeable
+
+    @pytest.mark.parametrize(
+        "build, engine, atoms",
+        [
+            (_row_lists, fb.vstar, 16),
+            (_sweep_view, fb.vstar, NUMPY_MIN_ATOMS),
+            (_curve_view, fb.fast_curve, 16),
+        ],
+        ids=["row_lists", "sweep_view", "curve_view"],
+    )
+    def test_each_budget_copy_builds_its_own_engine_view(self, build, engine, atoms):
+        # An engine's view may hold budgets: a fresh family, prune's result
+        # and every budget copy hold none until an engine runs, each builds
+        # its own, and the source's view stays as it was.
+        def same(a, b):
+            return len(a) == len(b) and all(map(np.array_equal, a, b))
+
+        fam = fb.build_dyadic(atoms.bit_length(), 3)
+        path = list(range(fam.m, 0, -3))
+        dkwm = fb.zeta_dkwm(fam, np.linspace(0.0, 1.0, fam.m), 0.05)
+        pruned = fb.prune(dkwm).pruned_family
+        for family in (fam, pruned):
+            assert "_views" not in vars(family)
+            engine(family, path)
+            assert build in family._views
+        for source, copies in (
+            (fam, [*_estimates(fam), dkwm]),
+            (pruned, [fb.zeta_trivial(pruned)]),
+        ):
+            view = source._view(build)
+            for est in copies:
+                assert "_views" not in vars(est)
+                engine(est, path)
+                assert est._view(build) is not view
+                assert same(est._view(build), build(est))
+            assert source._view(build) is view
+            assert same(view, build(source))
 
     def test_derived_families_share_the_offsets(self):
         fam = fb.build_dyadic(4, 3)
