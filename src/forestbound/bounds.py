@@ -22,14 +22,14 @@ the larger.  A call costs O(|S| log |S| + I log |S| + min(|S|, T) log
 max(|S|, T)), however large N and m are.  The loop reads ``_row_lists``
 and the sweep ``_sweep_view``, each kept by ``ForestFamily._view``.
 
-Hypothesis indices from callers have one array reader, ``_index_array``: it
-reads vstar's selection from NUMPY_MIN_ATOMS up, the path of both curve
-functions and the path column of the CSV writers.  A Python sequence goes
-to int64 in one strict C-level conversion, ``struct.pack``, which refuses
-every entry that is no integer, so no dtype is guessed; an ndarray is read
-as it is.  Whatever it does not read, each caller hands to its own Python
-validator, which raises the refusal: :func:`atom_hit_counts` for vstar,
-:func:`validate_path` for the curves, and a per-entry scan for the writers.
+Hypothesis indices from callers have one array reader, ``_index_array``,
+for vstar's selection from NUMPY_MIN_ATOMS up, the curves' path and the CSV
+writers' column: a Python sequence goes to int64 in one strict C-level
+conversion, ``struct.pack``, so no dtype is guessed; an ndarray is read as
+it is.  What it does not read, like what the exact-int loop of
+:func:`atom_hit_counts` does not take, goes to the one Python validator,
+``_checked_indices``, so every entry point refuses in the same words, each
+with its own error class.
 """
 
 from __future__ import annotations
@@ -55,46 +55,37 @@ NUMPY_MIN_ATOMS = 128
 def atom_hit_counts(family: ForestFamily, selection: Collection[int]) -> list[int]:
     """How many selected hypotheses fall in each atom; entry 0 is padding.
 
-    vstar's check of a selection, and its Python engine's counter; no
-    public name.  Interval sums of this vector give the selection overlap
-    of any region.  Rejects duplicate, non-integer (boolean included), and
-    out-of-range members.
+    vstar's Python engine's counter, which checks the selection as vstar
+    does; no public name.  Interval sums of this vector give the selection
+    overlap of any region.  A selection of distinct ints in 1..m, in any
+    collection, is counted in one loop; any other goes to
+    :func:`_checked_indices`, which refuses it or reads its ints.
     """
     atom_of = family._atom_of
     hits = [0] * (family.n_atoms + 1)
-    items = None  # stays None for a selection that is no collection
+    items = selection
     try:
         # A selection that is no collection, such as a 0-d array, and an
         # unhashable member raise TypeError here.  A set finds repeats by
-        # hash, the value only for ints and what adds to an int as an int:
-        # a selection with any other member is read through __index__.
-        items = selection if isinstance(selection, AbstractSet) else tuple(selection)
-        if type(sum(items)) is not int:
+        # hash, the value only for ints and what adds to an int as an int.
+        if not isinstance(items, AbstractSet):
+            items = tuple(items)  # read once: it may be a one-shot iterable
+        if type(sum(items)) is not int or len(set(items)) != len(items):
             raise TypeError
-        if len(set(items)) != len(items):
-            raise IndexOutOfRangeError("selection contains duplicate indices")
         for s in items:
             # True indexes like 1; only a member <= 1 needs the second look.
             if s <= 1 and (s < 1 or s is True):
                 raise IndexError
             hits[atom_of[s]] += 1
-    except IndexError:
-        pass
-    except TypeError:
-        # Read every member through __index__, booleans refused, and count
-        # the ints again.
-        try:
-            ints = [operator.index(s) for s in items]
-        except TypeError:
-            pass
-        else:
-            if not any(isinstance(s, bool) for s in items):
-                return atom_hit_counts(family, ints)
-    else:
         return hits
-    raise IndexOutOfRangeError(
-        f"selection members must be integers in 1..{family.m}"
-    )
+    except (IndexError, TypeError):
+        pass
+    if isinstance(items, AbstractSet):
+        items = list(items)  # a selection needs no order
+    hits = [0] * (family.n_atoms + 1)  # the loop may have counted a few
+    for s in _checked_indices(items, family.m, IndexOutOfRangeError, "selection"):
+        hits[atom_of[s]] += 1
+    return hits
 
 
 def _require_complete(family: ForestFamily) -> None:
@@ -175,9 +166,8 @@ def _members(family: ForestFamily, selection: Collection[int]) -> np.ndarray:
 
     A selection that :func:`_index_array` reads is sorted once, its sorted
     ends give its range, and nothing of size m or N is built.  Any other
-    selection, and one with a repeat, goes to :func:`atom_hit_counts`,
-    which raises the refusal; one that passes there, such as an object
-    array of ints, is read member by member.
+    selection, and one with a repeat, goes to :func:`_checked_indices`,
+    which raises the refusal or reads its ints, such as an object array's.
     """
     if not isinstance(selection, (Sequence, np.ndarray)) and isinstance(
         selection, Iterable
@@ -186,8 +176,8 @@ def _members(family: ForestFamily, selection: Collection[int]) -> np.ndarray:
     members = _index_array(family.m, selection, sort=True)
     if members is not None and not np.count_nonzero(members[1:] == members[:-1]):
         return members
-    atom_hit_counts(family, selection)
-    return np.sort(np.fromiter(map(operator.index, selection), np.int64))
+    ints = _checked_indices(selection, family.m, IndexOutOfRangeError, "selection")
+    return np.sort(np.array(ints, dtype=np.int64))
 
 
 class _SweepView(NamedTuple):
@@ -298,47 +288,48 @@ def vstar(family: ForestFamily, selection: Collection[int]) -> int:
 
 
 def validate_path(m: int, path: Sequence[int]) -> tuple[int, ...]:
-    """Check that ``path`` is a prefix of a permutation of 1..m (no booleans).
+    """``path`` as a tuple of ints, checked by :func:`_checked_indices` as a
+    prefix of a permutation of 1..m; refusals raise NotAPermutationError."""
+    return tuple(_checked_indices(path, m, NotAPermutationError, "path"))
 
-    A set has no order, so it is refused, not listed in hash order; a
+
+def _checked_indices(
+    values, bound: int, error: type[Exception], noun: str, distinct: bool = True
+) -> list[int]:
+    """The entries of ``values``, read once, as ints through ``__index__``
+    (numpy's booleans refuse it, Python's are refused here), each in
+    1..bound and, with ``distinct``, no value twice; else raise ``error``,
+    its message led by ``noun``.  A set has no order and is refused; a
     dict's keys keep the order they were inserted in."""
-    if isinstance(path, AbstractSet) and not isinstance(path, MappingView):
-        raise NotAPermutationError(
-            f"path must be ordered, got a {type(path).__name__}"
-        )
+    if isinstance(values, AbstractSet) and not isinstance(values, MappingView):
+        raise error(f"{noun} must be ordered, got a set")
     try:
-        if not isinstance(path, (Sequence, np.ndarray)):
-            path = list(path)  # a one-shot iterable: the boolean check indexes it
-        entries = iter(path)
-    except TypeError:  # no sequence at all, such as a 0-d array
-        raise NotAPermutationError(
-            f"path entries must be integers, got {path!r}"
-        ) from None
+        entries = iter(values)
+    except TypeError:  # no collection at all, such as a 0-d array
+        raise error(f"{noun} must be a sequence of integers, got {values!r}") from None
     out = []
     seen = set()
     for x in entries:
         try:
-            xi = operator.index(x)
+            i = operator.index(x)
+            if i <= 1 and isinstance(x, bool):  # a bool indexes as 0 or 1
+                raise TypeError
         except TypeError:
-            raise NotAPermutationError(
-                f"path entries must be integers, got {x!r}"
-            ) from None
-        if not 1 <= xi <= m:
-            raise NotAPermutationError(f"path entry {xi} outside 1..{m}")
-        if xi in seen:
-            raise NotAPermutationError(f"path repeats index {xi}")
-        seen.add(xi)
-        out.append(xi)
-    if 1 in seen and path[out.index(1)] is True:
-        raise NotAPermutationError("path entries must be integers, got True")
-    return tuple(out)
+            raise error(f"{noun} entries must be integers, got {x!r}") from None
+        if not 1 <= i <= bound:
+            raise error(f"{noun} entry {i} outside 1..{bound}")
+        if distinct and i in seen:
+            raise error(f"{noun} repeats index {i}")
+        seen.add(i)
+        out.append(i)
+    return out
 
 
 def _index_array(bound: int, values, sort: bool = False) -> np.ndarray | None:
     """The one array check of caller-supplied hypothesis indices: ``values``
     as int64, sorted when ``sort``, when it is a 1-D integer array or a
     sequence of integers, each entry in 1..bound and no entry equal to 1 a
-    boolean; otherwise None, and the caller's Python validator raises the
+    boolean; otherwise None, and :func:`_checked_indices` raises the
     refusal.  Repeats are the caller's to find.
 
     A sequence is packed in one C-level conversion, ``struct.pack``, which
@@ -346,7 +337,7 @@ def _index_array(bound: int, values, sort: bool = False) -> np.ndarray | None:
     integer (a float, numpy's floats and booleans, a string, None, a nested
     sequence) and ints outside int64; it reads True as 1, hence the look at
     the entries equal to 1.  It reads bytes entry by entry, as small ints,
-    like the validators.  The range is read from the sorted ends when
+    like the validator.  The range is read from the sorted ends when
     ``sort``, else from ``min`` and ``max``."""
     if isinstance(values, np.ndarray):
         if values.ndim != 1 or (values.size and values.dtype.kind not in "iu"):

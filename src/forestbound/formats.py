@@ -13,12 +13,12 @@ All numeric rendering is locale-independent.
 from __future__ import annotations
 
 import json
-from operator import index, itemgetter
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
 
-from .bounds import _index_array
+from .bounds import _checked_indices, _index_array
 from .curve import BoundCurve
 from .errors import FormatError
 from .forest import ForestFamily, _region_key
@@ -188,31 +188,15 @@ _BLOCK_ROWS = 1 << 13  # rows rendered at once, which bounds the temporaries
 
 
 def _index_column(path: Sequence[int]) -> np.ndarray:
-    """The path as an int64 array of hypothesis indices (integers >= 1),
-    repeats allowed."""
+    """The path as an int64 array of hypothesis indices, integers in
+    1..INT64_MAX and repeats allowed: read by ``_index_array``, or else
+    checked by ``_checked_indices`` (a refusal raises FormatError), which
+    reads a one-shot iterable once, as the curves do."""
     idx = _index_array(_INT64_MAX, path)
-    if idx is not None:
-        return idx
-    try:
-        entries = iter(path)
-    except TypeError:  # no sequence at all, such as a 0-d array
-        raise FormatError(
-            "path must be a flat sequence of hypothesis indices"
-        ) from None
-    # An integer is what operator.index reads, as for _index_array's
-    # conversion and validate_path, but no boolean.
-    for x in entries:
-        try:
-            ok = not isinstance(x, (bool, np.bool_)) and 1 <= index(x) <= _INT64_MAX
-        except TypeError:
-            ok = False
-        if not ok:
-            raise FormatError(f"path entry {x!r} is not a hypothesis index")
-    if not isinstance(path, (Sequence, np.ndarray)):  # the scan consumed it
-        raise FormatError("path must be a flat sequence of hypothesis indices")
-    # The entries just checked, e.g. of an object array or of bytes, which
-    # np.array would read as one value.
-    return np.fromiter(map(index, path), np.int64, len(path))
+    if idx is None:
+        ints = _checked_indices(path, _INT64_MAX, FormatError, "path", distinct=False)
+        idx = np.array(ints, dtype=np.int64)
+    return idx
 
 
 def _ndigits(x: np.ndarray) -> np.ndarray:

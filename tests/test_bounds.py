@@ -1,6 +1,7 @@
 """Single-evaluation bound against its defining oracles."""
 
 import random
+import re
 import tracemalloc
 from itertools import accumulate
 
@@ -137,9 +138,13 @@ class TestVstar:
             assert py == np_
 
 
+# One instance, so that the message naming it is the same on every call.
+NO_COLLECTION = object()
+
+
 class TestLargeSideSelections:
     # From NUMPY_MIN_ATOMS atoms up, vstar reads the selection as one sorted
-    # array and hands every fault to atom_hit_counts.
+    # array and hands every fault to the validator atom_hit_counts also uses.
     FORMS = [
         list,
         tuple,
@@ -189,7 +194,7 @@ class TestLargeSideSelections:
         lambda m: None,
         lambda m: 5,
         lambda m: 2.5,
-        lambda m: object(),
+        lambda m: NO_COLLECTION,
     ]
 
     @pytest.mark.parametrize("bad", BAD)
@@ -202,7 +207,9 @@ class TestLargeSideSelections:
                 fb.vstar(family, bad(family.m))
             assert type(got.value) is type(want.value)
             assert str(got.value) == str(want.value)
-            messages.append(str(got.value).replace(f"1..{family.m}", "1..m"))
+            # The bound, and the one entry that depends on it, name m.
+            message = str(got.value).replace(f"1..{family.m}", "1..m")
+            messages.append(re.sub(rf"\b{family.m + 1}\b", "m + 1", message))
         assert messages[0] == messages[1]
 
     def test_no_table_of_size_m(self, large_family):
@@ -212,6 +219,11 @@ class TestLargeSideSelections:
             fb.vstar(family, [2, 1, family.m])
             fb.vstar(family, {3, family.m - 1})
             assert "_atom_of" not in family.__dict__
+        # A refusal is found from the selection alone, too.
+        for bad in ([1, 1], [0], [1.5]):
+            with pytest.raises(IndexOutOfRangeError):
+                fb.vstar(fam, bad)
+        assert "_atom_of" not in fam.__dict__
         fam = fb.build_dyadic(8, 2**15)  # its first vstar is measured
         tracemalloc.start()
         try:

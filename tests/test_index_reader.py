@@ -1,13 +1,16 @@
 """Every entry point that reads caller-supplied hypothesis indices gives what
-its Python validator gives: the same value, or the same exception class and
+the Python validator gives: the same value, or the same exception class and
 message.
 
 The array reader behind vstar (from NUMPY_MIN_ATOMS atoms up), both curves
 and both CSV writers reads only what it can check as one array, and hands
-the rest to the validator; these tests pin the outcome for every kind of
-entry, as a list, a tuple and a range.
+the rest to the one validator; these tests pin the outcome for every kind
+of entry, as a list, a tuple and a range, and the wording of every refusal
+across the entry points.
 """
 
+import re
+from collections.abc import Set as AbstractSet
 from decimal import Decimal
 from fractions import Fraction
 from itertools import accumulate
@@ -17,7 +20,8 @@ import numpy as np
 import pytest
 
 import forestbound as fb
-from forestbound import FormatError, IndexOutOfRangeError
+import test_bounds
+from forestbound import FormatError, IndexOutOfRangeError, NotAPermutationError
 from forestbound.bounds import (
     NUMPY_MIN_ATOMS,
     _sweep_py,
@@ -162,12 +166,14 @@ def _python_path_csv(path):
     lines = ["hypothesis_index"]
     for x in path:
         try:
-            ok = not isinstance(x, (bool, np.bool_)) and 1 <= index(x) <= INT64_MAX
+            if isinstance(x, (bool, np.bool_)):
+                raise TypeError
+            i = index(x)
         except TypeError:
-            ok = False
-        if not ok:
-            raise FormatError(f"path entry {x!r} is not a hypothesis index")
-        lines.append(str(index(x)))
+            raise FormatError(f"path entries must be integers, got {x!r}") from None
+        if not 1 <= i <= INT64_MAX:
+            raise FormatError(f"path entry {i} outside 1..{INT64_MAX}")
+        lines.append(str(i))
     return "\n".join(lines) + "\n"
 
 
@@ -254,5 +260,61 @@ def test_repeats_are_equal_values_whatever_their_hash(height):
     ):
         with pytest.raises(IndexOutOfRangeError) as refused:
             fb.vstar(family, selection)
-        assert str(refused.value) == "selection contains duplicate indices"
+        assert str(refused.value) == "selection repeats index 3"
     assert fb.vstar(family, [OrderedIndex(3), OrderedIndex(4)]) == 2
+
+
+ENTRY_POINTS = [
+    # (call, the error class it raises, the noun its messages start with)
+    (lambda v: fb.vstar(LARGE, v), IndexOutOfRangeError, "selection"),
+    (lambda v: fb.vstar(SMALL, v), IndexOutOfRangeError, "selection"),
+    (lambda v: fb.fast_curve(LARGE, v), NotAPermutationError, "path"),
+    (lambda v: fb.naive_curve(LARGE, v), NotAPermutationError, "path"),
+    (dump_path_csv, FormatError, "path"),
+    # The path column is read before the curve's length is compared, so a
+    # path read here is refused as a curve of the wrong length.
+    (lambda v: dump_curve_csv(v, fb.BoundCurve([0])), FormatError, "path"),
+]
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [*test_bounds.TestLargeSideSelections.BAD, lambda m: {2, 1}, lambda m: np.array(0)],
+)
+def test_one_vocabulary(bad):
+    # Every entry point refuses a fault in the same words, with its own
+    # class, once its noun and its bound (m, or INT64_MAX for the writers)
+    # are put aside.  The writers' column may repeat an index or exceed m,
+    # so they alone may take such a path; a selection needs no order, so
+    # vstar is not asked about a set.
+    messages = set()
+    for call, error, noun in ENTRY_POINTS:
+        values = bad(M)
+        if noun == "selection" and isinstance(values, AbstractSet):
+            continue
+        got, message = _outcome(call, values)
+        if got == "value" or message.startswith("curve has"):
+            assert error is FormatError
+            continue
+        assert got is error
+        message = message.replace(noun, "indices", 1)
+        messages.add(re.sub(rf"1\.\.({M}|{INT64_MAX})$", "1..B", message))
+    assert len(messages) == 1
+
+
+def test_writers_read_what_the_curves_read():
+    path = [5, 2, 7]
+    curve = fb.fast_curve(LARGE, path)
+    rows = dump_path_csv(path), dump_curve_csv(path, curve)
+    for form in (
+        dict.fromkeys,
+        lambda p: dict.fromkeys(p).keys(),
+        lambda p: (x for x in p),
+    ):
+        assert fb.fast_curve(LARGE, form(path)) == curve
+        assert (dump_path_csv(form(path)), dump_curve_csv(form(path), curve)) == rows
+    for unordered in (set(path), frozenset(path)):
+        for call, error, _ in ENTRY_POINTS[2:]:
+            with pytest.raises(error) as refused:
+                call(unordered)
+            assert str(refused.value) == "path must be ordered, got a set"
