@@ -103,7 +103,7 @@ def _row_lists(family: ForestFamily) -> tuple[list[int], ...]:
     return tuple(c.tolist() for c in columns)
 
 
-def _sweep_py(family: ForestFamily, hc: Sequence[int]) -> list[int]:
+def _sweep_py(family: ForestFamily, hc: list[int]) -> list[int]:
     """The bottom-up sweep over plain lists; returns its accumulator.
 
     ``hc`` holds the prefix counts: ``hc[n]`` selected hypotheses in atoms
@@ -115,8 +115,6 @@ def _sweep_py(family: ForestFamily, hc: Sequence[int]) -> list[int]:
     parent's slot; the roots' go to ``acc[-1]``, which starts at |S| and so
     ends as the bound.
     """
-    if isinstance(hc, np.ndarray):
-        hc = hc.tolist()
     zeta, left, right, parent = family._view(_row_lists)
     acc = [0] * (len(zeta) + 1)
     acc[-1] = hc[-1]

@@ -37,6 +37,22 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _plain(convert):
+    """An argparse type: ``convert`` on text with no underscore and only ASCII
+    characters, as the CSV readers read numbers (``int`` reads "1_0" as 10)."""
+
+    def read(text: str):
+        if "_" in text or not text.isascii():
+            raise ValueError(f"invalid {convert.__name__} value: {text!r}")
+        return convert(text)
+
+    read.__name__ = convert.__name__  # argparse names the type in a refusal
+    return read
+
+
+_INT, _FLOAT = _plain(int), _plain(float)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="forestbound", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -70,24 +86,24 @@ def _build_parser() -> _Parser:
     )
 
     p = sub.add_parser("gen-dyadic", help="write a dyadic-tree family")
-    p.add_argument("--height", type=int, required=True)
-    p.add_argument("--atom-size", type=int, required=True)
+    p.add_argument("--height", type=_INT, required=True)
+    p.add_argument("--atom-size", type=_INT, required=True)
     p.add_argument("--out", dest="outfile", required=True)
 
     p = sub.add_parser("zeta", help="estimate region budgets")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", dest="outfile", required=True)
     p.add_argument("--zeta", choices=ZETA_METHODS, default="trivial")
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--alpha", type=_FLOAT, default=0.05)
     p.add_argument("--pvalues", help="p-value CSV (required for dkwm)")
 
     p = sub.add_parser("bench", help="time the curve variants on a scenario")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--height", type=int, required=True)
+    p.add_argument("--m", type=_INT, required=True)
+    p.add_argument("--height", type=_INT, required=True)
     p.add_argument("--zeta", choices=ZETA_METHODS, default="trivial")
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--n-repl", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--alpha", type=_FLOAT, default=0.05)
+    p.add_argument("--n-repl", type=_INT, default=10)
+    p.add_argument("--seed", type=_INT, default=0)
     p.add_argument(
         "--signal-leaves",
         default="1,5,9,10",
@@ -199,9 +215,7 @@ def _cmd_zeta(args) -> int:
 
 def _cmd_bench(args) -> int:
     try:
-        leaves = frozenset(
-            int(x) for x in args.signal_leaves.split(",") if x.strip()
-        )
+        leaves = [_INT(x) for x in args.signal_leaves.split(",") if x.strip()]
         cfg = sim.ScenarioConfig(
             m=args.m,
             tree_height=args.height,

@@ -118,14 +118,20 @@ _COLUMNS = (
 )
 
 
-def _region_columns(columns, rows) -> list[np.ndarray]:
-    """The region columns i, j and zeta as int64 arrays.
+def _region_columns(rows: list) -> list[np.ndarray]:
+    """The columns i, j and zeta of the region ``rows`` as int64 arrays.
 
-    Three columns of ints are converted whole.  Otherwise ``rows``, the same
-    triples in input order, are checked value by value, so the fault raised
-    is the first one met row by row: i, then j, then zeta.  A row that is
-    no triple raises FormatError.
+    Tuple rows are transposed, and three columns of ints converted whole;
+    any other rows (an iterator row reads once) are checked value by value,
+    so the fault raised is the first met row by row: i, then j, then zeta.
+    A row that is no triple raises FormatError.
     """
+    columns = ()
+    if set(map(type, rows)) <= {tuple}:
+        try:
+            columns = tuple(zip(*rows, strict=True))
+        except ValueError:  # rows of unequal lengths
+            pass
     if len(columns) != 3 or not all(map(_all_ints, columns)):
         columns = [], [], []
         for n, row in enumerate(rows, start=1):
@@ -201,25 +207,7 @@ class ForestFamily:
             raise FormatError(
                 f"regions must be an iterable of (i, j, zeta) triples, got {regions!r}"
             ) from None
-        rows = list(rows)
-        columns = ()
-        # Only tuple rows are transposed: the fallback reads the rows again,
-        # and a row that is an iterator could be read once only.
-        if set(map(type, rows)) <= {tuple}:
-            try:
-                columns = tuple(zip(*rows, strict=True))
-            except ValueError:  # rows of unequal lengths
-                pass
-        self._build(m, offsets, *_region_columns(columns, rows))
-
-    @classmethod
-    def _from_columns(cls, m, atom_sizes, left, right, zeta) -> "ForestFamily":
-        # For readers that hold the regions as three sequences, i, j and zeta.
-        m, offsets = _checked_sizes(m, atom_sizes)
-        columns = (left, right, zeta)
-        return cls.__new__(cls)._build(
-            m, offsets, *_region_columns(columns, zip(*columns))
-        )
+        self._build(m, offsets, *_region_columns(list(rows)))
 
     @classmethod
     def _from_rows(cls, m, offsets, left, right, zeta) -> "ForestFamily":
@@ -355,8 +343,9 @@ class ForestFamily:
     def regions(self) -> Iterator[Region]:
         """Regions sorted by key."""
         order = np.lexsort((self._right, self._left))
-        zeta, depth = self._zeta[order].tolist(), self._depth[order].tolist()
-        return map(Region, self.keys(), zeta, depth)
+        columns = (self._left, self._right, self._zeta, self._depth)
+        left, right, zeta, depth = (c[order].tolist() for c in columns)
+        return map(Region, map(RegionKey, left, right), zeta, depth)
 
     def region(self, key) -> Region:
         r = self._row(key)

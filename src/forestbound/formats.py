@@ -2,8 +2,10 @@
 
 The forest file is canonical JSON: a header with m and the atom sizes, then
 the regions as {i, j, zeta} records sorted by (depth, i).  Depth is derived
-and never serialized.  Parsing followed by serialization reproduces a
-canonically ordered input byte for byte.
+and never serialized.  Each record is read once into a triple for
+``ForestFamily(m, atom_sizes, regions)``, so a file meets a caller's checks
+in their order, and parsing then serializing reproduces a canonically
+ordered input byte for byte.
 
 Paths travel as single-column CSV (``hypothesis_index``), p-values as
 single-column CSV (``p_value``), and curves as CSV with one row per step.
@@ -63,25 +65,13 @@ def parse_forest(text: str) -> ForestFamily:
     try:
         m = doc["m"]
         atom_sizes = doc["atom_sizes"]
-        columns = _region_fields(doc["regions"])
+        regions = doc["regions"]
+        if isinstance(regions, (dict, str)):  # iterable, but no JSON array
+            raise TypeError("'regions' must be a JSON array")
+        rows = list(map(itemgetter("i", "j", "zeta"), regions))
     except (KeyError, TypeError) as exc:
         raise FormatError(f"forest file missing or malformed field: {exc}") from None
-    return ForestFamily._from_columns(m, atom_sizes, *columns)
-
-
-_FIELDS = ("i", "j", "zeta")
-
-
-def _region_fields(regions) -> list[list]:
-    """The fields i, j and zeta of every region, one list per field."""
-    if isinstance(regions, (dict, str)):  # iterable, but no JSON array
-        raise TypeError("'regions' must be a JSON array")
-    try:
-        return [list(map(itemgetter(field), regions)) for field in _FIELDS]
-    except (KeyError, TypeError):
-        # Raise the fault met first when reading region by region.
-        list(map(itemgetter(*_FIELDS), regions))
-        raise
+    return ForestFamily(m, atom_sizes, rows)
 
 
 def dump_path_csv(path_indices: Sequence[int]) -> str:

@@ -10,7 +10,8 @@ p-values come from the standard normal survival function.  The harness times
 the naive (repeated single-evaluation) and incremental curve computations on
 the same inputs, pruned and unpruned, and reports summary statistics per
 variant.  Pruning runs once, before the replications, mirroring how a user
-would amortize it across many curves.
+would amortize it across many curves.  Signal leaves are read as ``vstar``
+reads a selection: once, as ints in 1..N, a refusal naming the entry.
 
 Timing uses the monotonic performance counter.  Preparing a scenario runs
 each chosen variant twice untimed: the warm-ups populate the per-family
@@ -23,13 +24,14 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 import time
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
+from .bounds import _checked_indices
 from .curve import BoundCurve, _pvalue_path, fast_curve, naive_curve
 from .forest import DYADIC_MAX_M, ForestFamily, _as_count, build_dyadic
 from .pruning import prune
@@ -78,24 +80,12 @@ class ScenarioConfig:
         # allocated arrays of m floats.
         if self.m > DYADIC_MAX_M:
             raise ValueError(f"m={self.m} exceeds {DYADIC_MAX_M}")
-        # Read once, as a generator is empty on a second pass.  The leaves are
-        # checked before a set is built, where True would merge into a 1.
-        try:
-            leaves = tuple(self.signal_leaves)
-        except TypeError:
-            raise ValueError(
-                f"signal leaves must be an iterable of integers in 1..{n_atoms}, "
-                f"got {self.signal_leaves!r}"
-            ) from None
-        for leaf in leaves:
-            try:
-                ok = 1 <= operator.index(leaf) <= n_atoms and leaf is not True
-            except TypeError:
-                ok = False
-            if not ok:
-                raise ValueError(
-                    f"signal leaves must be integers in 1..{n_atoms}, got {leaf!r}"
-                )
+        leaves = self.signal_leaves
+        if isinstance(leaves, AbstractSet):  # leaves need no order
+            leaves = list(leaves)
+        leaves = _checked_indices(
+            leaves, n_atoms, ValueError, "signal leaves", distinct=False
+        )
         object.__setattr__(self, "signal_leaves", frozenset(leaves))
         if self.n_repl < 1:
             raise ValueError("n_repl must be >= 1")

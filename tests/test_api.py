@@ -89,3 +89,35 @@ def test_perfbench_imports_resolve():
     assert {"atom_hit_counts", "compact"} <= from_package
     for module, name in imported:
         assert hasattr(importlib.import_module(module), name), (module, name)
+
+
+
+SRC = Path(fb.__file__).resolve().parent
+
+# The per-entry readers of caller input: forest._as_count reads a count (m,
+# an atom size, a region field), bounds._checked_indices an index list.
+ENTRY_READERS = {("forest", "_as_count"), ("bounds", "_checked_indices")}
+
+
+def test_one_reader_per_kind_of_input():
+    # operator.index reads one entry; a use of it anywhere but in the two
+    # readers is a third reader.
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        scope = {}  # each node's innermost enclosing function
+        for func in ast.walk(tree):  # outer functions come first
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope.update((node, func.name) for node in ast.walk(func))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "operator":
+                if "index" in {alias.name for alias in node.names}:
+                    found.add((path.stem, "from operator import index"))
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr == "index"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "operator"
+            ):
+                found.add((path.stem, scope.get(node)))
+    assert found == ENTRY_READERS

@@ -299,7 +299,7 @@ class TestSwitchPoints:
         for fam in [fam for _, fam in self.families()] + edges:
             result = fb.prune(fam)
             assert result.removed == definition_removed_set(fam)
-            assert result.vstar_full == _sweep_py(fam, fam._offsets)[-1]
+            assert result.vstar_full == _sweep_py(fam, fam._offsets.tolist())[-1]
 
 
 class TestCostFollowsTheSelection:

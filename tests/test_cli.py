@@ -540,3 +540,52 @@ class TestBench:
         monkeypatch.setattr(cli.sim, "run_scenario", unreachable)
         assert main(["bench", "--m", str(2**31), "--height", "5"]) == 1
         assert capsys.readouterr().err.startswith("usage error: m=2147483648 ")
+
+
+class TestNumbersReadAsCsvEntries:
+    """Numbers on the command line follow the CSV readers' rule: argparse's
+    int and float would read "1_0" as 10 and Arabic-Indic digits as
+    digits, so text holding an underscore or a non-ASCII character is a
+    usage error."""
+
+    @pytest.mark.parametrize(
+        "flag, text",
+        [
+            ("--m", "3_2"),
+            ("--height", "٥"),
+            ("--alpha", "0.0_5"),
+            ("--n-repl", "1_0"),
+            ("--seed", "١"),
+            ("--signal-leaves", "1_0"),
+            ("--signal-leaves", "١"),
+            ("--signal-leaves", "2,1_0"),
+        ],
+    )
+    def test_bench(self, monkeypatch, capsys, flag, text):
+        def unreachable(cfg):
+            raise AssertionError(f"bench ran with {flag} {text}")
+
+        monkeypatch.setattr(cli.sim, "run_scenario", unreachable)
+        flags = {"--m": "32", "--height": "5", flag: text}
+        assert main(["bench", *(x for pair in flags.items() for x in pair)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ")
+        assert repr(text.split(",")[-1]) in err
+
+    @pytest.mark.parametrize(
+        "height, atom_size", [("1_0", "1"), ("3", "١")], ids=["height", "atom-size"]
+    )
+    def test_gen_dyadic(self, tmp_path, capsys, height, atom_size):
+        out = tmp_path / "x.forest"
+        argv = ["gen-dyadic", "--height", height, "--atom-size", atom_size]
+        assert main([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("usage error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("alpha", ["0.0_5", "0.٠٥"])
+    def test_zeta_alpha(self, tmp_path, family_file, capsys, alpha):
+        out = tmp_path / "x.forest"
+        argv = ["zeta", "--in", str(family_file), "--out", str(out)]
+        assert main([*argv, "--alpha", alpha]) == 1
+        assert capsys.readouterr().err.startswith("usage error: ")
+        assert not out.exists()

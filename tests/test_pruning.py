@@ -83,7 +83,7 @@ class TestPruneProperties:
             for fam in edge_budget_families(rng, atoms):
                 result = fb.prune(fam)
                 assert result.removed == definition_removed_set(fam)
-                assert result.vstar_full == _sweep_py(fam, fam._offsets)[-1]
+                assert result.vstar_full == _sweep_py(fam, fam._offsets.tolist())[-1]
                 full = range(1, fam.m + 1)
                 assert fb.vstar(result.pruned_family, full) == result.vstar_full
 

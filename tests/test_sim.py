@@ -131,13 +131,23 @@ class TestScenarioConfig:
 
     def test_signal_leaves_are_integer_atoms(self):
         # True would act as leaf 1 and 5.0 would fail later in gen_pvalues.
-        for bad in (True, 5.0, 0):
-            with pytest.raises(ValueError, match=f"1..8, got {bad!r}"):
+        for bad, message in [
+            (True, "signal leaves entries must be integers, got True"),
+            (5.0, "signal leaves entries must be integers, got 5.0"),
+            (0, "signal leaves entry 0 outside 1..8"),
+        ]:
+            with pytest.raises(ValueError) as caught:
                 sim.ScenarioConfig(m=16, tree_height=4, signal_leaves=frozenset({bad}))
+            assert str(caught.value) == message
         cfg = sim.ScenarioConfig(
             m=16, tree_height=4, signal_leaves=frozenset({np.int64(8)})
         )
         assert sim.gen_pvalues(cfg).shape == (16,)
+
+    def test_signal_leaves_stored_as_ints(self):
+        cfg = sim.ScenarioConfig(m=16, tree_height=4, signal_leaves=[np.int64(3)])
+        assert cfg.signal_leaves == frozenset({3})
+        assert [type(leaf) for leaf in cfg.signal_leaves] == [int]
 
     def test_signal_leaves_read_once(self):
         cfg = sim.ScenarioConfig(
@@ -176,11 +186,11 @@ class TestScenarioConfig:
             ({"tree_height": 33}, "tree height must be <= 32, got 33"),
             (
                 {"signal_leaves": 5},
-                "signal leaves must be an iterable of integers in 1..4, got 5",
+                "signal leaves must be a sequence of integers, got 5",
             ),
             (
                 {"signal_leaves": None},
-                "signal leaves must be an iterable of integers in 1..4, got None",
+                "signal leaves must be a sequence of integers, got None",
             ),
         ],
     )
